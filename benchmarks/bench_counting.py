@@ -65,8 +65,6 @@ def _available_cores() -> int:
 def _suite_cold(backend: str) -> dict:
     """Cold full-suite derivation with one count backend, fresh interpreter."""
     env = dict(os.environ)
-    env.pop("REPRO_SETS_BACKEND", None)
-    env.pop("REPRO_SETS_MEMO", None)
     env["REPRO_COUNT_BACKEND"] = backend
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),

@@ -28,16 +28,14 @@ setup(
     install_requires=[
         "sympy",
         "networkx",
+        "numpy",
+        "scipy",
     ],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis", "pytest-cov"],
         # Optional exact relation backend for the Algorithm-5 wavefront
         # validation (auto-selected by repro.rel when importable).
         "isl": ["islpy"],
-        # Optional set-algebra accelerators (auto-selected by
-        # repro.sets.backend when importable; REPRO_SETS_BACKEND overrides).
-        "fast": ["numpy"],
-        "jit": ["numpy", "numba"],
     },
     entry_points={
         "console_scripts": [

@@ -291,7 +291,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     snapshot = perf.snapshot()
     backend = get_backend().name
     counting = count_backend()
-    memo_state = "on" if sets_memo.memo_enabled() else "off"
 
     if args.json:
         payload = {
@@ -299,7 +298,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "wall_s": wall,
             "backend": backend,
             "count_backend": counting,
-            "memo": sets_memo.memo_enabled(),
             **snapshot.to_dict(),
         }
         print(json.dumps(payload, indent=2))
@@ -307,7 +305,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     header = (
         f"cold derivation of {len(names)} kernel(s) in {wall:.2f}s "
-        f"(set backend: {backend}, count backend: {counting}, memo: {memo_state})"
+        f"(set backend: {backend}, count backend: {counting})"
     )
     table = snapshot.format_table(wall)
     print(header)

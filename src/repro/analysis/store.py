@@ -13,14 +13,11 @@ JSON cache of the first ``Analyzer`` iteration with a first-class store:
 * **shared default root** — ``$REPRO_STORE`` when set, otherwise
   ``~/.cache/repro`` (the per-user XDG-style location), so suites,
   benchmarks and services all hit one store without any configuration;
-* **schema negotiation** — every entry is a versioned envelope.  The older
-  flat layout (``<root>/<key>.json`` bare-result files) is still read and
-  transparently migrated into shards *when the key still matches* — note
-  that results derived under an older ``DERIVATION_VERSION`` key differently
-  on purpose (their semantics may differ) and are simply re-derived, never
-  served; entries written by a *newer* library version are treated as misses
-  and are not overwritten (a check-then-replace guard: best-effort under
-  mixed-version writers racing on one key, absolute otherwise);
+* **schema negotiation** — every entry is a versioned envelope; a payload
+  without one is a miss.  Entries written by a *newer* library version are
+  treated as misses and are not overwritten (a check-then-replace guard:
+  best-effort under mixed-version writers racing on one key, absolute
+  otherwise);
 * **eviction** — :meth:`BoundStore.gc` enforces a size budget by evicting
   least-recently-used entries (access times are bumped on every hit, so the
   policy works on ``noatime`` mounts too);
@@ -71,19 +68,11 @@ BUDGET_ENV = "REPRO_STORE_BUDGET"
 
 #: Version of the on-disk entry envelope written by this library.  Entries
 #: with a *larger* ``store_schema`` come from a newer library: they are
-#: reported as misses and never overwritten.  Entries with no envelope at all
-#: (bare ``IOBoundResult.to_dict()`` payloads, the legacy flat-cache format)
-#: are read as "schema 0" and migrated into the envelope on first hit.
+#: reported as misses and never overwritten.  Payloads with no envelope at
+#: all count as "schema 0" and are misses.
 STORE_SCHEMA = 1
 
 _SIZE_SUFFIXES = {"": 1, "K": 1024, "M": 1024**2, "G": 1024**3, "T": 1024**4}
-
-#: Shape of a store key (and of a legacy flat entry's stem): the 64-hex
-#: program fingerprint crossed with the 16-hex config digest.  The legacy
-#: sweep in :meth:`BoundStore.clear` only touches files matching this, so a
-#: root that also holds unrelated JSON (exported suite documents, notes)
-#: never loses them.
-_KEY_PATTERN = re.compile(r"[0-9a-f]{64}-[0-9a-f]{16}")
 
 #: Archive member names accepted by :meth:`BoundStore.import_archive`: the
 #: sharded layout with a result key, a ``-task`` key or a ``-sim`` key as the
@@ -224,10 +213,6 @@ class BoundStore:
         """On-disk location of an entry: ``objects/<first-2-hex>/<key>.json``."""
         return self.objects_dir / key[:2] / f"{key}.json"
 
-    def _legacy_path(self, key: str) -> Path:
-        """Pre-store flat layout (``<root>/<key>.json``), still read-supported."""
-        return self.root / f"{key}.json"
-
     def _entries(self) -> Iterator[Path]:
         if not self.objects_dir.is_dir():
             return
@@ -245,21 +230,7 @@ class BoundStore:
         if payload is not None and payload.get("kind", "result") != "result":
             # A task-level entry living under a colliding key is not a result.
             payload = None
-        if payload is None:
-            legacy = _read_json(self._legacy_path(key))
-            if legacy is not None:
-                result = _result_from_payload(legacy, schema=0)
-                if result is not None:
-                    # Migrate the legacy flat entry into the sharded layout so
-                    # the next reader finds it in one probe; the old file is
-                    # left alone (another process may be mid-read on it).
-                    self.put(key, result)
-                    self._count_hit()
-                    return result
-            self._count_miss()
-            return None
-        schema = _entry_schema(payload)
-        result = _result_from_payload(payload, schema)
+        result = None if payload is None else _result_from_payload(payload)
         if result is None:
             self._count_miss()
             return None
@@ -268,10 +239,7 @@ class BoundStore:
         return result
 
     def contains(self, key: str) -> bool:
-        path = self.path_for(key)
-        if path.exists():
-            return True
-        return self._legacy_path(key).exists()
+        return self.path_for(key).exists()
 
     # -- write path -----------------------------------------------------------
 
@@ -589,11 +557,10 @@ class BoundStore:
         return evicted
 
     def clear(self) -> int:
-        """Remove every entry (sharded and legacy); returns the count removed.
+        """Remove every entry; returns the count removed.
 
-        Only files that look like store entries are touched: the legacy
-        sweep matches the key pattern, so unrelated JSON living at the root
-        (e.g. a ``suite --json`` export) survives.
+        Only the ``objects/`` tree is touched, so unrelated JSON living at
+        the root (e.g. a ``suite --json`` export) survives.
         """
         removed = 0
         for path in list(self._entries()):
@@ -602,15 +569,6 @@ class BoundStore:
                 removed += 1
             except OSError:
                 pass
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                if not _KEY_PATTERN.fullmatch(path.stem):
-                    continue
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
         return removed
 
     def __len__(self) -> int:
@@ -652,22 +610,20 @@ def _read_json(path: Path) -> dict | None:
 
 
 def _entry_schema(payload: Mapping) -> int:
-    """Envelope version of an entry payload (0 for legacy bare results)."""
+    """Envelope version of an entry payload (0 when it has no envelope)."""
     schema = payload.get("store_schema", 0)
     return schema if isinstance(schema, int) else 0
 
 
-def _result_from_payload(payload: Mapping, schema: int) -> IOBoundResult | None:
-    """Decode an entry according to its negotiated schema version.
+def _result_from_payload(payload: Mapping) -> IOBoundResult | None:
+    """Decode a result entry; anything but the current envelope is a miss.
 
-    * schema 0 — the payload *is* a bare ``IOBoundResult.to_dict()`` (the
-      legacy flat cache format);
-    * schema 1 — the current envelope, result under ``"result"``;
-    * anything newer — unknown on purpose: report a miss, never guess.
+    An envelope-less payload (schema 0) and an unknown newer schema are both
+    misses: never guess.  The result lives under ``"result"``.
     """
-    if schema > STORE_SCHEMA:
+    if _entry_schema(payload) != STORE_SCHEMA:
         return None
-    body = payload if schema == 0 else payload.get("result")
+    body = payload.get("result")
     if not isinstance(body, Mapping):
         return None
     try:

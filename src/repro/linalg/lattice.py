@@ -17,7 +17,7 @@ import time
 from typing import Iterable
 
 from .. import perf
-from ..sets.memo import MISSING, MemoCache, memo_enabled, register
+from ..sets.memo import MISSING, MemoCache, register
 from .subspace import Subspace
 
 DEFAULT_TIMEOUT_SECONDS = 2.0
@@ -85,20 +85,18 @@ def subspace_closure(
 
     # Keys use Subspace.content_key() — int-pair tuples, not Fraction bases —
     # because Fraction hashing is expensive enough to dominate cache lookups.
-    key = None
-    if memo_enabled():
-        key = (
-            lattice.dim_ambient,
-            frozenset(element.content_key() for element in lattice.elements),
-            new_kernel.content_key(),
-            max_elements,
-        )
-        cached = _CLOSURE_CACHE.lookup(key)
-        if cached is not MISSING:
-            elements, changed = cached
-            if not changed:
-                return lattice, False
-            return SubspaceLattice(lattice.dim_ambient, elements), True
+    key = (
+        lattice.dim_ambient,
+        frozenset(element.content_key() for element in lattice.elements),
+        new_kernel.content_key(),
+        max_elements,
+    )
+    cached = _CLOSURE_CACHE.lookup(key)
+    if cached is not MISSING:
+        elements, changed = cached
+        if not changed:
+            return lattice, False
+        return SubspaceLattice(lattice.dim_ambient, elements), True
 
     deadline = time.monotonic() + timeout_seconds
     updated = lattice.copy()
@@ -107,8 +105,7 @@ def subspace_closure(
     worklist = [new_kernel]
     while worklist:
         if len(updated) > max_elements:
-            if key is not None:
-                _CLOSURE_CACHE.put(key, ((), False))
+            _CLOSURE_CACHE.put(key, ((), False))
             return lattice, False
         if time.monotonic() > deadline:
             return lattice, False  # wall-clock dependent: do not cache
@@ -119,11 +116,9 @@ def subspace_closure(
                     updated.elements.add(candidate)
                     worklist.append(candidate)
                     if len(updated) > max_elements:
-                        if key is not None:
-                            _CLOSURE_CACHE.put(key, ((), False))
+                        _CLOSURE_CACHE.put(key, ((), False))
                         return lattice, False
-    if key is not None:
-        _CLOSURE_CACHE.put(key, (tuple(updated.elements), True))
+    _CLOSURE_CACHE.put(key, (tuple(updated.elements), True))
     return updated, True
 
 

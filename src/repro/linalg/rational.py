@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .. import perf
-from ..sets.memo import MemoCache, memo_enabled, register
+from ..sets.memo import MemoCache, register
 
 Row = tuple[Fraction, ...]
 Matrix = tuple[Row, ...]
@@ -32,7 +32,7 @@ _SMALL_FRACTIONS = tuple(Fraction(i - _SMALL_RANGE) for i in range(2 * _SMALL_RA
 
 # Matrices are immutable and hashable, so RREF / nullspace results are
 # memoised under the matrix itself (see repro.sets.memo for the key
-# discipline; REPRO_SETS_MEMO=0 disables these caches too).
+# discipline).
 _RREF_CACHE = register(MemoCache("linalg.rref"))
 _NULLSPACE_CACHE = register(MemoCache("linalg.nullspace"))
 
@@ -106,56 +106,13 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
     Returns the reduced matrix together with the list of pivot column indices.
     """
-    if not memo_enabled():
-        reduced, pivots = _rref_uncached(a)
-        return reduced, list(pivots)
-    reduced, pivots = _RREF_CACHE.get_or_compute(_matrix_key(a), lambda: _rref_uncached(a))
+    reduced, pivots = _RREF_CACHE.get_or_compute(_matrix_key(a), lambda: _rref_fraction_free(a))
     return reduced, list(pivots)
 
 
-def _fraction_free_enabled() -> bool:
-    from ..sets.backend import get_backend
-
-    return getattr(get_backend(), "fraction_free_rref", False)
-
-
-def _rref_uncached(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+def _rref_fraction_free(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     if not a:
         return tuple(), ()
-    if _fraction_free_enabled():
-        return _rref_fraction_free(a)
-    return _rref_reference(a)
-
-
-def _rref_reference(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Textbook Gauss-Jordan over ``Fraction`` — the semantic reference."""
-    rows = [list(r) for r in a]
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
-            break
-        pivot_row = None
-        for i in range(r, n_rows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot_val = rows[r][c]
-        rows[r] = [x / pivot_val for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [rows[i][j] - factor * rows[r][j] for j in range(n_cols)]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in rows), tuple(pivots)
-
-
-def _rref_fraction_free(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     # The RREF of a matrix is invariant under scaling rows by non-zero
     # constants (the row space and row count are unchanged), so every input
     # can be reduced over the integers: clear each row's denominators, run
@@ -229,8 +186,6 @@ def nullspace(a: Matrix) -> list[Row]:
 
     Returns a (possibly empty) list of basis vectors.
     """
-    if not memo_enabled():
-        return _nullspace_uncached(a)
     return list(
         _NULLSPACE_CACHE.get_or_compute(_matrix_key(a), lambda: tuple(_nullspace_uncached(a)))
     )

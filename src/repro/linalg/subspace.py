@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .. import perf
-from ..sets.memo import MemoCache, memo_enabled, register
+from ..sets.memo import MemoCache, register
 from .rational import Matrix, Row, nullspace, rank, rref, to_fraction_matrix
 
 # Sum / intersection results keyed on the (order-normalised) operand bases.
@@ -100,7 +100,7 @@ class Subspace:
         Fraction hashing computes a modular inverse per entry, so keying the
         subspace caches on the basis itself dominated cache lookups; int
         tuples hash for free.  The key is cached on the object (it is frozen
-        after construction), except under ``REPRO_SETS_MEMO=0``.
+        after construction).
         """
         key = self._key
         if key is None:
@@ -108,16 +108,13 @@ class Subspace:
                 self.dim_ambient,
                 tuple(tuple((x.numerator, x.denominator) for x in row) for row in self.basis),
             )
-            if memo_enabled():
-                self._key = key
+            self._key = key
         return key
 
     @perf.timed("linalg")
     def sum(self, other: "Subspace") -> "Subspace":
         """Subspace sum (join): span of the union of both bases (memoised)."""
         self._check_ambient(other)
-        if not memo_enabled():
-            return Subspace(self.dim_ambient, list(self.basis) + list(other.basis))
         ka, kb = self.content_key(), other.content_key()
         if kb < ka:
             ka, kb = kb, ka
@@ -136,8 +133,6 @@ class Subspace:
         shared canonical object per unordered operand pair.
         """
         self._check_ambient(other)
-        if not memo_enabled():
-            return self._intersection_uncached(other)
         ka, kb = self.content_key(), other.content_key()
         if kb < ka:
             ka, kb = kb, ka
@@ -186,8 +181,7 @@ class Subspace:
         h = self._hash
         if h is None:
             h = hash(self.content_key())
-            if memo_enabled():
-                self._hash = h
+            self._hash = h
         return h
 
     def __repr__(self) -> str:

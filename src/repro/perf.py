@@ -5,9 +5,9 @@ subsystems — the polyhedral set algebra (:mod:`repro.sets`), symbolic
 counting, Fourier-Motzkin elimination, relation closure (:mod:`repro.rel`),
 exact linear algebra (:mod:`repro.linalg`) and pebble-game simulation
 (:mod:`repro.pebble`).  This module attributes wall-time to those subsystems
-with near-zero overhead so ``python -m repro profile`` and
-``benchmarks/bench_profile.py`` can answer "where does a cold derivation
-spend its time?" before anyone reaches for an optimisation.
+with near-zero overhead so ``python -m repro profile`` can answer "where
+does a cold derivation spend its time?" before anyone reaches for an
+optimisation.
 
 Attribution model
 -----------------

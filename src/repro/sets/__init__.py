@@ -15,9 +15,8 @@ barvinok and PET in the original C implementation:
 
 from .affine import LinExpr
 from .affine_map import AffineFunction
-from .backend import BACKEND_ENV, get_backend, numba_available, numpy_available
+from .backend import get_backend
 from .basic_set import EQ, GE, BasicSet, Constraint
-from .memo import MEMO_ENV, memo_enabled
 from .counting import (
     COUNT_BACKEND_ENV,
     COUNT_BACKENDS,
@@ -44,12 +43,10 @@ from .pset import ParamSet
 from .space import Space
 
 __all__ = [
-    "BACKEND_ENV",
     "COUNT_BACKEND_ENV",
     "COUNT_BACKENDS",
     "EQ",
     "GE",
-    "MEMO_ENV",
     "AffineFunction",
     "BasicSet",
     "Constraint",
@@ -63,9 +60,6 @@ __all__ = [
     "Space",
     "basic_set_is_empty",
     "get_backend",
-    "memo_enabled",
-    "numba_available",
-    "numpy_available",
     "card",
     "card_at",
     "card_basic",

@@ -1,39 +1,32 @@
-"""Pluggable compiled kernels for the constraint-matrix inner loops.
+"""Vectorised int64 kernels for the constraint-matrix inner loops.
 
-Three backends accelerate the same inner loops; all of them are *perf-only*
-— the pure-Python implementations in :mod:`repro.sets` remain the semantic
-reference, and every backend must produce **byte-identical** results
-(same constraints, same order, same canonical form):
+Two hot loops of the set algebra run as numpy matrix kernels:
 
-* :class:`PureSetBackend` — the default-correct fallback; declines every
-  query so callers run their reference loops (no dependencies).
-* :class:`NumpySetBackend` — vectorises the Fourier-Motzkin pair
-  combination, the trivially-true redundancy filter on combined rows, the
-  per-row gcd canonicalisation, and concrete point enumeration as int64
-  matrix kernels.  Declines (returns ``None``) whenever exactness cannot be
-  guaranteed: non-integer coefficients, possible int64 overflow, grids past
-  the enumeration limit.
-* :class:`NumbaSetBackend` — the numpy backend with the innermost loops
-  JIT-compiled via `numba <https://numba.pydata.org>`_; used automatically
-  when numba is importable.
+* :func:`fm_combine` — the Fourier-Motzkin pair combination, the
+  trivially-true redundancy filter on combined rows and the per-row gcd
+  canonicalisation (called by
+  :func:`repro.sets.fourier_motzkin.eliminate_variable`);
+* :func:`enumerate_points` — concrete point enumeration over a bounded
+  candidate grid (called by :meth:`repro.sets.basic_set.BasicSet.enumerate_points`).
 
-Selection mirrors ``repro.rel.backend``: :func:`get_backend` honours the
-``REPRO_SETS_BACKEND`` environment variable (``pure`` / ``numpy`` /
-``numba``) and otherwise auto-selects the best importable backend
-(numba > numpy > pure).
+Each kernel reproduces its loop counterpart's output exactly — identical
+values in identical order — or *declines* by returning ``None``, in which
+case the caller runs its Python loop instead.  The decline boundary is the
+set of inputs int64 cannot represent exactly: fractional coefficients,
+possible int64 overflow, grids past :data:`ENUMERATION_GRID_LIMIT`, free
+names and non-integer parameter values.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .affine import LinExpr
-from .basic_set import EQ, GE, BasicSet, Constraint
-
-#: Environment variable forcing a backend (``pure``, ``numpy`` or ``numba``).
-BACKEND_ENV = "REPRO_SETS_BACKEND"
+from .basic_set import EQ, GE, BasicSet, Constraint, _ceil, _floor
 
 #: Largest candidate grid the vectorised point enumeration will materialise.
 ENUMERATION_GRID_LIMIT = 200_000
@@ -42,400 +35,199 @@ ENUMERATION_GRID_LIMIT = 200_000
 _INT64_SAFE = 1 << 62
 
 
-@runtime_checkable
-class SetBackend(Protocol):
-    """One engine for the constraint-matrix inner loops.
+@dataclass(frozen=True)
+class SetEngine:
+    """Identifies the set-algebra engine in run metadata and profiles."""
 
-    Methods return ``None`` to decline a query, in which case the caller
-    runs its pure-Python reference loop — so a backend only ever *speeds
-    up* a computation, never changes it.
-    """
-
-    name: str
-
-    #: Whether :func:`repro.linalg.rational.rref` may use the fraction-free
-    #: integer elimination kernel (byte-identical; needs no numpy, but is
-    #: part of the optimised layer so ``pure`` restores the reference loop).
-    fraction_free_rref: bool
-
-    def fm_combine(
-        self,
-        lower: Sequence[tuple[Fraction, LinExpr]],
-        upper: Sequence[tuple[Fraction, LinExpr]],
-    ) -> list[Constraint] | None:
-        ...
-
-    def enumerate_points(
-        self, basic_set: BasicSet, params: Mapping[str, int], bound: int
-    ) -> list[tuple[int, ...]] | None:
-        ...
+    name: str = "numpy"
 
 
-class PureSetBackend:
-    """The dependency-free reference backend (declines every query)."""
-
-    name = "pure"
-    fraction_free_rref = False
-
-    def fm_combine(self, lower, upper):
-        return None
-
-    def enumerate_points(self, basic_set, params, bound):
-        return None
+_ENGINE = SetEngine()
 
 
-# Availability probes are cached: a *failed* import is costly (a full
-# sys.path search ending in an exception), and auto-selection runs on every
-# hot call that reaches for a backend.
-_numpy_ok: bool | None = None
-_numba_ok: bool | None = None
-
-
-def numpy_available() -> bool:
-    """True when numpy can be imported (probed once per process)."""
-    global _numpy_ok
-    if _numpy_ok is None:
-        try:
-            import numpy  # noqa: F401
-
-            _numpy_ok = True
-        except ImportError:
-            _numpy_ok = False
-    return _numpy_ok
-
-
-def numba_available() -> bool:
-    """True when numba (and therefore numpy) can be imported (probed once)."""
-    global _numba_ok
-    if _numba_ok is None:
-        try:
-            import numba  # noqa: F401
-            import numpy  # noqa: F401
-
-            _numba_ok = True
-        except ImportError:
-            _numba_ok = False
-    return _numba_ok
+def get_backend() -> SetEngine:
+    """The set-algebra engine (there is one; its ``name`` is ``"numpy"``)."""
+    return _ENGINE
 
 
 def _int_or_none(value: Fraction) -> int | None:
     return int(value) if value.denominator == 1 else None
 
 
-class NumpySetBackend:
-    """Vectorised int64 kernels with exactness guards.
+# -- Fourier-Motzkin pair combination ------------------------------------------
 
-    Every method reproduces its pure counterpart's output exactly —
-    identical values in identical order — or declines.  The guards are:
-    all coefficients must be integers (constraints are canonicalised before
-    reaching these loops, so this almost always holds) and every intermediate
-    product must fit int64 with margin.
+
+def fm_combine(
+    lower: Sequence[tuple[Fraction, LinExpr]],
+    upper: Sequence[tuple[Fraction, LinExpr]],
+) -> list[Constraint] | None:
+    """Combine every lower bound with every upper bound, or decline.
+
+    Returns the normalised, non-trivial combined constraints in pair-loop
+    order (``lower`` outer, ``upper`` inner).
     """
+    if not lower or not upper:
+        return []
+    names: list[str] = []
+    seen: set[str] = set()
+    for _, rest in (*lower, *upper):
+        for name in rest.coeffs:
+            if name not in seen:
+                seen.add(name)
+                names.append(name)
+    width = len(names) + 1  # coefficient columns + constant
+    column = {name: idx for idx, name in enumerate(names)}
 
-    name = "numpy"
-    fraction_free_rref = True
-
-    def __init__(self):
-        import numpy
-
-        self._np = numpy
-
-    # -- kernels a subclass may JIT ----------------------------------------
-
-    def _combine_rows(self, L, a, U, b):
-        """``out[i*nu + j] = L[i] * -b[j] + U[j] * a[i]`` in pure-loop order."""
-        np = self._np
-        combined = L[:, None, :] * (-b)[None, :, None] + U[None, :, :] * a[:, None, None]
-        return combined.reshape(L.shape[0] * U.shape[0], L.shape[1])
-
-    def _filter_mask(self, pts, A, consts, kinds):
-        """Row mask of points satisfying every constraint (1 = EQ row)."""
-        np = self._np
-        values = pts @ A.T + consts[None, :]
-        eq = kinds == 1
-        mask = np.ones(pts.shape[0], dtype=bool)
-        if eq.any():
-            mask &= (values[:, eq] == 0).all(axis=1)
-        if (~eq).any():
-            mask &= (values[:, ~eq] >= 0).all(axis=1)
-        return mask
-
-    # -- Fourier-Motzkin pair combination ----------------------------------
-
-    def fm_combine(self, lower, upper):
-        np = self._np
-        if not lower or not upper:
-            return []
-        names: list[str] = []
-        seen: set[str] = set()
-        for _, rest in (*lower, *upper):
-            for name in rest.coeffs:
-                if name not in seen:
-                    seen.add(name)
-                    names.append(name)
-        width = len(names) + 1  # coefficient columns + constant
-        column = {name: idx for idx, name in enumerate(names)}
-
-        def fill(pairs):
-            matrix = np.zeros((len(pairs), width), dtype=np.int64)
-            coeffs = np.empty(len(pairs), dtype=np.int64)
-            for row, (coeff, rest) in enumerate(pairs):
-                value = _int_or_none(coeff)
-                if value is None:
+    def fill(pairs):
+        matrix = np.zeros((len(pairs), width), dtype=np.int64)
+        coeffs = np.empty(len(pairs), dtype=np.int64)
+        for row, (coeff, rest) in enumerate(pairs):
+            value = _int_or_none(coeff)
+            if value is None:
+                return None, None
+            coeffs[row] = value
+            for name, frac in rest.coeffs.items():
+                entry = _int_or_none(frac)
+                if entry is None:
                     return None, None
-                coeffs[row] = value
-                for name, frac in rest.coeffs.items():
-                    entry = _int_or_none(frac)
-                    if entry is None:
-                        return None, None
-                    matrix[row, column[name]] = entry
-                const = _int_or_none(rest.const)
-                if const is None:
-                    return None, None
-                matrix[row, width - 1] = const
-            return matrix, coeffs
-
-        L, a = fill(lower)
-        if L is None:
-            return None
-        U, b = fill(upper)
-        if U is None:
-            return None
-
-        # Exactness guard: |combined| <= max|L|*max|b| + max|U|*max|a|.
-        bound = int(np.abs(L).max(initial=0)) * int(np.abs(b).max(initial=0)) + int(
-            np.abs(U).max(initial=0)
-        ) * int(np.abs(a).max(initial=0))
-        if bound >= _INT64_SAFE:
-            return None
-
-        rows = self._combine_rows(L, a, U, b)
-
-        # Redundancy filter (vectorised ``is_trivially_true``): drop rows
-        # with no variable part and a non-negative constant — exactly the
-        # rows the pure loop's final pass filters out.
-        coeff_part = rows[:, : width - 1]
-        const_part = rows[:, width - 1]
-        nontrivial = (coeff_part != 0).any(axis=1) | (const_part < 0)
-        rows = rows[nontrivial]
-
-        # Canonicalise: divide each row by the gcd of its absolute values
-        # (constant included), matching ``LinExpr.scaled_to_integers`` on
-        # integer rows.  Rows kept above always have a nonzero entry.
-        if rows.shape[0]:
-            gcds = np.gcd.reduce(np.abs(rows), axis=1)
-            rows = rows // gcds[:, None]
-
-        out = []
-        for row in rows.tolist():
-            coeffs = {name: value for name, value in zip(names, row) if value}
-            out.append(Constraint(LinExpr(coeffs, row[-1]), GE).normalized())
-        return out
-
-    # -- concrete point enumeration ----------------------------------------
-
-    def enumerate_points(self, basic_set, params, bound):
-        np = self._np
-        dims = basic_set.space.dims
-        if not dims:
-            return None
-        for value in params.values():
-            if not isinstance(value, int):
-                return None
-        order = basic_set._enumeration_order()
-        known = set(params)
-
-        # Static per-dimension bounds from constraints over one dim + params.
-        los: list[int] = []
-        his: list[int] = []
-        for dim in order:
-            lo, hi = -bound, bound
-            for constraint in basic_set.constraints:
-                coeff = constraint.expr.coeff(dim)
-                if coeff == 0:
-                    continue
-                if constraint.expr.names() - {dim} - known:
-                    continue
-                rest = constraint.expr.const
-                for name, value in constraint.expr.coeffs.items():
-                    if name != dim:
-                        rest += value * params[name]
-                boundary = Fraction(-rest, coeff)
-                if constraint.kind == EQ:
-                    lo = max(lo, _ceil(boundary))
-                    hi = min(hi, _floor(boundary))
-                elif coeff > 0:
-                    lo = max(lo, _ceil(boundary))
-                else:
-                    hi = min(hi, _floor(boundary))
-            if lo > hi:
-                return []
-            los.append(lo)
-            his.append(hi)
-
-        size = 1
-        for lo, hi in zip(los, his):
-            size *= hi - lo + 1
-            if size > ENUMERATION_GRID_LIMIT:
-                return None
-
-        # Constraint matrix over the enumeration order (+ folded params).
-        column = {dim: idx for idx, dim in enumerate(order)}
-        A = np.zeros((len(basic_set.constraints), len(order)), dtype=np.int64)
-        consts = np.zeros(len(basic_set.constraints), dtype=np.int64)
-        kinds = np.zeros(len(basic_set.constraints), dtype=np.int64)
-        largest = 0
-        for row, constraint in enumerate(basic_set.constraints):
-            kinds[row] = 1 if constraint.kind == EQ else 0
-            const = _int_or_none(constraint.expr.const)
+                matrix[row, column[name]] = entry
+            const = _int_or_none(rest.const)
             if const is None:
-                return None
-            for name, frac in constraint.expr.coeffs.items():
-                value = _int_or_none(frac)
-                if value is None:
-                    return None
-                if name in column:
-                    A[row, column[name]] = value
-                    largest = max(largest, abs(value))
-                elif name in params:
-                    const += value * params[name]
-                else:
-                    return None  # free name: let the pure path raise KeyError
-            consts[row] = const
-            largest = max(largest, abs(const))
-        if largest * (bound + 1) * (len(order) + 1) >= _INT64_SAFE:
+                return None, None
+            matrix[row, width - 1] = const
+        return matrix, coeffs
+
+    L, a = fill(lower)
+    if L is None:
+        return None
+    U, b = fill(upper)
+    if U is None:
+        return None
+
+    # Exactness guard: |combined| <= max|L|*max|b| + max|U|*max|a|.
+    bound = int(np.abs(L).max(initial=0)) * int(np.abs(b).max(initial=0)) + int(
+        np.abs(U).max(initial=0)
+    ) * int(np.abs(a).max(initial=0))
+    if bound >= _INT64_SAFE:
+        return None
+
+    # out[i*nu + j] = L[i] * -b[j] + U[j] * a[i], in pair-loop order.
+    rows = L[:, None, :] * (-b)[None, :, None] + U[None, :, :] * a[:, None, None]
+    rows = rows.reshape(L.shape[0] * U.shape[0], width)
+
+    # Redundancy filter (vectorised ``is_trivially_true``): drop rows with no
+    # variable part and a non-negative constant — exactly the rows the
+    # loop's final pass filters out.
+    coeff_part = rows[:, : width - 1]
+    const_part = rows[:, width - 1]
+    nontrivial = (coeff_part != 0).any(axis=1) | (const_part < 0)
+    rows = rows[nontrivial]
+
+    # Canonicalise: divide each row by the gcd of its absolute values
+    # (constant included), matching ``LinExpr.scaled_to_integers`` on integer
+    # rows.  Rows kept above always have a nonzero entry.
+    if rows.shape[0]:
+        gcds = np.gcd.reduce(np.abs(rows), axis=1)
+        rows = rows // gcds[:, None]
+
+    out = []
+    for row in rows.tolist():
+        coeffs = {name: value for name, value in zip(names, row) if value}
+        out.append(Constraint(LinExpr(coeffs, row[-1]), GE).normalized())
+    return out
+
+
+# -- concrete point enumeration ------------------------------------------------
+
+
+def enumerate_points(
+    basic_set: BasicSet, params: Mapping[str, int], bound: int
+) -> list[tuple[int, ...]] | None:
+    """All integer points for concrete ``params``, or decline.
+
+    Points come in the recursive enumeration's order: ascending
+    lexicographic in :meth:`BasicSet._enumeration_order`.
+    """
+    dims = basic_set.space.dims
+    if not dims:
+        return None
+    for value in params.values():
+        if not isinstance(value, int):
+            return None
+    order = basic_set._enumeration_order()
+    known = set(params)
+
+    # Static per-dimension bounds from constraints over one dim + params.
+    los: list[int] = []
+    his: list[int] = []
+    for dim in order:
+        lo, hi = -bound, bound
+        for constraint in basic_set.constraints:
+            coeff = constraint.expr.coeff(dim)
+            if coeff == 0:
+                continue
+            if constraint.expr.names() - {dim} - known:
+                continue
+            rest = constraint.expr.const
+            for name, value in constraint.expr.coeffs.items():
+                if name != dim:
+                    rest += value * params[name]
+            boundary = Fraction(-rest, coeff)
+            if constraint.kind == EQ:
+                lo = max(lo, _ceil(boundary))
+                hi = min(hi, _floor(boundary))
+            elif coeff > 0:
+                lo = max(lo, _ceil(boundary))
+            else:
+                hi = min(hi, _floor(boundary))
+        if lo > hi:
+            return []
+        los.append(lo)
+        his.append(hi)
+
+    size = 1
+    for lo, hi in zip(los, his):
+        size *= hi - lo + 1
+        if size > ENUMERATION_GRID_LIMIT:
             return None
 
-        axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([axis.reshape(-1) for axis in mesh], axis=1)
-        mask = self._filter_mask(pts, A, consts, kinds)
-        selected = pts[mask]
-        reorder = [column[d] for d in dims]
-        return [tuple(row) for row in selected[:, reorder].tolist()]
+    # Constraint matrix over the enumeration order (+ folded params).
+    column = {dim: idx for idx, dim in enumerate(order)}
+    A = np.zeros((len(basic_set.constraints), len(order)), dtype=np.int64)
+    consts = np.zeros(len(basic_set.constraints), dtype=np.int64)
+    is_eq = np.zeros(len(basic_set.constraints), dtype=bool)
+    largest = 0
+    for row, constraint in enumerate(basic_set.constraints):
+        is_eq[row] = constraint.kind == EQ
+        const = _int_or_none(constraint.expr.const)
+        if const is None:
+            return None
+        for name, frac in constraint.expr.coeffs.items():
+            value = _int_or_none(frac)
+            if value is None:
+                return None
+            if name in column:
+                A[row, column[name]] = value
+                largest = max(largest, abs(value))
+            elif name in params:
+                const += value * params[name]
+            else:
+                return None  # free name: let the loop raise KeyError
+        consts[row] = const
+        largest = max(largest, abs(const))
+    if largest * (bound + 1) * (len(order) + 1) >= _INT64_SAFE:
+        return None
 
+    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([axis.reshape(-1) for axis in mesh], axis=1)
+    values = pts @ A.T + consts[None, :]
+    mask = np.ones(pts.shape[0], dtype=bool)
+    if is_eq.any():
+        mask &= (values[:, is_eq] == 0).all(axis=1)
+    if (~is_eq).any():
+        mask &= (values[:, ~is_eq] >= 0).all(axis=1)
+    selected = pts[mask]
+    reorder = [column[d] for d in dims]
+    return [tuple(row) for row in selected[:, reorder].tolist()]
 
-class NumbaSetBackend(NumpySetBackend):
-    """Numpy backend with the innermost loops JIT-compiled by numba.
-
-    Kernels are compiled lazily on first use; compilation failures are not
-    caught — numba either works or the backend should not be selected.
-    """
-
-    name = "numba"
-
-    def __init__(self):
-        super().__init__()
-        import numba
-
-        self._numba = numba
-        self._jit_combine = None
-        self._jit_filter = None
-
-    def _combine_rows(self, L, a, U, b):
-        if self._jit_combine is None:
-            numba = self._numba
-            np = self._np
-
-            @numba.njit(cache=False)
-            def combine(L, a, U, b):  # pragma: no cover - requires numba
-                nl, width = L.shape
-                nu = U.shape[0]
-                out = np.empty((nl * nu, width), dtype=np.int64)
-                idx = 0
-                for i in range(nl):
-                    for j in range(nu):
-                        for k in range(width):
-                            out[idx, k] = L[i, k] * (-b[j]) + U[j, k] * a[i]
-                        idx += 1
-                return out
-
-            self._jit_combine = combine
-        return self._jit_combine(L, a, U, b)
-
-    def _filter_mask(self, pts, A, consts, kinds):
-        if self._jit_filter is None:
-            numba = self._numba
-            np = self._np
-
-            @numba.njit(cache=False)
-            def filter_points(pts, A, consts, kinds):  # pragma: no cover - requires numba
-                n = pts.shape[0]
-                rows = A.shape[0]
-                width = pts.shape[1]
-                mask = np.ones(n, dtype=np.bool_)
-                for p in range(n):
-                    for r in range(rows):
-                        value = consts[r]
-                        for k in range(width):
-                            value += A[r, k] * pts[p, k]
-                        if kinds[r] == 1:
-                            if value != 0:
-                                mask[p] = False
-                                break
-                        elif value < 0:
-                            mask[p] = False
-                            break
-                return mask
-
-            self._jit_filter = filter_points
-        return self._jit_filter(pts, A, consts, kinds)
-
-
-_BACKEND_CACHE: dict[str, SetBackend] = {}
-
-
-def get_backend(name: str | None = None) -> SetBackend:
-    """Resolve a set backend by name, env override, or auto-detection.
-
-    ``name=None`` reads ``$REPRO_SETS_BACKEND``; when that is unset too, the
-    best importable backend is auto-selected (numba > numpy > pure).
-    """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV) or None
-    if name is None:
-        if numba_available():
-            name = "numba"
-        elif numpy_available():
-            name = "numpy"
-        else:
-            name = "pure"
-    if name in _BACKEND_CACHE:
-        return _BACKEND_CACHE[name]
-    if name == "pure":
-        backend: SetBackend = PureSetBackend()
-    elif name == "numpy":
-        if not numpy_available():
-            raise RuntimeError(
-                "the 'numpy' set backend was requested but numpy is not installed"
-            )
-        backend = NumpySetBackend()
-    elif name == "numba":
-        if not numba_available():
-            raise RuntimeError(
-                "the 'numba' set backend was requested but numba is not installed"
-            )
-        backend = NumbaSetBackend()
-    else:
-        raise KeyError(
-            f"unknown set backend {name!r} (expected 'pure', 'numpy' or 'numba')"
-        )
-    _BACKEND_CACHE[name] = backend
-    return backend
-
-
-def reset_backend_cache() -> None:
-    """Drop backend instances and availability probes (tests switching
-    ``REPRO_SETS_BACKEND`` or stubbing out imports)."""
-    global _numpy_ok, _numba_ok
-    _BACKEND_CACHE.clear()
-    _numpy_ok = None
-    _numba_ok = None
-
-
-def _ceil(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
-
-
-def _floor(value: Fraction) -> int:
-    return value.numerator // value.denominator

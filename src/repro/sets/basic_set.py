@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .. import perf
 from .affine import LinExpr
-from .memo import memo_enabled as _memo_enabled_fn
 from .space import Space
 
 EQ = "eq"   # expr == 0
@@ -32,10 +31,6 @@ GE = "ge"   # expr >= 0
 _intern_lock = threading.Lock()
 _intern_table: dict = {}
 _INTERN_MAX = 1 << 17
-
-
-def _memo_enabled() -> bool:
-    return _memo_enabled_fn()
 
 
 @dataclass(frozen=True)
@@ -58,23 +53,18 @@ class Constraint:
         cached = self.__dict__.get("_key")
         if cached is None:
             cached = (self.kind, tuple(sorted(self.expr.coeffs.items())), self.expr.const)
-            if _memo_enabled():
-                object.__setattr__(self, "_key", cached)
+            object.__setattr__(self, "_key", cached)
         return cached
 
     def normalized(self) -> "Constraint":
         """Scale coefficients to coprime integers (direction preserved).
 
         The result is cached on the object and interned so structurally
-        equal canonical constraints are one shared object.  With
-        ``REPRO_SETS_MEMO=0`` caching and interning are bypassed (the
-        benchmark's faithful pre-memoisation reference path).
+        equal canonical constraints are one shared object.
         """
         cached = self.__dict__.get("_normalized")
         if cached is not None:
             return cached
-        if not _memo_enabled():
-            return Constraint(self.expr.scaled_to_integers(), self.kind)
         scaled = self.expr.scaled_to_integers()
         normalized = self if scaled is self.expr else Constraint(scaled, self.kind)
         normalized = _intern(normalized)
@@ -304,21 +294,22 @@ class BasicSet:
         the search tight even when bounds couple several dimensions.  The
         ``bound`` argument caps any dimension that remains unbounded.
 
-        The active set backend (``REPRO_SETS_BACKEND``) may vectorise the
-        enumeration; every backend produces the identical point sequence
-        (ascending lexicographic in the internal assignment order).
+        The enumeration runs as a vectorised kernel
+        (:func:`repro.sets.backend.enumerate_points`) unless the kernel
+        declines; both produce the identical point sequence (ascending
+        lexicographic in the internal assignment order).
         """
-        from .backend import get_backend
+        from .backend import enumerate_points
 
-        points = get_backend().enumerate_points(self, params, bound)
+        points = enumerate_points(self, params, bound)
         if points is not None:
             return points
-        return self.enumerate_points_pure(params, bound)
+        return self._enumerate_points_loop(params, bound)
 
-    def enumerate_points_pure(
+    def _enumerate_points_loop(
         self, params: Mapping[str, int], bound: int = 2000
     ) -> list[tuple[int, ...]]:
-        """Reference pure-Python enumeration (always available)."""
+        """Recursive enumeration for the inputs the vectorised kernel declines."""
         dims = self.space.dims
         points: list[tuple[int, ...]] = []
 

@@ -10,11 +10,11 @@ independence / interference tests of the IOLB algorithms.  All uses in
   In-sets, sources and may-spill sets, all of which may safely be
   over-approximated — see DESIGN.md).
 
-Performance: the pair-combination inner loop dispatches to the active set
-backend (``REPRO_SETS_BACKEND`` — see :mod:`repro.sets.backend`), and the
-module-level queries are memoised under content keys
-(:mod:`repro.sets.memo`); both layers are exact — identical constraints in
-identical order — so results are byte-for-byte those of the pure path.
+Performance: the pair combination runs as a vectorised int64 kernel
+(:func:`repro.sets.backend.fm_combine`), falling back to the Python pair loop
+for the inputs the kernel declines, and the module-level queries are
+memoised under content keys (:mod:`repro.sets.memo`).  Both layers are exact:
+identical constraints in identical order.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from .. import perf
 from . import memo
 from .affine import LinExpr
-from .backend import get_backend
+from .backend import fm_combine
 from .basic_set import EQ, GE, BasicSet, Constraint
 
 MAX_CONSTRAINTS = 2000
@@ -60,8 +60,27 @@ def eliminate_variable(constraints: Sequence[Constraint], name: str) -> list[Con
             remaining = [c for c in constraints if c is not constraint]
             return [c.substitute({name: replacement}) for c in remaining]
 
-    lower: list[tuple[Fraction, LinExpr]] = []   # coeff > 0:  coeff*x >= -rest
-    upper: list[tuple[Fraction, LinExpr]] = []   # coeff < 0:  |coeff|*x <= rest
+    others, lower, upper = _split_bounds(constraints, name)
+    if len(others) + len(lower) * len(upper) > MAX_CONSTRAINTS:
+        raise EliminationError("Fourier-Motzkin blow-up")
+
+    combined = fm_combine(lower, upper)
+    if combined is None:
+        combined = _combine_pairs(lower, upper)
+    result = others + combined
+    return [c.normalized() for c in result if not c.is_trivially_true()]
+
+
+def _split_bounds(
+    constraints: Sequence[Constraint], name: str
+) -> tuple[list[Constraint], list[tuple[Fraction, LinExpr]], list[tuple[Fraction, LinExpr]]]:
+    """Split constraints into those without ``name``, lower and upper bounds.
+
+    A bound is ``(coeff, rest)`` for ``coeff*name + rest >= 0``: lower bounds
+    have ``coeff > 0``, upper bounds ``coeff < 0``.
+    """
+    lower: list[tuple[Fraction, LinExpr]] = []
+    upper: list[tuple[Fraction, LinExpr]] = []
     others: list[Constraint] = []
     for constraint in constraints:
         coeff = constraint.expr.coeff(name)
@@ -82,23 +101,21 @@ def eliminate_variable(constraints: Sequence[Constraint], name: str) -> list[Con
                 lower.append((pair_coeff, pair_rest))
             else:
                 upper.append((pair_coeff, pair_rest))
+    return others, lower, upper
 
-    if len(others) + len(lower) * len(upper) > MAX_CONSTRAINTS:
-        raise EliminationError("Fourier-Motzkin blow-up")
 
-    combined = get_backend().fm_combine(lower, upper)
-    if combined is None:
-        # Reference pair-combination loop (also the exactness oracle for
-        # every backend — see tests/sets/test_backends.py).
-        combined = []
-        for lo_coeff, lo_rest in lower:
-            for up_coeff, up_rest in upper:
-                # lo: a*x + r1 >= 0 (a>0)  =>  x >= -r1/a
-                # up: b*x + r2 >= 0 (b<0)  =>  x <= -r2/b = r2/|b|
-                # combination: -r1/a <= r2/|b|  =>  |b|*r1 + a*r2 >= 0
-                combined.append(Constraint(lo_rest * (-up_coeff) + up_rest * lo_coeff, GE))
-    result = others + combined
-    return [c.normalized() for c in result if not c.is_trivially_true()]
+def _combine_pairs(
+    lower: Sequence[tuple[Fraction, LinExpr]], upper: Sequence[tuple[Fraction, LinExpr]]
+) -> list[Constraint]:
+    """Pair-combination loop for the inputs :func:`fm_combine` declines."""
+    combined = []
+    for lo_coeff, lo_rest in lower:
+        for up_coeff, up_rest in upper:
+            # lo: a*x + r1 >= 0 (a>0)  =>  x >= -r1/a
+            # up: b*x + r2 >= 0 (b<0)  =>  x <= -r2/b = r2/|b|
+            # combination: -r1/a <= r2/|b|  =>  |b|*r1 + a*r2 >= 0
+            combined.append(Constraint(lo_rest * (-up_coeff) + up_rest * lo_coeff, GE))
+    return combined
 
 
 @perf.timed("fm")

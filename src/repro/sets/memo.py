@@ -6,7 +6,7 @@ rational linear algebra) are cached under a key derived from the *content*
 of their inputs, so structurally-equal sets reached through different
 derivation paths share one computation.
 
-Discipline for memo keys (see DESIGN.md "Set-algebra backends"):
+Discipline for memo keys (see DESIGN.md "Set-algebra engine"):
 
 * keys must capture **everything** the result depends on — for
   ``basic_set_is_empty`` that is the set fingerprint *and* the canonical
@@ -18,43 +18,18 @@ Discipline for memo keys (see DESIGN.md "Set-algebra backends"):
 
 Every cache is process-wide and lock-guarded, keeps hit/miss counters, and
 registers itself with :mod:`repro.perf` so ``python -m repro profile``
-reports hit rates.  Set ``REPRO_SETS_MEMO=0`` (or ``off``/``false``) to
-disable all caches — used by benchmarks to measure the cold pure path.
+reports hit rates.  Keys are content hashes, so a cold run (after
+:func:`clear_all`) and a warm run compute identical results.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Callable, Hashable, TypeVar
 
 from .. import perf
 
 _T = TypeVar("_T")
-
-MEMO_ENV = "REPRO_SETS_MEMO"
-
-_DISABLED_VALUES = {"0", "off", "false", "no"}
-
-
-def _read_enabled() -> bool:
-    return os.environ.get(MEMO_ENV, "1").strip().lower() not in _DISABLED_VALUES
-
-
-_enabled = _read_enabled()
-
-
-def memo_enabled() -> bool:
-    """Whether the in-process memo caches are active (``REPRO_SETS_MEMO``)."""
-    return _enabled
-
-
-def refresh_enabled() -> bool:
-    """Re-read ``REPRO_SETS_MEMO`` (tests flip the env var mid-process)."""
-    global _enabled
-    _enabled = _read_enabled()
-    return _enabled
-
 
 class MemoCache:
     """A lock-guarded dict cache with hit/miss counters and a size cap.
@@ -80,8 +55,6 @@ class MemoCache:
         return len(self._data)
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], _T]) -> _T:
-        if not _enabled:
-            return compute()
         sentinel = _MISSING
         with self._lock:
             value = self._data.get(key, sentinel)
@@ -98,8 +71,6 @@ class MemoCache:
 
     def put(self, key: Hashable, value: _T) -> _T:
         """Store without counting a miss (for caches filled conditionally)."""
-        if not _enabled:
-            return value
         with self._lock:
             if len(self._data) >= self.maxsize:
                 self._data.clear()
@@ -108,8 +79,6 @@ class MemoCache:
 
     def lookup(self, key: Hashable):
         """Return the cached value or ``_MISSING``; counts a hit or miss."""
-        if not _enabled:
-            return _MISSING
         with self._lock:
             value = self._data.get(key, _MISSING)
             if value is _MISSING:

@@ -29,7 +29,7 @@ domain (multivariate polynomials with rational coefficients).  Anything
 outside that domain — floats, radicals, transcendentals, true rational
 functions — raises :class:`PolyConversionError`, which callers treat as a
 *decline*: the sympy reference path runs instead (the same byte-identity-or-
-decline boundary ``repro.sets.backend`` draws for the compiled kernels).
+decline boundary ``repro.sets.backend`` draws for the vectorised kernels).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Covers the acceptance properties of the store subsystem: sharded layout and
 key addressing, the ``$REPRO_STORE`` environment override, schema-version
-negotiation (legacy entries readable, newer entries never corrupted),
+negotiation (envelope-less entries are misses, newer entries never corrupted),
 corrupted/truncated entries as misses, LRU-by-atime eviction under a size
 budget, survival under concurrent writer processes, and the CLI maintenance
 subcommands (``python -m repro cache {stats,gc,clear}``).
@@ -109,17 +109,21 @@ class TestEnvironmentOverride:
 
 
 class TestSchemaNegotiation:
-    def test_legacy_flat_entry_is_read_and_migrated(self, tmp_path):
-        # The pre-store Analyzer cache wrote bare result dicts at the root.
-        result = make_result("legacy", 7)
-        (tmp_path / f"{KEY}.json").write_text(json.dumps(result.to_dict()))
+    def test_envelope_less_entry_is_a_miss(self, tmp_path):
+        # A bare IOBoundResult.to_dict() payload carries no store_schema.
         store = BoundStore(tmp_path)
-        loaded = store.get(KEY)
-        assert loaded is not None and loaded.program_name == "legacy"
-        # Migrated into the sharded layout; the legacy file is left in place
-        # for concurrent readers of the old layout.
-        assert store.path_for(KEY).exists()
-        assert (tmp_path / f"{KEY}.json").exists()
+        path = store.path_for(KEY)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(make_result("bare", 7).to_dict()))
+        assert store.get(KEY) is None
+        assert store.misses == 1
+
+    def test_root_level_flat_file_is_not_an_entry(self, tmp_path):
+        (tmp_path / f"{KEY}.json").write_text(json.dumps(make_result("flat", 7).to_dict()))
+        store = BoundStore(tmp_path)
+        assert store.get(KEY) is None
+        assert not store.contains(KEY)
+        assert not store.path_for(KEY).exists()
 
     def test_newer_schema_entry_is_a_miss(self, tmp_path):
         store = BoundStore(tmp_path)
@@ -176,22 +180,6 @@ class TestReadOnlyStore:
         monkeypatch.setattr("repro.analysis.store.tempfile.mkstemp", denied)
         assert store.put(KEY, make_result()) is None  # no exception escapes
 
-    def test_legacy_hit_on_readonly_root_still_returns_the_result(
-        self, tmp_path, monkeypatch
-    ):
-        # A read-only replica holding only legacy flat entries: the migration
-        # write inside get() must not turn the hit into a crash.
-        result = make_result("legacy-ro", 5)
-        (tmp_path / f"{KEY}.json").write_text(json.dumps(result.to_dict()))
-        store = BoundStore(tmp_path)
-
-        def denied(*args, **kwargs):
-            raise PermissionError("read-only store root")
-
-        monkeypatch.setattr("repro.analysis.store.tempfile.mkstemp", denied)
-        loaded = store.get(KEY)
-        assert loaded is not None and loaded.program_name == "legacy-ro"
-
 
 class TestEvictionAndMaintenance:
     def _fill(self, store: BoundStore, count: int) -> list[str]:
@@ -241,15 +229,15 @@ class TestEvictionAndMaintenance:
         self._fill(store, 8)
         assert len(store) <= 3
 
-    def test_clear_removes_sharded_and_legacy_entries_only(self, tmp_path):
+    def test_clear_removes_sharded_entries_only(self, tmp_path):
         store = BoundStore(tmp_path)
         self._fill(store, 3)
-        (tmp_path / f"{KEY}.json").write_text("{}")          # legacy entry shape
+        (tmp_path / f"{KEY}.json").write_text("{}")          # key-named root file
         (tmp_path / "bounds.json").write_text("{}")          # unrelated export
         removed = store.clear()
-        assert removed == 4
+        assert removed == 3
         assert len(store) == 0
-        assert not (tmp_path / f"{KEY}.json").exists()
+        assert (tmp_path / f"{KEY}.json").exists()           # never touched
         assert (tmp_path / "bounds.json").exists()           # never touched
 
     def test_stats_reports_layout_and_schemas(self, tmp_path):

@@ -148,7 +148,7 @@ class TestSchemaNegotiation:
         key = next(iter(result_keys().values()))
         stale_path = replica.path_for(key)
         stale_path.parent.mkdir(parents=True, exist_ok=True)
-        # A schema-0 bare payload (the legacy flat format) loses to the
+        # A schema-0 bare payload (no envelope) loses to the
         # archived schema-1 envelope.
         stale_path.write_text(json.dumps({"legacy": True}))
 

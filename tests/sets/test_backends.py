@@ -1,16 +1,16 @@
-"""Unit tests for the set-backend layer, memoisation and canonical caching.
+"""Unit tests for the vectorised set kernels, memoisation and canonical caching.
 
-The trust boundary (DESIGN.md "Set-algebra backends"): compiled backends and
-memo caches are *perf-only* — the pure loops are the semantic reference, and
-every optimised path must be byte-identical or decline.  These tests pin:
+The trust boundary (DESIGN.md "Set-algebra engine"): the numpy kernels of
+:mod:`repro.sets.backend` either return exactly what the Python loops they
+replace would return — same values, same order — or decline with ``None``,
+and the memo caches are keyed on content.  These tests pin:
 
-* backend selection (env override, auto-detection, instance caching, errors);
-* ``fm_combine`` parity with the reference pair-combination loop, and the
-  decline guards (fractional coefficients, int64 overflow);
-* ``enumerate_points`` parity including point *order*, and its guards;
-* the ``REPRO_SETS_MEMO`` kill switch, including the on-object canonical
-  form caching it must also disable (so benchmark slow legs are faithful);
-* constraint interning and set fingerprints;
+* ``fm_combine`` against the pair-combination loop, including the declines
+  (fractional coefficients, int64 overflow);
+* ``enumerate_points`` against the recursive enumeration loop, including
+  point *order* and the declines (grid limit, free names, non-integer
+  parameters);
+* memo caching, constraint interning and set fingerprints;
 * the ``simplify`` redundancy rules (the re-canonicalisation bugfix sweep).
 """
 
@@ -22,94 +22,48 @@ from fractions import Fraction
 import pytest
 
 from repro.sets import (
-    BACKEND_ENV,
     EQ,
     GE,
     BasicSet,
     Constraint,
     LinExpr,
-    MEMO_ENV,
     Space,
     get_backend,
-    memo_enabled,
-    numba_available,
-    numpy_available,
     parse_set,
 )
 from repro.sets import memo
-from repro.sets.backend import (
-    ENUMERATION_GRID_LIMIT,
-    NumpySetBackend,
-    PureSetBackend,
-    reset_backend_cache,
-)
+from repro.sets.backend import ENUMERATION_GRID_LIMIT, enumerate_points, fm_combine
 from repro.sets.basic_set import _intern_table, interned_count
-from repro.sets.fourier_motzkin import eliminate_variable, project_out
-
-requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-
-
-@pytest.fixture
-def clean_backends(monkeypatch):
-    yield monkeypatch
-    monkeypatch.undo()
-    reset_backend_cache()
-    memo.refresh_enabled()
-    memo.clear_all()
+from repro.sets.fourier_motzkin import (
+    _combine_pairs,
+    _split_bounds,
+    eliminate_variable,
+    project_out,
+)
 
 
-# -- selection ----------------------------------------------------------------
+def _loop_combine(lower, upper) -> list[Constraint]:
+    """The decline path's output, filtered the way ``eliminate_variable`` does."""
+    return [c.normalized() for c in _combine_pairs(lower, upper) if not c.is_trivially_true()]
 
 
-class TestBackendSelection:
-    def test_pure_backend_declines_everything(self):
-        backend = get_backend("pure")
-        assert backend.name == "pure"
-        assert backend.fm_combine([], []) is None
-        assert backend.fraction_free_rref is False
-
-    def test_env_override(self, clean_backends):
-        clean_backends.setenv(BACKEND_ENV, "pure")
-        assert get_backend().name == "pure"
-
-    @requires_numpy
-    def test_env_override_numpy(self, clean_backends):
-        clean_backends.setenv(BACKEND_ENV, "numpy")
-        backend = get_backend()
-        assert isinstance(backend, NumpySetBackend)
-        assert backend.fraction_free_rref is True
-
-    def test_auto_detection_matches_availability(self, clean_backends):
-        clean_backends.delenv(BACKEND_ENV, raising=False)
-        name = get_backend().name
-        if numba_available():
-            assert name == "numba"
-        elif numpy_available():
-            assert name == "numpy"
-        else:
-            assert name == "pure"
-
-    def test_unknown_backend_raises_key_error(self):
-        with pytest.raises(KeyError):
-            get_backend("fortran")
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed here")
-    def test_missing_numba_raises_runtime_error(self):
-        with pytest.raises(RuntimeError):
-            get_backend("numba")
-
-    def test_instances_are_cached(self):
-        assert get_backend("pure") is get_backend("pure")
+def _keys(constraints) -> list[tuple]:
+    return [c.key() for c in constraints]
 
 
-# -- Fourier-Motzkin parity ---------------------------------------------------
+def test_engine_is_named_numpy():
+    assert get_backend().name == "numpy"
+    assert get_backend() is get_backend()
 
 
-def _random_system(rng: random.Random, nvars: int = 3, n: int = 6) -> list[Constraint]:
+# -- Fourier-Motzkin pair combination -----------------------------------------
+
+
+def _random_system(rng: random.Random, nvars: int = 3, n: int = 6, scale: int = 3) -> list[Constraint]:
     names = [f"x{k}" for k in range(nvars)]
     constraints = []
     for _ in range(n):
-        coeffs = {name: rng.randint(-3, 3) for name in rng.sample(names, rng.randint(1, nvars))}
+        coeffs = {name: rng.randint(-scale, scale) for name in rng.sample(names, rng.randint(1, nvars))}
         if not any(coeffs.values()):
             coeffs[names[0]] = 1
         kind = EQ if rng.random() < 0.2 else GE
@@ -117,129 +71,132 @@ def _random_system(rng: random.Random, nvars: int = 3, n: int = 6) -> list[Const
     return constraints
 
 
-@requires_numpy
-class TestFmCombineParity:
-    def test_eliminate_variable_identical_across_backends(self, clean_backends):
+class TestFmCombine:
+    def test_kernel_matches_pair_loop_on_random_systems(self):
+        rng = random.Random(424242)
+        compared = 0
+        for _ in range(60):
+            system = [c.normalized() for c in _random_system(rng)]
+            _, lower, upper = _split_bounds(system, "x0")
+            kernel = fm_combine(lower, upper)
+            assert kernel is not None
+            assert _keys(kernel) == _keys(_loop_combine(lower, upper))
+            compared += bool(lower and upper)
+        assert compared >= 20
+
+    def test_eliminate_variable_matches_the_decline_path(self, monkeypatch):
         rng = random.Random(424242)
         systems = [_random_system(rng) for _ in range(60)]
-
-        clean_backends.setenv(BACKEND_ENV, "pure")
-        memo.clear_all()
-        reference = [repr(eliminate_variable(system, "x0")) for system in systems]
-
-        clean_backends.setenv(BACKEND_ENV, "numpy")
-        memo.clear_all()
         optimised = [repr(eliminate_variable(system, "x0")) for system in systems]
-
-        assert optimised == reference
+        monkeypatch.setattr("repro.sets.fourier_motzkin.fm_combine", lambda lower, upper: None)
+        assert [repr(eliminate_variable(system, "x0")) for system in systems] == optimised
 
     def test_empty_sides_combine_to_nothing(self):
-        backend = get_backend("numpy")
-        assert backend.fm_combine([], [(Fraction(-1), LinExpr({"y": 1}, 0))]) == []
-        assert backend.fm_combine([(Fraction(1), LinExpr({"y": 1}, 0))], []) == []
+        assert fm_combine([], [(Fraction(-1), LinExpr({"y": 1}, 0))]) == []
+        assert fm_combine([(Fraction(1), LinExpr({"y": 1}, 0))], []) == []
 
-    def test_fractional_coefficient_declines(self):
-        backend = get_backend("numpy")
+    def test_fractional_coefficient_declines_to_the_loop(self):
         lower = [(Fraction(1, 2), LinExpr({"y": 1}, 0))]
         upper = [(Fraction(-1), LinExpr({}, 4))]
-        assert backend.fm_combine(lower, upper) is None
+        assert fm_combine(lower, upper) is None
+        # 1/2*x + y >= 0 and -x + 4 >= 0 combine to y + 2 >= 0.
+        assert _keys(_loop_combine(lower, upper)) == [(GE, (("y", 1),), 2)]
 
-    def test_fractional_rest_declines(self):
-        backend = get_backend("numpy")
+    def test_fractional_rest_declines_to_the_loop(self):
         lower = [(Fraction(1), LinExpr({"y": Fraction(1, 3)}, 0))]
         upper = [(Fraction(-1), LinExpr({}, 4))]
-        assert backend.fm_combine(lower, upper) is None
+        assert fm_combine(lower, upper) is None
+        assert _keys(_loop_combine(lower, upper)) == [(GE, (("y", 1),), 12)]
 
-    def test_int64_overflow_declines(self):
-        backend = get_backend("numpy")
+    def test_int64_overflow_declines_to_the_loop(self):
         big = 1 << 33
         lower = [(Fraction(big), LinExpr({"y": big}, 0))]
         upper = [(Fraction(-big), LinExpr({}, big))]
-        assert backend.fm_combine(lower, upper) is None
+        assert fm_combine(lower, upper) is None
+        # big^2*y + big^2 >= 0, canonicalised exactly by the loop.
+        assert _keys(_loop_combine(lower, upper)) == [(GE, (("y", 1),), 1)]
+
+    def test_overflowing_system_still_eliminates_exactly(self):
+        big = (1 << 33) + 1
+        x = [
+            Constraint(LinExpr({"x": big, "y": big}, 0), GE),
+            Constraint(LinExpr({"x": -big, "y": 3}, 7), GE),
+        ]
+        _, lower, upper = _split_bounds(x, "x")
+        assert fm_combine(lower, upper) is None
+        assert _keys(eliminate_variable(x, "x")) == _keys(_loop_combine(lower, upper))
 
     def test_combination_drops_trivially_true_rows(self):
-        # x >= 0 and x <= 5 combine to the trivially-true 5 >= 0: the
-        # backend must drop it exactly like the reference loop's filter.
-        backend = get_backend("numpy")
+        # x >= 0 and x <= 5 combine to the trivially-true 5 >= 0: the kernel
+        # must drop it exactly like the loop's filter.
         lower = [(Fraction(1), LinExpr({}, 0))]
         upper = [(Fraction(-1), LinExpr({}, 5))]
-        assert backend.fm_combine(lower, upper) == []
+        assert fm_combine(lower, upper) == []
+        assert _loop_combine(lower, upper) == []
 
 
-# -- enumeration parity -------------------------------------------------------
+# -- point enumeration ----------------------------------------------------------
 
 
-@requires_numpy
-class TestEnumerationParity:
+class TestEnumeration:
     def test_point_order_is_identical(self):
         triangle = parse_set("{ T[i, j] : 0 <= i and i <= 6 and i <= j and j <= 6 }")
         piece = triangle.pieces[0]
-        backend = get_backend("numpy")
-        points = backend.enumerate_points(piece, {}, 2000)
+        points = enumerate_points(piece, {}, 2000)
         assert points is not None
-        assert points == piece.enumerate_points_pure({})
+        assert points == piece._enumerate_points_loop({})
 
-    def test_parametric_set_matches_pure(self):
+    def test_parametric_set_matches_loop(self):
         band = parse_set("[N] -> { D[i, j] : 0 <= i and i <= N - 1 and i <= j and j <= i + 2 }")
         piece = band.pieces[0]
-        backend = get_backend("numpy")
-        points = backend.enumerate_points(piece, {"N": 8}, 2000)
-        assert points == piece.enumerate_points_pure({"N": 8})
+        points = enumerate_points(piece, {"N": 8}, 2000)
+        assert points is not None
+        assert points == piece._enumerate_points_loop({"N": 8})
 
     def test_empty_range_short_circuits(self):
-        empty = parse_set("{ E[i] : 3 <= i and i <= 1 }")
-        backend = get_backend("numpy")
-        assert backend.enumerate_points(empty.pieces[0], {}, 2000) == []
+        empty = parse_set("{ E[i] : 3 <= i and i <= 1 }").pieces[0]
+        assert enumerate_points(empty, {}, 2000) == []
+        assert empty._enumerate_points_loop({}) == []
 
-    def test_oversized_grid_declines(self):
-        unbounded = BasicSet(Space("U", ("i", "j", "k"), ()))
-        backend = get_backend("numpy")
-        assert backend.enumerate_points(unbounded, {}, 2000) is None
-        # Sanity: the declined grid really is beyond the limit.
-        assert 4001 ** 3 > ENUMERATION_GRID_LIMIT
+    def test_oversized_grid_declines_to_the_loop(self):
+        # The static grid is 1001^2 points; the loop bounds j by i - 998.
+        piece = parse_set(
+            "{ G[i, j] : 0 <= i and i <= 1000 and 0 <= j and j <= 1000 and j <= i - 998 }"
+        ).pieces[0]
+        assert 1001 ** 2 > ENUMERATION_GRID_LIMIT
+        assert enumerate_points(piece, {}, 2000) is None
+        assert piece.enumerate_points({}) == [
+            (998, 0), (999, 0), (999, 1), (1000, 0), (1000, 1), (1000, 2)
+        ]
 
-    def test_free_name_declines_to_pure_path(self):
+    def test_free_name_declines_to_the_loop(self):
         space = Space("F", ("i",), ())
         leaky = BasicSet(space, [Constraint(LinExpr({"i": 1, "M": -1}, 0), GE)])
-        backend = get_backend("numpy")
-        assert backend.enumerate_points(leaky, {}, 10) is None
+        assert enumerate_points(leaky, {}, 10) is None
+        with pytest.raises(KeyError):
+            leaky._enumerate_points_loop({}, 10)
+        with pytest.raises(KeyError):
+            leaky.enumerate_points({}, 10)
 
-    def test_non_integer_parameter_declines(self):
-        band = parse_set("[N] -> { D[i] : 0 <= i and i <= N }")
-        backend = get_backend("numpy")
-        assert backend.enumerate_points(band.pieces[0], {"N": 1.5}, 10) is None
+    def test_non_integer_parameter_declines_to_the_loop(self):
+        band = parse_set("[N] -> { D[i] : 0 <= i and i <= N }").pieces[0]
+        assert enumerate_points(band, {"N": 1.5}, 10) is None
+        assert band.enumerate_points({"N": 1.5}, 10) == [(0,), (1,)]
 
 
-# -- the memo kill switch -----------------------------------------------------
+# -- memo caches -----------------------------------------------------------------
 
 
-class TestMemoKillSwitch:
-    def test_env_disables_caches(self, clean_backends):
-        clean_backends.setenv(MEMO_ENV, "0")
-        memo.refresh_enabled()
-        assert not memo_enabled()
-        cache = memo.MemoCache("test.kill_switch", maxsize=8)
+class TestMemoCache:
+    def test_repeated_key_computes_once(self):
+        cache = memo.MemoCache("test.once", maxsize=8)
         calls = []
-        cache.get_or_compute("k", lambda: calls.append(1) or len(calls))
-        cache.get_or_compute("k", lambda: calls.append(1) or len(calls))
-        assert len(calls) == 2  # recomputed: nothing was cached
-        assert len(cache) == 0
+        assert cache.get_or_compute("k", lambda: calls.append(1) or len(calls)) == 1
+        assert cache.get_or_compute("k", lambda: calls.append(1) or len(calls)) == 1
+        assert len(calls) == 1
+        assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_kill_switch_disables_on_object_canonical_caching(self, clean_backends):
-        # The benchmark's slow leg relies on this: with the switch off,
-        # normalisation must recompute (pre-memoisation behaviour), not be
-        # served from the frozen object or the intern table.
-        clean_backends.setenv(MEMO_ENV, "0")
-        memo.refresh_enabled()
-        constraint = Constraint(LinExpr({"i": 2}, 4), GE)
-        first = constraint.normalized()
-        second = constraint.normalized()
-        assert first == second
-        assert first is not second
-
-    def test_memo_on_interns_and_caches_normal_forms(self, clean_backends):
-        clean_backends.setenv(MEMO_ENV, "1")
-        memo.refresh_enabled()
+    def test_normalisation_interns_and_caches_normal_forms(self):
         a = Constraint(LinExpr({"i": 2}, 4), GE)
         b = Constraint(LinExpr({"i": 2}, 4), GE)
         assert a.normalized() is a.normalized()
@@ -248,8 +205,6 @@ class TestMemoKillSwitch:
 
     def test_cache_overflow_flushes(self):
         cache = memo.MemoCache("test.overflow", maxsize=4)
-        if not memo_enabled():
-            pytest.skip("memo disabled in this environment")
         for k in range(6):
             cache.get_or_compute(k, lambda k=k: k)
         assert len(cache) <= 4
@@ -276,8 +231,6 @@ class TestFingerprints:
         assert a.fingerprint() == b.fingerprint()
 
     def test_interned_count_reports_table_size(self):
-        if not memo_enabled():
-            pytest.skip("memo disabled in this environment")
         before = interned_count()
         Constraint(LinExpr({"zq_unique_dim": 3}, 9), GE).normalized()
         assert interned_count() >= before
@@ -336,8 +289,6 @@ class TestSimplify:
         assert s.simplify() is s
 
     def test_simplify_is_memoised_by_fingerprint(self):
-        if not memo_enabled():
-            pytest.skip("memo disabled in this environment")
         memo.SIMPLIFY_CACHE.clear()
         a = self._set([Constraint(LinExpr({"i": 1}, 3), GE),
                        Constraint(LinExpr({"i": 1}, 0), GE)])
@@ -351,8 +302,6 @@ class TestSimplify:
 
 class TestQueryMemoisation:
     def test_repeated_emptiness_checks_hit_the_cache(self):
-        if not memo_enabled():
-            pytest.skip("memo disabled in this environment")
         from repro.sets.fourier_motzkin import basic_set_is_empty
 
         memo.EMPTINESS_CACHE.clear()
@@ -367,8 +316,6 @@ class TestQueryMemoisation:
         assert memo.EMPTINESS_CACHE.hits == hits_before + 1
 
     def test_projection_cache_returns_shared_result(self):
-        if not memo_enabled():
-            pytest.skip("memo disabled in this environment")
         memo.PROJECTION_CACHE.clear()
         a = parse_set("{ S[i, j] : 0 <= i and i <= 5 and i <= j and j <= 7 }").pieces[0]
         b = parse_set("{ S[i, j] : 0 <= i and i <= 5 and i <= j and j <= 7 }").pieces[0]

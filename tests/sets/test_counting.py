@@ -156,7 +156,6 @@ class TestCountBackends:
     def test_card_basic_memoises_per_backend(self):
         from repro.sets import memo
 
-        memo.refresh_enabled()
         d = parse_set("[N] -> { S[i, j] : 0 <= i < N and 0 <= j <= i }")
         memo.CARD_CACHE.clear()
         memo.CARD_CACHE.reset_counters()
@@ -169,22 +168,6 @@ class TestCountBackends:
         # The other backend is a distinct cache key, not a stale hit.
         assert sympy.sstr(card(d, backend="sympy")) == sympy.sstr(first)
         assert memo.CARD_CACHE.misses == misses + 1
-
-    def test_memo_kill_switch(self, monkeypatch):
-        from repro.sets import memo
-
-        monkeypatch.setenv("REPRO_SETS_MEMO", "0")
-        memo.refresh_enabled()
-        try:
-            d = parse_set("[N] -> { S[i] : 0 <= i < N }")
-            memo.CARD_CACHE.clear()
-            memo.CARD_CACHE.reset_counters()
-            card(d, backend="native")
-            card(d, backend="native")
-            assert memo.CARD_CACHE.hits == 0 and len(memo.CARD_CACHE) == 0
-        finally:
-            monkeypatch.delenv("REPRO_SETS_MEMO", raising=False)
-            memo.refresh_enabled()
 
     def test_counting_sum_timer_attributes_summation(self):
         from repro import perf

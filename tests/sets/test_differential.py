@@ -262,94 +262,105 @@ class TestAlgebraDifferential:
             assert not (difference & overlap)
 
 
-# -- backend parity ------------------------------------------------------------
+# -- kernel parity and memo parity -------------------------------------------
 
-from repro.sets import BACKEND_ENV  # noqa: E402
 from repro.sets import memo as sets_memo  # noqa: E402
-from repro.sets.backend import (  # noqa: E402
-    numba_available,
-    numpy_available,
-    reset_backend_cache,
-)
-
-#: Every optimised backend importable here; numba rides along when installed.
-OPTIMISED_BACKENDS = [
-    name
-    for name, available in (("numpy", numpy_available()), ("numba", numba_available()))
-    if available
-]
+from repro.sets.backend import enumerate_points as enumerate_kernel  # noqa: E402
+from repro.sets.backend import fm_combine  # noqa: E402
+from repro.sets.fourier_motzkin import _combine_pairs, _split_bounds  # noqa: E402
 
 
-@pytest.fixture
-def backend_env(monkeypatch):
-    """Activate a named set backend (and clear memo caches, so a cached
-    result from one backend can never stand in for another's computation)."""
+class TestKernelParity:
+    """The numpy kernels must be byte-identical to the Python loops they
+    replace, and the memo caches must not change any answer.
 
-    def activate(name: str) -> None:
-        monkeypatch.setenv(BACKEND_ENV, name)
-        reset_backend_cache()
-        sets_memo.clear_all()
-
-    yield activate
-    reset_backend_cache()
-    sets_memo.clear_all()
-
-
-@pytest.mark.skipif(not OPTIMISED_BACKENDS, reason="no optimised backend importable")
-class TestBackendParity:
-    """Optimised backends must be byte-identical to the pure reference loops.
-
-    The differential battery re-runs under every importable optimised
-    backend, and the outputs are then compared against the pure backend
-    *exactly*: the same point lists in the same order, the same projected
-    constraint systems — not merely equivalent sets.
+    Exact equality throughout: the same point lists in the same order, the
+    same canonicalised constraint systems — not merely equivalent sets.
     """
 
     CASES = 30
 
-    @pytest.mark.parametrize("backend", OPTIMISED_BACKENDS)
-    def test_card_battery_under_optimised_backend(self, backend, backend_env):
-        backend_env(backend)
-        rng = random.Random(20260807)
-        compared = 0
-        for case in range(self.CASES):
-            pset = random_polytope(rng)
-            try:
-                symbolic = card(pset)
-            except CountingError:
-                continue
-            value = PARAM_VALUES[0]
-            points = pset.enumerate_points({"N": value})
-            if not points:
-                continue
-            assert symbolic.subs(sym("N"), value) == len(points), (
-                f"case {case} under backend {backend}\n{pset!r}"
-            )
-            compared += 1
-        assert compared >= self.CASES * 3 // 4
+    def _battery(self, seed: int) -> list[ParamSet]:
+        rng = random.Random(seed)
+        return [random_polytope(rng, ndim=rng.randint(2, 3)) for _ in range(self.CASES)]
 
-    @pytest.mark.parametrize("backend", OPTIMISED_BACKENDS)
-    def test_enumeration_and_projection_byte_identical(self, backend, backend_env):
-        rng = random.Random(97531)
-        polys = [random_polytope(rng, ndim=rng.randint(2, 3)) for _ in range(self.CASES)]
+    def test_enumeration_kernel_matches_the_loop(self):
+        compared = 0
+        for case, poly in enumerate(self._battery(97531)):
+            for piece in poly.pieces:
+                fast = enumerate_kernel(piece, {"N": 9}, 2000)
+                if fast is None:
+                    continue  # two band dims: the static grid passes the limit
+                assert fast == piece._enumerate_points_loop({"N": 9}), f"case {case}\n{poly!r}"
+                compared += 1
+        assert compared >= self.CASES * 9 // 10
+
+    def test_fm_kernel_matches_the_pair_loop(self):
+        combined = 0
+        for case, poly in enumerate(self._battery(97531)):
+            for piece in poly.pieces:
+                constraints = [c.normalized() for c in piece.constraints]
+                for dim in piece.space.dims:
+                    _, lower, upper = _split_bounds(constraints, dim)
+                    fast = fm_combine(lower, upper)
+                    slow = [
+                        c.normalized()
+                        for c in _combine_pairs(lower, upper)
+                        if not c.is_trivially_true()
+                    ]
+                    assert fast is not None, f"case {case} declined on {dim}"
+                    assert [c.key() for c in fast] == [c.key() for c in slow], (
+                        f"case {case} on {dim}\n{poly!r}"
+                    )
+                    combined += bool(lower and upper)
+        assert combined >= self.CASES
+
+    def test_projection_matches_the_decline_path(self, monkeypatch):
+        polys = self._battery(97531)
         keeps = [poly.space.dims[: 1 + case % 2] for case, poly in enumerate(polys)]
 
-        backend_env("pure")
-        ref_points = [poly.enumerate_points({"N": 9}) for poly in polys]
-        ref_projections = [
-            repr(poly.project_onto(list(keep))) for poly, keep in zip(polys, keeps)
-        ]
+        def run():
+            sets_memo.clear_all()
+            points = [poly.enumerate_points({"N": 9}) for poly in polys]
+            projections = [repr(poly.project_onto(list(k))) for poly, k in zip(polys, keeps)]
+            return points, projections
 
-        backend_env(backend)
-        fast_points = [poly.enumerate_points({"N": 9}) for poly in polys]
-        fast_projections = [
-            repr(poly.project_onto(list(keep))) for poly, keep in zip(polys, keeps)
-        ]
+        fast = run()
+        monkeypatch.setattr("repro.sets.fourier_motzkin.fm_combine", lambda lower, upper: None)
+        monkeypatch.setattr(
+            "repro.sets.backend.enumerate_points", lambda basic_set, params, bound: None
+        )
+        slow = run()
+        sets_memo.clear_all()
+        assert fast == slow
 
-        # Exact equality: identical points in identical order, identical
-        # canonicalised constraint systems after Fourier-Motzkin.
-        assert fast_points == ref_points
-        assert fast_projections == ref_projections
+    def test_card_battery_cold_equals_warm(self):
+        """Memo keys are content hashes: a cold run (every cache cleared
+        before each case) and a warm rerun give identical answers."""
+        polys = self._battery(20260807)
+
+        def answers(poly: ParamSet):
+            try:
+                count = sympy.sstr(card(poly))
+            except CountingError:
+                count = None
+            return (
+                count,
+                poly.enumerate_points({"N": PARAM_VALUES[0]}),
+                [repr(piece.simplify()) for piece in poly.pieces],
+                repr(poly.project_onto(list(poly.space.dims[:1]))),
+                poly.is_empty(),
+            )
+
+        cold = []
+        for poly in polys:
+            sets_memo.clear_all()
+            cold.append(answers(poly))
+        hits_before = sets_memo.CARD_CACHE.hits
+        warm = [answers(poly) for poly in polys]
+        assert warm == cold
+        assert sets_memo.CARD_CACHE.hits > hits_before
+        assert sum(answer[0] is not None for answer in cold) >= self.CASES * 3 // 4
 
 
 # -- hypothesis property tests -------------------------------------------------

@@ -88,6 +88,7 @@ class TestProfile:
         assert main(["profile", "--kernels", "gemm"]) == 0
         out = capsys.readouterr().out
         assert "cold derivation of 1 kernel(s)" in out
+        assert "(set backend: numpy, count backend: " in out
         assert "linalg" in out and "wall" in out
         assert "memo cache" in out
 
@@ -96,7 +97,8 @@ class TestProfile:
         document = json.loads(capsys.readouterr().out)
         assert document["kernels"] == ["gemm"]
         assert document["wall_s"] > 0
-        assert document["backend"] in {"pure", "numpy", "numba"}
+        assert document["backend"] == "numpy"
+        assert "memo" not in document
         names = [entry["name"] for entry in document["subsystems"]]
         assert "linalg" in names
         assert any(cache["name"] == "linalg.rref" for cache in document["caches"])
