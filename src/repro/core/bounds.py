@@ -15,7 +15,7 @@ the sympy plumbing:
 
 from __future__ import annotations
 
-import re
+import ast
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any, Mapping
@@ -107,42 +107,176 @@ SERIALIZATION_SCHEMA = 1
 
 def expr_to_text(expr: sympy.Expr) -> str:
     """Serialize a sympy expression to its exact ``srepr`` form."""
-    return sympy.srepr(sympy.sympify(expr))
-
-
-_STRING_LITERAL = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-#: Identifiers that may appear in the ``srepr`` of a bound expression:
-#: expression heads, Symbol assumption keywords, and numeric atoms.  Anything
-#: else (``__import__``, ``lambda``, attribute names, ...) is rejected before
-#: the text reaches ``sympify``, which evaluates its input — result documents
-#: may come from untrusted files (shared caches, downloaded suite dumps).
-_ALLOWED_SREPR_NAMES = frozenset({
-    "Add", "Mul", "Pow", "Symbol", "Integer", "Rational", "Float",
-    "Max", "Min", "Abs", "floor", "ceiling", "sqrt",
-    "integer", "positive", "negative", "nonnegative", "nonpositive",
-    "real", "precision", "True", "False",
-    "S", "Half", "One", "Zero", "NegativeOne", "pi", "E",
-    "oo", "Infinity", "NegativeInfinity",
-})
+    return sympy.srepr(sympy.Integer(expr) if isinstance(expr, int) else expr)
 
 
 def expr_from_text(text: str) -> sympy.Expr:
     """Rebuild a sympy expression from its ``srepr`` form (exact inverse).
 
-    Symbol names (quoted strings) are arbitrary; every bare identifier must
-    be on the srepr allowlist, so a malicious document cannot smuggle code
-    through the ``eval`` inside ``sympify``.
+    The text is walked as a Python expression tree (``ast.parse``), never
+    evaluated: only the srepr constructs below are accepted, and anything
+    else raises ``ValueError`` — result documents may come from untrusted
+    files (shared stores, ``cache import`` archives, downloaded suite dumps).
+    Numeric literals that canonical sympy never leaves, but whose
+    construction would stall the reader, are refused too (see :func:`_pow`
+    and :data:`_MAX_FLOAT_PRECISION`).
     """
-    stripped = _STRING_LITERAL.sub("''", text)
-    for name in _IDENTIFIER.findall(stripped):
-        if name not in _ALLOWED_SREPR_NAMES:
-            raise ValueError(
-                f"refusing to deserialize expression containing {name!r} "
-                "(not a known srepr construct)"
-            )
-    return sympy.sympify(text)
+    if not isinstance(text, str):
+        raise ValueError(f"refusing to deserialize a {type(text).__name__} as an expression")
+    try:
+        tree = ast.parse(text, mode="eval")
+        return _decode(tree.body)
+    except (SyntaxError, RecursionError, MemoryError) as error:
+        raise ValueError(f"refusing to deserialize malformed expression: {error}") from None
+
+
+#: Symbol assumptions an srepr text may carry (each with a ``True``/``False``).
+_ASSUMPTIONS = frozenset({
+    "integer", "positive", "negative", "nonnegative", "nonpositive", "real",
+})
+
+#: Bare names and ``S.<name>`` singletons that stand for sympy atoms.
+_ATOMS = {"pi": sympy.pi, "E": sympy.E, "oo": sympy.oo}
+_SINGLETONS = {
+    name: getattr(sympy.S, name)
+    for name in ("Half", "One", "Zero", "NegativeOne", "Infinity", "NegativeInfinity")
+}
+
+#: Binary precision of a double; a ``Float`` literal asking for more is
+#: refused (none occurs in a derived bound, and mpmath would honour any size).
+_MAX_FLOAT_PRECISION = 53
+
+
+def _refuse(what: object) -> ValueError:
+    return ValueError(
+        f"refusing to deserialize expression containing {what!r} "
+        "(not a known srepr construct)"
+    )
+
+
+def _has_numeric_factor(expr: sympy.Expr) -> bool:
+    """Whether a product has a number other than 0 and ±1 (or a power of one)
+    among its factors — raising those is what costs big-integer arithmetic."""
+
+    def raisable(number: sympy.Expr) -> bool:
+        return number.is_Number and abs(number) not in (0, 1)
+
+    return any(
+        raisable(factor) or (factor.is_Pow and raisable(factor.base))
+        for factor in sympy.Mul.make_args(expr)
+    )
+
+
+def _pow(base: sympy.Expr, exponent: sympy.Expr) -> sympy.Expr:
+    """Evaluated ``Pow``, refusing the forms that raise a number to a large
+    power.
+
+    Sympy evaluates a number raised to a rational power and distributes
+    integer powers over products, so canonical output leaves a numeric factor
+    (other than 0 and ±1) only under a numeric exponent in (-1, 1), as in
+    ``sqrt(2)``.  Anything else is a hostile entry:
+    ``Pow(Integer(10), Integer(10000000))`` is 35 bytes of text and seconds of
+    big-integer arithmetic, and ``10**x * 10**(10000000 - x)`` gets there
+    through ``Mul``'s merging of exponents.
+    """
+    if _has_numeric_factor(base) and not (
+        exponent.is_Number and exponent.is_finite and abs(exponent) < 1
+    ):
+        raise ValueError(
+            f"refusing to deserialize numeric power {sympy.srepr(base)} ** "
+            f"{sympy.srepr(exponent)} (never produced by sympy)"
+        )
+    return sympy.Pow(base, exponent)
+
+
+#: Expression heads: name -> (builder, arity or None for variadic).  Sums,
+#: products and powers are built *evaluated*: srepr prints their args in print
+#: order, and only evaluation restores sympy's storage order (and so ``==``).
+#: ``Max``/``Min`` were stored already reduced, so they are rebuilt with
+#: ``evaluate=False`` — re-reducing them is what made decoding slow.
+_HEADS = {
+    "Add": (sympy.Add, None),
+    "Mul": (sympy.Mul, None),
+    "Pow": (_pow, 2),
+    "sqrt": (lambda arg: _pow(arg, sympy.S.Half), 1),
+    "Max": (lambda *args: sympy.Max(*args, evaluate=False), None),
+    "Min": (lambda *args: sympy.Min(*args, evaluate=False), None),
+    "Abs": (sympy.Abs, 1),
+    "floor": (sympy.floor, 1),
+    "ceiling": (sympy.ceiling, 1),
+}
+
+
+def _int_literal(node: ast.expr) -> int:
+    """An int literal, optionally negated (``3``, ``-3``)."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_int_literal(node.operand)
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    raise _refuse(ast.unparse(node))
+
+
+def _str_literal(node: ast.expr) -> str:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    raise _refuse(ast.unparse(node))
+
+
+def _decode(node: ast.expr) -> sympy.Expr:
+    if isinstance(node, ast.Call):
+        return _decode_call(node)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_decode(node.operand)
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return sympy.Integer(node.value)
+    if isinstance(node, ast.Name) and node.id in _ATOMS:
+        return _ATOMS[node.id]
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "S"
+        and node.attr in _SINGLETONS
+    ):
+        return _SINGLETONS[node.attr]
+    raise _refuse(ast.unparse(node))
+
+
+def _decode_call(node: ast.Call) -> sympy.Expr:
+    head = node.func.id if isinstance(node.func, ast.Name) else ast.unparse(node.func)
+    keywords = {}
+    for keyword in node.keywords:
+        if keyword.arg is None:  # ``**mapping``
+            raise _refuse(ast.unparse(keyword))
+        keywords[keyword.arg] = keyword.value
+    args = node.args
+
+    if head == "Symbol" and len(args) == 1:
+        assumptions = {}
+        for name, value in keywords.items():
+            if name not in _ASSUMPTIONS:
+                raise _refuse(name)
+            if not (isinstance(value, ast.Constant) and type(value.value) is bool):
+                raise _refuse(ast.unparse(value))
+            assumptions[name] = value.value
+        return sympy.Symbol(_str_literal(args[0]), **assumptions)
+    if head == "Float" and len(args) == 1 and set(keywords) <= {"precision"}:
+        precision = keywords.get("precision")
+        if precision is None:
+            return sympy.Float(_str_literal(args[0]))
+        bits = _int_literal(precision)
+        if not 0 < bits <= _MAX_FLOAT_PRECISION:
+            raise ValueError(f"refusing to deserialize Float with precision={bits}")
+        return sympy.Float(_str_literal(args[0]), precision=bits)
+    if keywords:
+        raise _refuse(f"{head}({', '.join(keywords)}=...)")
+    if head == "Integer" and len(args) == 1:
+        return sympy.Integer(_int_literal(args[0]))
+    if head == "Rational" and len(args) in (1, 2):
+        return sympy.Rational(*(_int_literal(arg) for arg in args))
+    build, arity = _HEADS.get(head, (None, None))
+    if build is None or (arity is not None and len(args) != arity):
+        raise _refuse(head)
+    return build(*(_decode(arg) for arg in args))
 
 
 def _pset_to_pieces(domain: ParamSet) -> list[str]:
@@ -166,6 +300,44 @@ def _pset_from_pieces(pieces: list[str]) -> ParamSet | None:
     return reduce(ParamSet.union, parsed)
 
 
+class _StoredMaySpill(Mapping):
+    """A decoded sub-bound's may-spill map, parsed from its pieces on first use.
+
+    Only the decomposition lemma reads may-spill sets, and a result-store hit
+    never runs it, so set parsing is deferred until a read.  Statements whose
+    pieces are empty or unparseable are dropped then, as
+    :func:`_pset_from_pieces` decides.
+    """
+
+    __slots__ = ("_pieces", "_sets")
+
+    def __init__(self, pieces: Mapping[str, list[str]]):
+        self._pieces = pieces
+        self._sets: dict[str, ParamSet] | None = None
+
+    def _parsed(self) -> dict[str, ParamSet]:
+        if self._sets is None:
+            sets = {}
+            for statement, texts in self._pieces.items():
+                domain = _pset_from_pieces(texts)
+                if domain is not None:
+                    sets[statement] = domain
+            self._sets = sets
+        return self._sets
+
+    def __getitem__(self, statement: str) -> ParamSet:
+        return self._parsed()[statement]
+
+    def __iter__(self):
+        return iter(self._parsed())
+
+    def __len__(self) -> int:
+        return len(self._parsed())
+
+    def __repr__(self) -> str:
+        return repr(self._parsed())
+
+
 @dataclass
 class SubBound:
     """A lower bound for one sub-CDAG (one output of Alg. 4, Alg. 5 or Sec. 4.3).
@@ -181,7 +353,7 @@ class SubBound:
     may_spill:
         Map from statement name to the may-spill vertex set of the sub-CDAG
         (Def. 4.1), used by the decomposition lemma to decide which bounds may
-        be added together.
+        be added together.  A decoded sub-bound parses it on first read.
     method:
         ``"kpartition"`` or ``"wavefront"``.
     statement:
@@ -192,7 +364,7 @@ class SubBound:
 
     expression: sympy.Expr
     smooth: sympy.Expr
-    may_spill: dict[str, ParamSet] = field(default_factory=dict)
+    may_spill: Mapping[str, ParamSet] = field(default_factory=dict)
     method: str = "kpartition"
     statement: str = ""
     depth: int = 0
@@ -218,15 +390,13 @@ class SubBound:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SubBound":
-        may_spill: dict[str, ParamSet] = {}
-        for statement, pieces in data.get("may_spill", {}).items():
-            domain = _pset_from_pieces(pieces)
-            if domain is not None:
-                may_spill[statement] = domain
+        may_spill = data.get("may_spill", {})
+        if not isinstance(may_spill, Mapping):
+            raise ValueError(f"may_spill must be a mapping, not {type(may_spill).__name__}")
         return cls(
             expression=expr_from_text(data["expression"]),
             smooth=expr_from_text(data["smooth"]),
-            may_spill=may_spill,
+            may_spill=_StoredMaySpill(may_spill),
             method=data.get("method", "kpartition"),
             statement=data.get("statement", ""),
             depth=int(data.get("depth", 0)),

@@ -1,12 +1,21 @@
-"""JSON serialization: exact round-trips of results, documents and caches."""
+"""JSON serialization: exact round-trips of results, documents and caches.
+
+The structural expression decoder (``expr_from_text``) is checked against the
+``sympify``-based decoder it replaced, kept here as the reference.
+"""
 
 import json
+import random
+import re
+import time
 
+import pytest
 import sympy
 
 from repro.analysis import (
     AnalysisConfig,
     Analyzer,
+    BoundStore,
     load_results,
     program_fingerprint,
     results_from_document,
@@ -14,6 +23,8 @@ from repro.analysis import (
     save_results,
 )
 from repro.core import IOBoundResult
+from repro.core import bounds
+from repro.core.bounds import SubBound, expr_from_text
 from repro.polybench import get_kernel
 
 
@@ -140,3 +151,205 @@ class TestFingerprintAndCache:
         entry.write_text("{ not json")
         again = analyzer.analyze(spec.program)
         assert again.smooth == fresh.smooth
+
+
+# -- the structural decoder against the sympify reference ---------------------------
+
+_STRING_LITERAL = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ALLOWED_SREPR_NAMES = frozenset({
+    "Add", "Mul", "Pow", "Symbol", "Integer", "Rational", "Float",
+    "Max", "Min", "Abs", "floor", "ceiling", "sqrt",
+    "integer", "positive", "negative", "nonnegative", "nonpositive",
+    "real", "precision", "True", "False",
+    "S", "Half", "One", "Zero", "NegativeOne", "pi", "E",
+    "oo", "Infinity", "NegativeInfinity",
+})
+
+
+def reference_expr_from_text(text: str) -> sympy.Expr:
+    """The previous decoder: identifier allowlist pre-scan, then ``sympify``."""
+    stripped = _STRING_LITERAL.sub("''", text)
+    for name in _IDENTIFIER.findall(stripped):
+        if name not in _ALLOWED_SREPR_NAMES:
+            raise ValueError(f"refusing to deserialize expression containing {name!r}")
+    return sympy.sympify(text)
+
+
+_SYMBOLS = [sympy.Symbol(name, integer=True) for name in ("N", "M", "K", "S")] + [
+    sympy.Symbol("P", integer=True, positive=True),
+    sympy.Symbol("T", positive=True),
+]
+_EXPONENTS = [2, 3, -1, -2, sympy.Rational(1, 2), sympy.Rational(-1, 2), sympy.Rational(3, 2)]
+
+
+def _random_tree(rng: random.Random, depth: int, root: bool = True) -> sympy.Expr:
+    """A random bound-like expression over the srepr heads of derived bounds."""
+    if depth == 0 or (not root and rng.random() < 0.2):
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.choice(_SYMBOLS)
+        if kind == 1:
+            return sympy.Integer(rng.randint(-4, 9))
+        return sympy.Rational(rng.randint(-7, 7), rng.randint(1, 6))
+    head = rng.choice(["Add", "Mul", "Pow", "Max", "Min", "floor", "ceiling", "sqrt"])
+    if head in ("Add", "Mul", "Max", "Min"):
+        args = [_random_tree(rng, depth - 1, False) for _ in range(rng.randint(2, 3))]
+        return getattr(sympy, head)(*args)
+    if head == "Pow":
+        return sympy.Pow(_random_tree(rng, depth - 1, False), rng.choice(_EXPONENTS))
+    return getattr(sympy, head)(_random_tree(rng, depth - 1, False))
+
+
+def _battery() -> list[str]:
+    """~200 fixed-seed random trees, as srepr texts (complex results skipped)."""
+    texts = []
+    for seed in range(240):
+        rng = random.Random(seed)
+        try:
+            tree = _random_tree(rng, rng.randint(1, 4))
+        except ValueError:  # Max/Min of a complex argument
+            continue
+        if tree.has(sympy.I, sympy.zoo, sympy.nan):
+            continue
+        texts.append(sympy.srepr(tree))
+    return texts
+
+
+def _result_texts(result: IOBoundResult) -> list[str]:
+    data = result.to_dict()
+    texts = [data[k] for k in ("expression", "smooth", "asymptotic", "input_size", "total_flops")]
+    for bound in data["sub_bounds"]:
+        texts += [bound["expression"], bound["smooth"]]
+    return texts
+
+
+def _assert_decodes_like_reference(texts: list[str]) -> None:
+    for text in sorted(set(texts)):
+        decoded = expr_from_text(text)
+        assert decoded == reference_expr_from_text(text), text
+        assert sympy.srepr(decoded) == text
+
+
+class TestStructuralDecoder:
+    def test_random_battery_matches_reference(self):
+        texts = _battery()
+        assert len(texts) >= 200
+        _assert_decodes_like_reference(texts)
+
+    def test_golden_results_match_reference(self, cold_suite):
+        texts = [t for a in cold_suite.analyses for t in _result_texts(a.result)]
+        _assert_decodes_like_reference(texts)
+
+    @pytest.mark.parametrize("text", [
+        "S.Half", "oo", "-oo", "S.NegativeInfinity", "E",
+        "Integer(-3)", "Rational(-1, 2)", "Float('1.5', precision=53)",
+        "Symbol('x', real=True, nonnegative=False)",
+        "Max(Symbol('N', integer=True), Integer(2))",
+    ])
+    def test_named_atoms_and_literals_match_reference(self, text):
+        assert expr_from_text(text) == reference_expr_from_text(text)
+
+    @pytest.mark.parametrize("text", [
+        "Symbol.__class__('x')",
+        "Symbol('x').__dict__",
+        "__import__('os').system('true')",
+        "__builtins__",
+        "lambda: Integer(1)",
+        "Symbol('x')[0]",
+        "Add(**{'evaluate': False})",
+        "Add(*[Integer(1)])",
+        "Symbol('x', commutative=False)",
+        "Symbol('x', integer=1)",
+        "Symbol('x', integer='yes')",
+        "Integer(1, evaluate=False)",
+        "Tuple(Integer(1))",
+        "exp(Integer(1))",
+        "Integer(True)",
+        "Integer('1')",
+        "Add(Integer(1), True)",
+        "Integer(1) + Integer(2)",
+        "Float(1.5)",
+        "S.__class__",
+        "(" * 300 + "Integer(1)" + ")" * 300,
+        "Integer(",
+    ])
+    def test_non_srepr_input_rejected(self, text):
+        with pytest.raises(ValueError, match="refusing"):
+            expr_from_text(text)
+
+
+#: Entries of a few dozen bytes that took seconds to decode through sympify:
+#: a number raised to a huge power, and Floats of unbounded precision.
+HOSTILE = [
+    "Pow(Integer(10), Integer(10000000))",
+    "Pow(Mul(Integer(10), Symbol('N', integer=True)), Integer(10000000))",
+    "Pow(Pow(Integer(10), Rational(1, 2)), Integer(20000000))",
+    "Mul(Pow(Integer(10), Symbol('x')), Pow(Integer(10), Add(Integer(10000000), Symbol('y'))))",
+    "Mul(Float('1.5', precision=10000000), Float('2.5', precision=10000000))",
+]
+
+
+class TestHostileEntries:
+    @pytest.mark.parametrize("text", HOSTILE)
+    def test_rejected_quickly(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="refusing"):
+            expr_from_text(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_canonical_numeric_powers_still_decode(self):
+        for text in (
+            "Pow(Integer(2), Rational(1, 2))",
+            "Mul(Rational(1, 3), Pow(Integer(3), Rational(1, 2)))",
+            "Pow(Mul(Integer(-1), Symbol('N', integer=True)), Rational(3, 2))",
+            "Pow(Add(Integer(1), Pow(Integer(2), Rational(1, 2))), Integer(-1))",
+            "Pow(Symbol('N', integer=True), Integer(10000000))",
+        ):
+            assert sympy.srepr(expr_from_text(text)) == text
+
+    @pytest.mark.parametrize("text", HOSTILE)
+    def test_planted_store_entry_is_a_miss(self, tmp_path, text):
+        spec = get_kernel("gemm")
+        store = BoundStore(tmp_path)
+        analyzer = Analyzer(AnalysisConfig(max_depth=0), store=store)
+        analyzer.analyze(spec.program)
+        key = analyzer.cache_key(spec.program)
+        path = store.path_for(key)
+        entry = json.loads(path.read_text())
+        entry["result"]["asymptotic"] = text
+        path.write_text(json.dumps(entry))
+        start = time.perf_counter()
+        assert store.get(key) is None
+        assert time.perf_counter() - start < 1.0
+
+
+class TestLazyMaySpill:
+    def test_sets_are_parsed_on_first_read(self, monkeypatch):
+        data = _analyze("gemm").to_dict()
+        calls = []
+        parse_set = bounds.parse_set
+        monkeypatch.setattr(bounds, "parse_set", lambda text: calls.append(text) or parse_set(text))
+        reloaded = IOBoundResult.from_dict(data)
+        assert calls == []
+        assert reloaded.to_dict() == data
+        assert calls
+
+    def test_unparseable_or_empty_pieces_drop_the_statement(self):
+        expression = "Symbol('N', integer=True)"
+        bound = SubBound.from_dict({
+            "expression": expression,
+            "smooth": expression,
+            "may_spill": {
+                "A": ["[N] -> { A[i] : 0 <= i < N }"],
+                "B": ["not a set"],
+                "C": [],
+            },
+        })
+        assert list(bound.may_spill) == ["A"]
+        assert bound.to_dict()["may_spill"].keys() == {"A"}
+
+    def test_non_mapping_may_spill_is_rejected(self):
+        expression = "Integer(1)"
+        with pytest.raises(ValueError, match="may_spill"):
+            SubBound.from_dict({"expression": expression, "smooth": expression, "may_spill": []})

@@ -10,9 +10,22 @@ handling re-set the variables explicitly via ``monkeypatch.setenv``.
 This conftest also registers the ``slow`` marker: the differential
 reachability sweeps (tests/rel/) are thorough but long, so they are skipped
 by default and opt in with ``--runslow``; the tier-1 run stays fast.
+
+The full-suite derivation is expensive (~30 s), so it runs at most once per
+test session (``cold_suite``), routed through a session-private
+:class:`BoundStore`.  The golden-bound regression tests and the decoder
+oracle read its results; the warm-run test re-runs the suite against the
+now-populated store and asserts it derives nothing.
 """
 
+import time
+from dataclasses import dataclass
+
 import pytest
+
+from repro.analysis import BoundStore, reset_derivation_count
+from repro.ir import reset_expand_count
+from repro.polybench import KernelAnalysis, analyze_suite
 
 
 def pytest_addoption(parser):
@@ -43,3 +56,34 @@ def pytest_collection_modifyitems(config, items):
 def _isolate_bound_store_env(monkeypatch):
     monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.delenv("REPRO_STORE_BUDGET", raising=False)
+
+
+@dataclass
+class ColdSuiteRun:
+    """Result of the one cold full-suite derivation of this test session."""
+
+    analyses: list[KernelAnalysis]
+    seconds: float
+    derivations: int
+    cdag_expansions: int
+
+    @property
+    def by_name(self) -> dict[str, KernelAnalysis]:
+        return {analysis.spec.name: analysis for analysis in self.analyses}
+
+
+@pytest.fixture(scope="session")
+def suite_store(tmp_path_factory) -> BoundStore:
+    """A session-private bound store (no cross-run or cross-suite state)."""
+    return BoundStore(tmp_path_factory.mktemp("bound-store"))
+
+
+@pytest.fixture(scope="session")
+def cold_suite(suite_store) -> ColdSuiteRun:
+    """Derive every registered kernel once, cold, through the session store."""
+    reset_derivation_count()
+    reset_expand_count()
+    start = time.perf_counter()
+    analyses = analyze_suite(store=suite_store)
+    seconds = time.perf_counter() - start
+    return ColdSuiteRun(analyses, seconds, reset_derivation_count(), reset_expand_count())

@@ -107,10 +107,9 @@ class TestWarmStoreSuite:
 
         assert derivation_count() == 0, "warm store run must not derive anything"
         cold_by_name = cold_suite.by_name
+        assert sorted(cold_by_name) == sorted(a.spec.name for a in warm) == kernel_names()
         for analysis in warm:
-            assert analysis.result.asymptotic == (
-                cold_by_name[analysis.spec.name].result.asymptotic
-            )
+            _assert_same_result(analysis.result, cold_by_name[analysis.spec.name].result)
         # 5x, not 10x: the native closed-form counting engine cut the cold
         # suite itself to a handful of seconds, so the old 10x margin left
         # almost no headroom between store round-trips and a fast cold run.
@@ -118,6 +117,24 @@ class TestWarmStoreSuite:
             f"warm suite run ({warm_seconds:.2f}s) not >=5x faster than the "
             f"cold run ({cold_suite.seconds:.2f}s)"
         )
+
+
+def _spill_texts(bound) -> dict[str, str]:
+    """A sub-bound's non-empty may-spill sets, printed (empty ones are not stored)."""
+    return {statement: repr(domain) for statement, domain in bound.may_spill.items() if domain.pieces}
+
+
+def _assert_same_result(warm, cold) -> None:
+    """A store read gives back the derived result, field by field."""
+    name = cold.program_name
+    for field in ("expression", "smooth", "asymptotic", "input_size", "total_flops"):
+        assert getattr(warm, field) == getattr(cold, field), (name, field)
+    assert len(warm.sub_bounds) == len(cold.sub_bounds), name
+    for index, (loaded, derived) in enumerate(zip(warm.sub_bounds, cold.sub_bounds)):
+        assert loaded.expression == derived.expression, (name, index)
+        assert loaded.smooth == derived.smooth, (name, index)
+        assert _spill_texts(loaded) == _spill_texts(derived), (name, index)
+    assert warm.to_dict() == cold.to_dict(), name
 
 
 def regenerate() -> None:
