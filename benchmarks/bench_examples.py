@@ -33,7 +33,7 @@ def _example1():
 
 # The three derivation benchmarks below are deliberately store-free: every
 # benchmark round must execute the full derivation, not a ~ms store hit
-# (warm-store latency has its own benchmark in bench_store.py).
+# (warm-store latency is measured by ``perfbench/run.py``).
 
 
 @pytest.mark.benchmark(group="examples")

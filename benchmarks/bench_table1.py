@@ -24,7 +24,7 @@ from conftest import write_markdown_table
 def test_table1_single_kernel_derivation(benchmark, kernel):
     """Time the raw IOLB derivation of one kernel (deliberately store-free:
     every benchmark round must run the actual derivation, not a store hit —
-    warm-store latency is measured separately in bench_store.py)."""
+    warm-store latency is measured separately by perfbench/run.py)."""
     analysis = benchmark(analyze_kernel, kernel)
     assert analysis.result.asymptotic is not None
 

@@ -42,8 +42,8 @@ def bound_store() -> BoundStore:
     re-run times the store — what a production service sees — without
     touching the user's real shared store.  Delete the directory (or run
     ``python -m repro cache clear --root benchmarks/out/store``) to time
-    cold derivations again; ``bench_store.py`` measures cold vs. warm
-    explicitly either way.
+    cold derivations again; ``perfbench/run.py --workload derive-cold``
+    measures cold vs. warm explicitly either way.
     """
     return BoundStore(OUTPUT_DIR / "store")
 

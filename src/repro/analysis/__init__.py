@@ -1,13 +1,14 @@
 """repro.analysis — the configurable, pluggable, batch-capable Analyzer API.
 
-This package is the primary public entry point for deriving I/O lower bounds
-(the legacy :func:`repro.core.derive_bounds` free function is a thin wrapper
-kept for backward compatibility):
+This package is the public entry point for deriving I/O lower bounds
+(:func:`repro.core.derive_bounds` is a keyword-argument alias over
+:class:`Analyzer`):
 
 * :class:`AnalysisConfig` — every knob of the derivation in one frozen,
   JSON-serializable object;
 * :class:`BoundStrategy` / :func:`register_strategy` — the pluggable
-  sub-bound derivation families run by the Algorithm 6 driver
+  sub-bound derivation families run by the Algorithm 6 driver, each
+  implementing ``plan``/``run_task``/``task_signature``
   (:class:`KPartitionStrategy` and :class:`WavefrontStrategy` are built in);
 * :mod:`~repro.analysis.plan` / :mod:`~repro.analysis.executor` /
   :mod:`~repro.analysis.scheduler` — the plan -> schedule -> combine
@@ -19,13 +20,14 @@ kept for backward compatibility):
   (:func:`schedule_plans`: one ready queue per batch, fewest-remaining
   priority, combine-on-last-task), with results combined in plan order so
   every executor and scheduling produces byte-identical bounds;
-* :class:`Analyzer` — ``analyze(program)`` for one program,
-  ``analyze_stream(programs)`` for streamed batches (results yielded in
-  completion order while later programs still derive),
-  ``analyze_many(programs)`` as its input-order collector (the whole
-  batch's tasks flow through one shared executor) with on-disk memoisation
-  keyed by :func:`program_fingerprint` at both the result and the task
-  level;
+* :func:`stream_analyses` — the one derivation driver: plan every job,
+  schedule the batch's tasks through one shared executor, combine each
+  program as its last task lands, with on-disk memoisation keyed by
+  :func:`program_fingerprint` at both the result and the task level;
+* :class:`Analyzer` — ``analyze(program)`` for one program (a one-job
+  stream), ``analyze_stream(programs)`` for streamed batches (results
+  yielded in completion order while later programs still derive) and
+  ``analyze_many(programs)`` as its input-order collector;
 * :class:`BoundStore` — the shared content-addressed persistent store behind
   that memoisation (``$REPRO_STORE`` / ``~/.cache/repro``), with schema
   negotiation, LRU eviction and ``stats``/``gc``/``clear`` maintenance;
@@ -46,13 +48,10 @@ from .analyzer import (
     Analyzer,
     combine_plan,
     derivation_count,
-    execute_plan,
-    execute_plans,
     program_fingerprint,
     reset_derivation_count,
     reset_task_derivation_count,
     result_key,
-    run_analysis,
     stream_analyses,
     task_derivation_count,
 )
@@ -139,8 +138,6 @@ __all__ = [
     "combine_plan",
     "default_store_root",
     "derivation_count",
-    "execute_plan",
-    "execute_plans",
     "get_strategy",
     "load_results",
     "parse_size",
@@ -155,7 +152,6 @@ __all__ = [
     "result_key",
     "results_from_document",
     "results_to_document",
-    "run_analysis",
     "save_results",
     "schedule_plans",
     "schedule_work",

@@ -19,15 +19,16 @@ executed.  A derivation is an explicit three-stage pipeline:
    final bound, its sub-bound list and its log are byte-identical across
    executors and schedulings.
 
-:meth:`Analyzer.analyze_stream` exposes the streaming shape directly —
+:func:`stream_analyses` is the one driver of that pipeline.
+:meth:`Analyzer.analyze_stream` exposes its streaming shape directly —
 results are yielded in completion order while later programs are still
-deriving — and :meth:`Analyzer.analyze_many` is a thin input-order collector
-over the same stream.  Both feed the whole batch's task set through one
-shared executor: a single ``suite --jobs 8`` schedules every kernel's tasks
-in one work queue instead of paying a pool per program.
+deriving — :meth:`Analyzer.analyze_many` is a thin input-order collector
+over the same stream, and :meth:`Analyzer.analyze` is a one-job stream.
+A batch feeds its whole task set through one shared executor: a single
+``suite --jobs 8`` schedules every kernel's tasks in one work queue instead
+of paying a pool per program.
 
-The legacy :func:`repro.core.iolb.derive_bounds` free function is now a thin
-wrapper over this class.
+:func:`repro.core.iolb.derive_bounds` is a public alias over this class.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ..core.bounds import IOBoundResult, SubBound, asymptotic_leading
 from ..core.decomposition import combine_sub_q
 from ..ir import AffineProgram
 from .config import AnalysisConfig
-from .executor import Executor, resolve_executor
+from .executor import Executor
 from .plan import (
     DerivationPlan,
     TaskResult,
@@ -64,55 +65,15 @@ __all__ = [
     "Analyzer",
     "combine_plan",
     "derivation_count",
-    "execute_plan",
-    "execute_plans",
     "reset_derivation_count",
     "reset_task_derivation_count",
     "result_key",
-    "run_analysis",
     "stream_analyses",
     "task_derivation_count",
 ]
 
 
 # -- the pipeline stages ------------------------------------------------------
-
-
-def execute_plans(
-    plans: Sequence[DerivationPlan],
-    executor: Executor | str | None = None,
-    store: BoundStore | None = None,
-) -> list[list[TaskResult]]:
-    """Execute every task of every plan through one shared executor.
-
-    The barrier-shaped collector over the event-driven scheduler: tasks
-    already present in ``store`` (matched by task fingerprint) are reloaded
-    instead of re-executed, freshly executed tasks are written back one by
-    one as they complete (so a run killed half-way leaves its finished
-    sub-bounds behind for the next run to resume from), and the call returns
-    only once every plan is done.
-
-    Returns one ``TaskResult`` list per plan, each in **plan order**
-    regardless of the order in which the executor completed the tasks.
-    Callers that want results as they land should iterate
-    :func:`~repro.analysis.scheduler.schedule_plans` directly (or use
-    :meth:`Analyzer.analyze_stream`).
-    """
-    results: list[list[TaskResult] | None] = [None] * len(plans)
-    for plan_index, task_results in schedule_plans(plans, executor=executor, store=store):
-        results[plan_index] = task_results
-    # Every slot is filled: the scheduler yields each plan exactly once (a
-    # task failure propagates out of the loop instead of leaving holes).
-    return results  # type: ignore[return-value]
-
-
-def execute_plan(
-    plan: DerivationPlan,
-    executor: Executor | str | None = None,
-    store: BoundStore | None = None,
-) -> list[TaskResult]:
-    """Execute one plan's tasks (see :func:`execute_plans`)."""
-    return execute_plans([plan], executor=executor, store=store)[0]
 
 
 def combine_plan(
@@ -158,36 +119,6 @@ def combine_plan(
     )
 
 
-def run_analysis(
-    program: AffineProgram,
-    config: AnalysisConfig,
-    executor: Executor | str | None = None,
-    store: BoundStore | None = None,
-) -> IOBoundResult:
-    """One full derivation (Algorithm 6): plan, execute, combine.
-
-    The result-cache-free core.  ``executor`` defaults to the config's
-    (``AnalysisConfig(executor=...)`` / ``$REPRO_EXECUTOR`` / serial);
-    passing a ``store`` additionally memoises the individual tasks, so an
-    interrupted run resumes from its finished sub-bounds.  An executor this
-    call resolves itself (a name or ``None``) is closed in a ``finally`` —
-    cancelling any still-queued tasks — so a KeyboardInterrupt mid-run
-    leaves no orphan workers behind.
-    """
-    _count_program_derivation()
-    plan = plan_program(program, config)
-    owns_executor = executor is None or isinstance(executor, str)
-    resolved = resolve_executor(
-        executor if executor is not None else config.executor, config.n_jobs
-    )
-    try:
-        task_results = execute_plan(plan, executor=resolved, store=store)
-        return combine_plan(plan, task_results)
-    finally:
-        if owns_executor:
-            resolved.close()
-
-
 def result_key(program: AffineProgram, config: AnalysisConfig) -> str:
     """Result-store key: program fingerprint x config signature x version.
 
@@ -224,8 +155,8 @@ def stream_analyses(
     waits behind a cold one), then completion order.  Jobs that share a
     result key (same program content, same result-relevant config) are
     derived once and fanned out to every index that asked, immediately after
-    one another.  Results are byte-identical to the barrier pipeline's: only
-    *when* a result is yielded depends on scheduling, never its content.
+    one another.  Only *when* a result is yielded depends on scheduling,
+    never its content.
     """
     jobs = list(jobs)
     # One fingerprint+digest pass per job: the key is reused for the cache
@@ -303,12 +234,16 @@ class Analyzer:
     def analyze(
         self, program: AffineProgram, executor: Executor | str | None = None
     ) -> IOBoundResult:
-        """Derive the parametric I/O lower bound for one program."""
-        cached = self._cache_load(program)
-        if cached is not None:
-            return cached
-        result = run_analysis(program, self.config, executor=executor, store=self.store)
-        self._cache_store(program, result)
+        """Derive the parametric I/O lower bound for one program.
+
+        A one-job :func:`stream_analyses` call: a result-store hit is
+        returned without planning, otherwise the program's tasks run on
+        ``executor`` (default: the config's) and the combined bound is
+        written back to the store.
+        """
+        [(_index, result)] = stream_analyses(
+            [(program, self.config)], executor=executor, store=self.store
+        )
         return result
 
     def plan(self, program: AffineProgram) -> DerivationPlan:
@@ -385,17 +320,3 @@ class Analyzer:
         See :func:`result_key` (this is it, bound to the analyzer's config).
         """
         return result_key(program, self.config)
-
-    def _cache_load(self, program: AffineProgram) -> IOBoundResult | None:
-        if self.store is None:
-            return None
-        return self.store.get(self.cache_key(program))
-
-    def _cache_store(self, program: AffineProgram, result: IOBoundResult | None) -> None:
-        if self.store is None or result is None:
-            return
-        self.store.put(
-            self.cache_key(program),
-            result,
-            metadata={"config_signature": repr(self.config.signature())},
-        )

@@ -13,9 +13,10 @@ A plan (:mod:`repro.analysis.plan`) is a list of independent tasks; an
 
 Executors expose :meth:`Executor.map`, which yields ``(index, result)``
 pairs **in completion order**.  Consumers that need determinism (all of
-them) must re-order by index — the combination step of
-:func:`repro.analysis.analyzer.execute_plans` does exactly that, which is
-what makes the final bound independent of scheduling.  Pool executors
+them) must re-order by index — the scheduler
+(:func:`repro.analysis.scheduler.schedule_work`) lists each group's results
+in item order, which is what makes the final bound independent of
+scheduling.  Pool executors
 additionally expose :meth:`_PoolExecutor.submit` (one task, returning a
 :class:`~concurrent.futures.Future`): the hook the event-driven scheduler
 (:mod:`repro.analysis.scheduler`) uses to keep a bounded number of tasks in

@@ -43,11 +43,6 @@ from ..ir import AffineProgram, DFG
 from .config import AnalysisConfig
 from .store import DERIVATION_VERSION
 
-#: Statement sentinel for a whole-strategy task: a legacy strategy that only
-#: implements ``derive`` (no ``plan``/``run_task``) is scheduled as a single
-#: task spanning all of its statements.
-WHOLE_STRATEGY = "*"
-
 
 def program_fingerprint(program: AffineProgram) -> str:
     """Stable hex fingerprint of an affine program's mathematical content.
@@ -198,47 +193,13 @@ class DerivationPlan:
         """
         from .strategies import get_strategy  # local: strategies imports this module
 
-        try:
-            strategy = get_strategy(task.strategy)
-        except KeyError:
-            strategy = None
-        signer = getattr(strategy, "task_signature", None)
-        signature = signer(self.config) if signer is not None else self.config.signature()
+        signature = get_strategy(task.strategy).task_signature(self.config)
         text = repr((DERIVATION_VERSION, self.fingerprint, task.task_id, signature))
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return f"{digest}-task"
 
     def task_keys(self) -> list[str]:
         return [self.task_key(task) for task in self.tasks]
-
-
-def plan_strategy(strategy, dfg: DFG, config: AnalysisConfig) -> list[DerivationTask]:
-    """The tasks one strategy contributes for one program.
-
-    Strategies that predate the task pipeline (only ``derive``) are planned
-    as a single whole-strategy task, so third-party plug-ins keep working
-    unchanged — they just cannot parallelise internally.
-    """
-    planner = getattr(strategy, "plan", None)
-    if planner is None:
-        return [DerivationTask(strategy=strategy.name, statement=WHOLE_STRATEGY)]
-    return list(planner(dfg, config))
-
-
-def run_strategy_task(
-    strategy,
-    dfg: DFG,
-    config: AnalysisConfig,
-    instance: Mapping[str, int],
-    task: DerivationTask,
-) -> TaskResult:
-    """Execute one task in-process (the executor-agnostic core)."""
-    runner = getattr(strategy, "run_task", None)
-    if runner is None or task.statement == WHOLE_STRATEGY:
-        log: list[str] = []
-        sub_bounds = strategy.derive(dfg, config, instance, log)
-        return TaskResult(task=task, sub_bounds=list(sub_bounds), log=log)
-    return runner(dfg, config, instance, task)
 
 
 def plan_program(
@@ -248,8 +209,7 @@ def plan_program(
 
     The plan is deterministic: strategies appear in ``config.strategies``
     order and each strategy lists its tasks in a fixed (topological)
-    statement order — the exact order the monolithic ``derive`` loops used
-    to run in, so logs and sub-bound lists are bit-for-bit compatible.
+    statement order, so logs and sub-bound lists are reproducible.
     """
     from .strategies import resolve_strategies  # local: avoids import cycle
 
@@ -258,7 +218,7 @@ def plan_program(
         dfg = dfg_for(program, fingerprint)
     tasks: list[DerivationTask] = []
     for strategy in resolve_strategies(config.strategies):
-        tasks.extend(plan_strategy(strategy, dfg, config))
+        tasks.extend(strategy.plan(dfg, config))
     return DerivationPlan(
         program=program,
         config=config,

@@ -3,9 +3,8 @@
 :mod:`repro.analysis.plan` makes a derivation an explicit list of independent
 tasks and :mod:`repro.analysis.executor` decides where they run; this module
 decides **when** — and, crucially, when each program's *combine* step fires.
-The barrier-style reference pipeline (``execute_plans``) waited for a whole
-batch's task set before combining anything; :func:`schedule_plans` instead
-runs one event loop over the union of every plan's tasks:
+:func:`schedule_plans` runs one event loop over the union of every plan's
+tasks, so no program waits for the whole batch before combining:
 
 * all tasks of all plans enter a single **ready queue**;
 * workers pull tasks in **priority order** — fewest-remaining-tasks-per-program
@@ -21,9 +20,7 @@ task results are yielded **in plan order** whatever order they completed in,
 so combining a yielded plan produces byte-identical bounds on every executor
 and every scheduling (the CI-enforced invariant of PR 4).  The only thing
 that varies across schedulers is the order *between* plans — completion
-order by construction — and collectors such as ``execute_plans`` re-order by
-plan index, which is why the barrier API could be rebuilt on top of this
-module without changing a byte of its output.
+order by construction — which never reaches a bound's content.
 
 Executors participate in one of three ways:
 
@@ -60,7 +57,7 @@ import threading
 from typing import Iterator, Sequence
 
 from .executor import Executor, resolve_executor
-from .plan import DerivationPlan, TaskResult, dfg_for, run_strategy_task
+from .plan import DerivationPlan, TaskResult, dfg_for
 from .store import BoundStore
 from .strategies import get_strategy
 
@@ -185,9 +182,8 @@ def _execute_payload(payload: tuple) -> TaskResult:
     """
     program, config, task, fingerprint = payload
     dfg = dfg_for(program, fingerprint)
-    strategy = get_strategy(task.strategy)
     instance = config.heuristic_instance(program.params)
-    return run_strategy_task(strategy, dfg, config, instance, task)
+    return get_strategy(task.strategy).run_task(dfg, config, instance, task)
 
 
 # -- the generic work scheduler -----------------------------------------------

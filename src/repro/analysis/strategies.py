@@ -6,7 +6,8 @@ both were inlined in ``derive_bounds``; here each family is a
 :class:`BoundStrategy` and the driver is a generic pipeline over the
 strategies named by :class:`~repro.analysis.config.AnalysisConfig`.
 
-A strategy participates in the plan/execute pipeline through three methods:
+A strategy participates in the plan/execute pipeline through three methods,
+all required (:func:`register_strategy` rejects a strategy missing any):
 
 * ``plan(dfg, config)`` — list the independent
   :class:`~repro.analysis.plan.DerivationTask` units it wants scheduled
@@ -19,11 +20,6 @@ A strategy participates in the plan/execute pipeline through three methods:
   this strategy's task results, folded into task-level store keys (narrower
   than the full signature, so e.g. raising ``max_depth`` reuses finished
   wavefront depths from the store).
-
-``derive`` survives as a compatibility wrapper that plans and runs serially;
-third-party strategies that only implement ``derive`` still work — the
-planner schedules them as a single whole-strategy task (see
-:func:`repro.analysis.plan.plan_strategy`).
 
 Third parties can register additional strategies (e.g. an isl-backed
 derivation, or a domain-specific shortcut) with :func:`register_strategy` and
@@ -49,6 +45,7 @@ __all__ = [
     "BoundStrategy",
     "KPartitionStrategy",
     "MAX_WORKING_PIECES",
+    "STRATEGY_METHODS",
     "WavefrontStrategy",
     "available_strategies",
     "get_strategy",
@@ -62,27 +59,38 @@ __all__ = [
 class BoundStrategy(Protocol):
     """One family of sub-bound derivations plugged into the Alg. 6 driver.
 
-    A strategy receives the program's DFG, the analysis configuration and the
-    concrete ranking instance, and returns the sub-bounds it could derive.
-    Strategies must be stateless (or at least reusable): one instance may be
-    used for many programs, possibly from multiple worker threads or
-    processes.  ``plan``/``run_task``/``task_signature`` (see the module
-    docstring) are optional but recommended: they let the executor schedule
-    the strategy's work task by task.
+    A strategy splits its work on one program into independent tasks
+    (``plan``), runs one task at a time (``run_task``), and names the config
+    fields its task results depend on (``task_signature``); see the module
+    docstring.  Strategies must be stateless (or at least reusable): one
+    instance may be used for many programs, possibly from multiple worker
+    threads or processes.
     """
 
     #: Registry key, also recorded in ``SubBound.method``-style logs.
     name: str
 
-    def derive(
+    def plan(self, dfg: DFG, config: AnalysisConfig) -> list[DerivationTask]:
+        """The independent tasks this strategy contributes for ``dfg.program``."""
+        ...
+
+    def run_task(
         self,
         dfg: DFG,
         config: AnalysisConfig,
         instance: Mapping[str, int],
-        log: list[str],
-    ) -> list[SubBound]:
-        """Derive the strategy's sub-bounds for ``dfg.program``."""
+        task: DerivationTask,
+    ) -> TaskResult:
+        """Execute one planned task (a pure function of its arguments)."""
         ...
+
+    def task_signature(self, config: AnalysisConfig) -> tuple:
+        """The slice of ``config`` that can influence a task result."""
+        ...
+
+
+#: The methods every strategy must implement.
+STRATEGY_METHODS = ("plan", "run_task", "task_signature")
 
 
 # -- registry ---------------------------------------------------------------
@@ -101,7 +109,12 @@ def register_strategy(
         @register_strategy
         class MyStrategy:
             name = "mine"
-            def derive(self, dfg, config, instance, log): ...
+            def plan(self, dfg, config): ...
+            def run_task(self, dfg, config, instance, task): ...
+            def task_signature(self, config): ...
+
+    A factory whose strategy lacks one of :data:`STRATEGY_METHODS` is
+    rejected with :class:`ValueError` here, not in a worker at run time.
 
     Note for parallel execution: worker processes re-import this module, so a
     custom strategy is only visible to them if its registration runs at
@@ -115,6 +128,10 @@ def register_strategy(
         raise ValueError("strategy factory must define a non-empty string `name`")
     if key in _REGISTRY and not replace:
         raise ValueError(f"strategy {key!r} already registered (pass replace=True to override)")
+    probe = factory if isinstance(factory, type) else factory()
+    missing = [m for m in STRATEGY_METHODS if not callable(getattr(probe, m, None))]
+    if missing:
+        raise ValueError(f"strategy {key!r} does not implement {', '.join(missing)}")
     _REGISTRY[key] = factory
     return factory
 
@@ -193,21 +210,6 @@ class KPartitionStrategy:
             config.max_subcdags_per_statement,
         )
 
-    def derive(
-        self,
-        dfg: DFG,
-        config: AnalysisConfig,
-        instance: Mapping[str, int],
-        log: list[str],
-    ) -> list[SubBound]:
-        """Compatibility wrapper: plan, then run every task serially."""
-        sub_bounds: list[SubBound] = []
-        for task in self.plan(dfg, config):
-            result = self.run_task(dfg, config, instance, task)
-            sub_bounds.extend(result.sub_bounds)
-            log.extend(result.log)
-        return sub_bounds
-
 
 @register_strategy
 class WavefrontStrategy:
@@ -274,18 +276,3 @@ class WavefrontStrategy:
             if config.wavefront_validation_instance is None
             else tuple(sorted(config.wavefront_validation_instance.items())),
         )
-
-    def derive(
-        self,
-        dfg: DFG,
-        config: AnalysisConfig,
-        instance: Mapping[str, int],
-        log: list[str],
-    ) -> list[SubBound]:
-        """Compatibility wrapper: plan, then run every task serially."""
-        sub_bounds: list[SubBound] = []
-        for task in self.plan(dfg, config):
-            result = self.run_task(dfg, config, instance, task)
-            sub_bounds.extend(result.sub_bounds)
-            log.extend(result.log)
-        return sub_bounds

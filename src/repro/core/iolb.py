@@ -1,11 +1,11 @@
-"""Legacy entry point for the IOLB driver (Sec. 7, Algorithm 6).
+"""Keyword-argument entry point for the IOLB driver (Sec. 7, Algorithm 6).
 
-The derivation itself now lives in :mod:`repro.analysis`: the Algorithm 6
-driver is :func:`repro.analysis.run_analysis`, the two sub-bound families are
-the registered ``kpartition`` and ``wavefront`` strategies, and
-:class:`repro.analysis.Analyzer` adds batching, process fan-out and on-disk
-memoisation on top.  :func:`derive_bounds` is kept as a thin wrapper so
-existing call sites keep working:
+The derivation itself lives in :mod:`repro.analysis`: the registered
+``kpartition`` and ``wavefront`` strategies plan independent tasks,
+:func:`repro.analysis.stream_analyses` schedules them and combines each
+program's results, and :class:`repro.analysis.Analyzer` is its front end.
+:func:`derive_bounds` is a public alias over ``Analyzer(config).analyze``.
+A derivation runs these steps:
 
 1. build the DFG;
 2. for every statement, repeatedly search for a path combination (Alg. 3),
@@ -56,9 +56,9 @@ def derive_bounds(
 ) -> IOBoundResult:
     """Derive a parametric I/O lower bound for ``program``.
 
-    Backward-compatible wrapper over :class:`repro.analysis.Analyzer`; new
-    code should build an :class:`repro.analysis.AnalysisConfig` directly
-    (which also exposes batching, caching and custom strategies).
+    An alias over :class:`repro.analysis.Analyzer`; build an
+    :class:`repro.analysis.AnalysisConfig` directly for batching, caching,
+    executors and custom strategies.
 
     Parameters
     ----------

@@ -35,12 +35,7 @@ system (see DESIGN.md, "Oracle soundness"):
     Symbolic counting vs brute-force enumeration.  ``card`` over each
     statement domain, ``input_size`` and ``total_flops`` are evaluated at
     tiny instances and compared with exhaustive CDAG expansion — the
-    differential that caught a real `sets/counting.py` bug in PR 2.  The
-    oracle also runs **both count backends** (the native Faulhaber engine
-    and the sympy reference, ``REPRO_COUNT_BACKEND``) over every statement
-    domain and asserts the two closed forms are *identical* sympy
-    expressions, so every fuzz campaign continuously exercises the native
-    engine against its reference.
+    differential that caught a real `sets/counting.py` miscount.
 
 Oracles are registered by name (:func:`register_oracle`) so test suites and
 downstream code can plug in their own; :func:`run_oracle` wraps execution so
@@ -57,8 +52,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.analysis import AnalysisConfig, BoundStore, run_analysis
-from repro.analysis.analyzer import Analyzer
+from repro.analysis import AnalysisConfig, Analyzer, BoundStore
 from repro.analysis.plan import dfg_for
 from repro.core.bounds import evaluate
 from repro.core.wavefront import (
@@ -208,7 +202,7 @@ def oracle_executors(program: AffineProgram, ctx: OracleContext) -> OracleVerdic
     config = _pipeline_config(n_jobs=2)
     docs: dict[str, str] = {}
     for name in EXECUTOR_SET:
-        docs[name] = _result_bytes(run_analysis(program, config, executor=name))
+        docs[name] = _result_bytes(Analyzer(config).analyze(program, executor=name))
     reference = docs[EXECUTOR_SET[0]]
     for name, doc in docs.items():
         if doc != reference:
@@ -374,7 +368,7 @@ def oracle_sandwich(program: AffineProgram, ctx: OracleContext) -> OracleVerdict
         "both": ("kpartition", "wavefront"),
     }
     results = {
-        name: run_analysis(program, AnalysisConfig(max_depth=1, strategies=strategies))
+        name: Analyzer(AnalysisConfig(max_depth=1, strategies=strategies)).analyze(program)
         for name, strategies in variants.items()
     }
     checks = 0
@@ -442,48 +436,10 @@ def _symbolic_statement_count(program: AffineProgram, statement: str, instance) 
     return evaluate(card(program.statements[statement].domain), instance)
 
 
-def _backend_card(program: AffineProgram, statement: str, backend: str):
-    """Closed-form cardinality of one statement domain under one count backend.
-
-    A module-level seam like :func:`_symbolic_statement_count`: tests
-    monkeypatch it to plant a backend divergence and prove the oracle
-    reports it.
-    """
-    return card(program.statements[statement].domain, backend=backend)
-
-
 @register_oracle("counting")
 def oracle_counting(program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
     """Symbolic card/input_size/total_flops vs brute-force CDAG enumeration."""
     checks = 0
-    # Backend differential first: the native Faulhaber engine and the sympy
-    # reference must produce *identical* expressions for every domain the
-    # counting recursion accepts (CountingError is shared behaviour — both
-    # engines reject the same sets — so it skips the comparison, it never
-    # masks a divergence).
-    for name in program.statements:
-        try:
-            native = _backend_card(program, name, "native")
-            reference = _backend_card(program, name, "sympy")
-        except CountingError:
-            continue
-        checks += 1
-        if native != reference:
-            return OracleVerdict(
-                oracle="counting",
-                ok=False,
-                details=(
-                    f"count backends disagree on card({name!r}): "
-                    f"native={native} sympy={reference}"
-                ),
-                divergence={
-                    "kind": "count-backend-mismatch",
-                    "statement": name,
-                    "native": str(native),
-                    "sympy": str(reference),
-                },
-                checks=checks,
-            )
     for instance in ctx.profile.instance_dicts():
         cdag = CDAG.expand(program, instance)
         for name, statement in program.statements.items():
@@ -544,6 +500,6 @@ def oracle_counting(program: AffineProgram, ctx: OracleContext) -> OracleVerdict
     return OracleVerdict(
         oracle="counting",
         ok=True,
-        details=f"{checks} counts match enumeration; count backends agree",
+        details=f"{checks} counts match enumeration",
         checks=checks,
     )

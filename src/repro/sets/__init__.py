@@ -18,8 +18,6 @@ from .affine_map import AffineFunction
 from .backend import get_backend
 from .basic_set import EQ, GE, BasicSet, Constraint
 from .counting import (
-    COUNT_BACKEND_ENV,
-    COUNT_BACKENDS,
     CountingError,
     card,
     card_at,
@@ -29,7 +27,7 @@ from .counting import (
     lin_to_sympy,
     sym,
 )
-from .poly import Poly, PolyConversionError
+from .poly import Poly
 from .fourier_motzkin import (
     EliminationError,
     basic_set_is_empty,
@@ -43,8 +41,6 @@ from .pset import ParamSet
 from .space import Space
 
 __all__ = [
-    "COUNT_BACKEND_ENV",
-    "COUNT_BACKENDS",
     "EQ",
     "GE",
     "AffineFunction",
@@ -56,7 +52,6 @@ __all__ = [
     "ParamSet",
     "ParseError",
     "Poly",
-    "PolyConversionError",
     "Space",
     "basic_set_is_empty",
     "get_backend",

@@ -12,29 +12,20 @@ the paper makes when reporting its formulas; the final bound is guarded by a
 ``max(0, .)``).  Non-unit coefficients raise :class:`CountingError`, which the
 callers translate into a safely degraded (weaker) bound.
 
-Count backends
---------------
+Count engine
+------------
 
-Two interchangeable engines carry the polynomial weight through the
-recursion (``REPRO_COUNT_BACKEND``, default ``native``):
-
-* ``native`` — :class:`repro.sets.poly.Poly`: exact ``Fraction`` monomial
-  dicts with the precomputed Faulhaber tables doing each per-dimension sum
-  in closed form.  Any weight or bound shape the native engine cannot
-  express *declines* to the sympy loop for that set instead of guessing.
-* ``sympy`` — the reference path: ``sympy.summation``/``sympy.expand`` at
-  every recursion step, byte-for-byte the historical implementation.
-
-Both return sympy expressions from :func:`card` / :func:`card_basic` /
-:func:`card_upper`, and both must produce *identical* expressions — CI
-compares golden bounds across the two, the fuzzing ``counting`` oracle
-asserts agreement per random program, and ``benchmarks/bench_counting.py``
-asserts byte-identical suite bounds plus the counting-subsystem speedup.
+The polynomial weight carried through the recursion is a native
+:class:`repro.sets.poly.Poly`: exact ``Fraction`` monomial dicts with the
+precomputed Faulhaber tables doing each per-dimension sum in closed form,
+converted to sympy once per basic set.  The recursion takes its weight
+engine as a parameter; ``tests/sets/test_counting.py`` substitutes a
+``sympy.summation`` reference engine and asserts identical expressions on
+every PolyBench and fuzz-program statement domain.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,34 +36,20 @@ from .basic_set import EQ, GE, BasicSet, Constraint
 from .. import perf
 from . import memo
 from .fourier_motzkin import is_rationally_empty
-from .poly import Poly, PolyConversionError, sym
+from .poly import Poly, sym
 from .pset import ParamSet
 
 MAX_SPLIT_DEPTH = 8
 MAX_UNION_PIECES_EXACT = 6
-
-#: Environment variable forcing a count backend (``native`` or ``sympy``).
-COUNT_BACKEND_ENV = "REPRO_COUNT_BACKEND"
-
-#: Recognised count backends, in preference order (auto-selection = native).
-COUNT_BACKENDS = ("native", "sympy")
 
 
 class CountingError(Exception):
     """Raised when the cardinality cannot be computed exactly."""
 
 
-def count_backend(name: str | None = None) -> str:
-    """Resolve the count backend: explicit name, else env, else ``native``."""
-    if name is None:
-        name = os.environ.get(COUNT_BACKEND_ENV) or None
-    if name is None:
-        return "native"
-    if name not in COUNT_BACKENDS:
-        raise KeyError(
-            f"unknown count backend {name!r} (expected 'native' or 'sympy')"
-        )
-    return name
+def count_backend() -> str:
+    """Name of the count engine, recorded in run metadata."""
+    return NATIVE_ENGINE.name
 
 
 def lin_to_sympy(expr: LinExpr) -> sympy.Expr:
@@ -83,43 +60,15 @@ def lin_to_sympy(expr: LinExpr) -> sympy.Expr:
     return result
 
 
-class _SympyWeightEngine:
-    """The reference weight algebra: sympy expressions end to end.
-
-    Preserves the historical evaluation order exactly — ``sympy.summation``
-    then ``sympy.expand`` per eliminated dimension, ``expand`` on every
-    branch combination — so forcing ``REPRO_COUNT_BACKEND=sympy`` restores
-    the pre-native implementation byte for byte.
-    """
-
-    name = "sympy"
-    zero = sympy.Integer(0)
-    one = sympy.Integer(1)
-
-    def sum_over(self, weight, dim: str, lower: LinExpr, upper: LinExpr):
-        x = sym(dim)
-        with perf.section("counting-sum"):
-            total = sympy.summation(
-                weight, (x, lin_to_sympy(lower), lin_to_sympy(upper))
-            )
-            return sympy.expand(total)
-
-    def combine(self, first, second):
-        return sympy.expand(first + second)
-
-    def finalize(self, weight) -> sympy.Expr:
-        return weight
-
-
 class _NativeWeightEngine:
     """The closed-form weight algebra: :class:`Poly` end to end.
 
     The canonical dict-of-monomials form needs no ``expand`` between steps;
     each per-dimension sum is a Faulhaber table lookup plus exact
     ``Fraction`` dict merges.  Conversion to sympy happens once, at
-    :meth:`finalize` — the callers' final ``sympy.expand`` canonicalises the
-    converted polynomial into exactly the expression the sympy engine
-    produces.
+    :meth:`finalize` — the final ``sympy.expand`` canonicalises the
+    converted polynomial into exactly the expression ``sympy.summation``
+    would produce.
     """
 
     name = "native"
@@ -137,44 +86,42 @@ class _NativeWeightEngine:
         return weight.to_sympy()
 
 
-_ENGINES = {"sympy": _SympyWeightEngine(), "native": _NativeWeightEngine()}
+NATIVE_ENGINE = _NativeWeightEngine()
 
 
 @perf.timed("counting")
-def card(pset: ParamSet | BasicSet, backend: str | None = None) -> sympy.Expr:
+def card(pset: ParamSet | BasicSet) -> sympy.Expr:
     """Exact symbolic cardinality (large-parameter regime)."""
     if isinstance(pset, BasicSet):
-        return card_basic(pset, backend=backend)
+        return card_basic(pset)
     pieces = [p for p in pset.pieces if not p.has_trivially_false_constraint()]
     if not pieces:
         return sympy.Integer(0)
     if len(pieces) == 1:
-        return card_basic(pieces[0], backend=backend)
+        return card_basic(pieces[0])
     if len(pieces) > MAX_UNION_PIECES_EXACT:
         raise CountingError("too many pieces for exact inclusion-exclusion")
-    return _inclusion_exclusion(pieces, backend)
+    return _inclusion_exclusion(pieces)
 
 
 @perf.timed("counting")
-def card_upper(pset: ParamSet | BasicSet, backend: str | None = None) -> sympy.Expr:
+def card_upper(pset: ParamSet | BasicSet) -> sympy.Expr:
     """Upper bound on the cardinality: the sum of the piece cardinalities.
 
     Used for quantities (sources, In-sets, may-spill sets) where an
     over-approximation keeps the derived lower bound valid.
     """
     if isinstance(pset, BasicSet):
-        return card_basic(pset, backend=backend)
+        return card_basic(pset)
     total = sympy.Integer(0)
     for piece in pset.pieces:
         if piece.has_trivially_false_constraint():
             continue
-        total += card_basic(piece, backend=backend)
+        total += card_basic(piece)
     return total
 
 
-def _inclusion_exclusion(
-    pieces: Sequence[BasicSet], backend: str | None = None
-) -> sympy.Expr:
+def _inclusion_exclusion(pieces: Sequence[BasicSet]) -> sympy.Expr:
     from itertools import combinations
 
     total = sympy.Integer(0)
@@ -190,46 +137,33 @@ def _inclusion_exclusion(
             variables = list(current.space.dims) + list(current.space.params)
             if is_rationally_empty(current.constraints, variables):
                 continue
-            total += sign * card_basic(current, backend=backend)
+            total += sign * card_basic(current)
     return sympy.expand(total)
 
 
 @perf.timed("counting")
-def card_basic(basic: BasicSet, backend: str | None = None) -> sympy.Expr:
+def card_basic(basic: BasicSet) -> sympy.Expr:
     """Exact symbolic cardinality of one basic set.
 
-    Results are memoised on the set's content fingerprint (plus the resolved
-    count backend) through :mod:`repro.sets.memo`, so structurally-equal
-    domains reached along different derivation paths share one computation.
-    Sets the counting recursion rejects (:class:`CountingError`) are *not*
-    cached — callers degrade those to weaker bounds and the failure is cheap
-    to rediscover.
+    Results are memoised on the set's content fingerprint through
+    :mod:`repro.sets.memo`, so structurally-equal domains reached along
+    different derivation paths share one computation.  Sets the counting
+    recursion rejects (:class:`CountingError`) are *not* cached — callers
+    degrade those to weaker bounds and the failure is cheap to rediscover.
     """
-    resolved = count_backend(backend)
     if basic.has_trivially_false_constraint():
         return sympy.Integer(0)
     return memo.CARD_CACHE.get_or_compute(
-        (basic.fingerprint(), resolved), lambda: _card_basic_cold(basic, resolved)
+        basic.fingerprint(), lambda: _card_basic_cold(basic)
     )
 
 
-def _card_basic_cold(basic: BasicSet, resolved: str) -> sympy.Expr:
+def _card_basic_cold(basic: BasicSet, engine=NATIVE_ENGINE) -> sympy.Expr:
     constraints, dims = _substitute_equalities(
         list(basic.constraints), list(basic.space.dims)
     )
-    if resolved == "native":
-        engine = _ENGINES["native"]
-        try:
-            weight = _count(constraints, dims, engine.one, 0, (), engine)
-            return sympy.expand(engine.finalize(weight))
-        except PolyConversionError:
-            # Decline: anything outside the native engine's domain falls
-            # back to the sympy reference loop rather than guessing.
-            pass
-    engine = _ENGINES["sympy"]
-    return sympy.expand(
-        engine.finalize(_count(constraints, dims, engine.one, 0, (), engine))
-    )
+    weight = _count(constraints, dims, engine.one, 0, (), engine)
+    return sympy.expand(engine.finalize(weight))
 
 
 @perf.timed("counting")
@@ -287,8 +221,8 @@ def _count(
 ):
     """Recursive counting kernel, generic over the weight engine.
 
-    ``weight`` is whatever the ``engine`` (native :class:`Poly` or sympy)
-    carries: the recursion only ever sums it over one dimension between two
+    ``weight`` is whatever the ``engine`` carries (a :class:`Poly` for
+    :data:`NATIVE_ENGINE`): the recursion only ever sums it over one dimension between two
     affine bounds, adds branch contributions, and returns it at the leaf.
 
     ``split_conditions`` holds the extra constraints introduced by case splits

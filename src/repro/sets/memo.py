@@ -122,7 +122,7 @@ PROJECTION_CACHE = MemoCache("sets.project_out")
 #: ``BasicSet.simplify`` results: fingerprint -> BasicSet
 SIMPLIFY_CACHE = MemoCache("sets.simplify")
 
-#: ``card_basic`` closed forms: (set fingerprint, count backend) -> sympy.Expr
+#: ``card_basic`` closed forms: set fingerprint -> sympy.Expr
 CARD_CACHE = MemoCache("counting.card_basic")
 
 

@@ -21,15 +21,8 @@ identity (``S_k(U+1) - S_k(L)`` with ``S_k(n) = sum_{x=0}^{n-1} x^k``), so
 the native engine agrees with ``sympy.summation`` on every input, including
 the negative-length ranges the large-parameter regime leans on.
 
-The sympy boundary
-------------------
-
-:meth:`Poly.to_sympy` / :meth:`Poly.from_sympy` are lossless on the shared
-domain (multivariate polynomials with rational coefficients).  Anything
-outside that domain — floats, radicals, transcendentals, true rational
-functions — raises :class:`PolyConversionError`, which callers treat as a
-*decline*: the sympy reference path runs instead (the same byte-identity-or-
-decline boundary ``repro.sets.backend`` draws for the vectorised kernels).
+:meth:`Poly.to_sympy` converts once, at the end of a count, through the
+shared :func:`sym` symbol table.
 """
 
 from __future__ import annotations
@@ -46,10 +39,6 @@ from .affine import LinExpr
 #: A monomial: name/exponent pairs, sorted by name, exponents >= 1.
 #: The empty tuple is the constant monomial.
 Monomial = tuple[tuple[str, int], ...]
-
-
-class PolyConversionError(Exception):
-    """A sympy expression is outside the rational-polynomial domain."""
 
 
 @lru_cache(maxsize=None)
@@ -325,7 +314,7 @@ class Poly:
             result = result + Poly({rest: coeff}) * closed
         return result
 
-    # -- the sympy boundary ------------------------------------------------
+    # -- conversion --------------------------------------------------------
 
     def to_sympy(self) -> sympy.Expr:
         """Lossless conversion through the shared :func:`sym` symbol table."""
@@ -338,42 +327,6 @@ class Poly:
                 factor *= sym(name) ** exponent
             addends.append(factor)
         return sympy.Add(*addends)
-
-    @classmethod
-    def from_sympy(cls, expr: sympy.Expr) -> "Poly":
-        """Lossless inverse of :meth:`to_sympy` on the polynomial domain.
-
-        Raises :class:`PolyConversionError` for anything that is not a
-        polynomial with rational coefficients — the caller's cue to decline
-        to the sympy reference path rather than guess.
-        """
-        expr = sympy.sympify(expr)
-        symbols = sorted(expr.free_symbols, key=lambda s: s.name)
-        if not symbols:
-            if not expr.is_Rational:
-                raise PolyConversionError(f"non-rational constant {expr!r}")
-            return cls.constant(Fraction(expr.p, expr.q))
-        try:
-            spoly = sympy.Poly(expr, *symbols)
-        except sympy.PolynomialError as error:
-            raise PolyConversionError(f"not a polynomial: {expr!r}") from error
-        terms: dict[Monomial, Fraction] = {}
-        for exponents, coeff in spoly.terms():
-            if not coeff.is_Rational:
-                raise PolyConversionError(
-                    f"non-rational coefficient {coeff!r} in {expr!r}"
-                )
-            monomial = tuple(
-                sorted(
-                    (symbol.name, int(exponent))
-                    for symbol, exponent in zip(symbols, exponents)
-                    if exponent
-                )
-            )
-            terms[monomial] = terms.get(monomial, Fraction(0)) + Fraction(
-                coeff.p, coeff.q
-            )
-        return cls(terms)
 
 
 def _as_poly(value: "Poly | int | Fraction") -> Poly:

@@ -23,7 +23,6 @@ from repro.analysis import (
     SerialExecutor,
     ThreadExecutor,
     derivation_count,
-    execute_plan,
     plan_program,
     reset_derivation_count,
     reset_task_derivation_count,
@@ -31,7 +30,6 @@ from repro.analysis import (
     task_derivation_count,
 )
 from repro.analysis.executor import EXECUTOR_ENV
-from repro.analysis.plan import run_strategy_task
 from repro.analysis.strategies import get_strategy
 from repro.ir import DFG
 from repro.polybench import get_kernel
@@ -124,9 +122,7 @@ class TestTaskLevelResume:
         instance = config.heuristic_instance(program.params)
         finished = plan.tasks[:2]
         for task in finished:
-            result = run_strategy_task(
-                get_strategy(task.strategy), dfg, config, instance, task
-            )
+            result = get_strategy(task.strategy).run_task(dfg, config, instance, task)
             store.put_task(plan.task_key(task), result.to_dict())
 
         reset_task_derivation_count()
@@ -210,12 +206,25 @@ class TestSelection:
         with pytest.raises(ValueError, match="executor"):
             AnalysisConfig(executor="fibers")
 
-    def test_config_executor_drives_execute_plan(self):
-        """execute_plan with no explicit executor resolves the config's."""
+    def test_config_executor_drives_analyze(self, monkeypatch):
+        """analyze with no explicit executor runs on the config's, and the
+        bound matches the serial one."""
+        from repro.analysis import scheduler
+
+        resolved = []
+        real = scheduler.resolve_executor
+
+        def spy(executor, n_jobs=1):
+            resolved.append(real(executor, n_jobs))
+            return resolved[-1]
+
+        monkeypatch.setattr(scheduler, "resolve_executor", spy)
         program = get_kernel("gemm").program
-        plan = plan_program(program, AnalysisConfig(max_depth=0, executor="thread", n_jobs=2))
-        results = execute_plan(plan)
-        assert [r.task for r in results] == list(plan.tasks)
+        config = AnalysisConfig(max_depth=0, executor="thread", n_jobs=2)
+        threaded = Analyzer(config).analyze(program)
+        assert [type(e) for e in resolved] == [ThreadExecutor]
+        serial = Analyzer(config.replace(executor="serial", n_jobs=1)).analyze(program)
+        assert result_bytes(threaded) == result_bytes(serial)
 
 
 class TestPoolLifecycle:

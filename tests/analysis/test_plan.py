@@ -1,26 +1,22 @@
-"""The derivation plan: task decomposition, ordering, keys, and compat.
+"""The derivation plan: task decomposition, ordering and keys.
 
 The plan is the contract of the whole pipeline: deterministic task lists
-(one per statement x strategy x depth), stable task fingerprints that key
-the task-level store entries, and a ``derive`` compatibility wrapper that
-must reproduce the monolithic loops bit for bit.
+(one per statement x strategy x depth) and stable task fingerprints that key
+the task-level store entries.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.analysis import (
     AnalysisConfig,
     Analyzer,
     BoundStore,
+    get_strategy,
     plan_program,
-    register_strategy,
     reset_task_derivation_count,
     task_derivation_count,
-    unregister_strategy,
 )
-from repro.analysis.plan import WHOLE_STRATEGY, DerivationTask, TaskResult
+from repro.analysis.plan import DerivationTask, TaskResult
 from repro.ir import DFG
 from repro.polybench import get_kernel
 
@@ -108,65 +104,14 @@ class TestTaskKeys:
         assert task_derivation_count() == new_tasks
 
 
-class TestDeriveCompatibility:
-    @pytest.mark.parametrize("kernel", ["durbin", "bicg"])
-    def test_derive_wrapper_matches_task_pipeline(self, kernel):
-        """The legacy per-strategy ``derive`` (plan + run serially) must equal
-        running the tasks one by one — same bounds, same log, same order."""
-        from repro.analysis.plan import run_strategy_task
-        from repro.analysis.strategies import resolve_strategies
-
-        program = get_kernel(kernel).program
-        config = AnalysisConfig(max_depth=1)
-        dfg = DFG.from_program(program)
-        instance = config.heuristic_instance(program.params)
-
-        for strategy in resolve_strategies(config.strategies):
-            log: list[str] = []
-            via_derive = strategy.derive(dfg, config, instance, log)
-            task_log: list[str] = []
-            via_tasks = []
-            for task in strategy.plan(dfg, config):
-                result = run_strategy_task(strategy, dfg, config, instance, task)
-                via_tasks.extend(result.sub_bounds)
-                task_log.extend(result.log)
-            assert [b.to_dict() for b in via_derive] == [b.to_dict() for b in via_tasks]
-            assert log == task_log
-
-    def test_legacy_derive_only_strategy_plans_one_whole_task(self):
-        """Strategies predating the pipeline are scheduled as a single task."""
-
-        class LegacyStrategy:
-            name = "test-legacy"
-
-            def derive(self, dfg, config, instance, log):
-                log.append("legacy ran")
-                return []
-
-        register_strategy(LegacyStrategy)
-        try:
-            program = get_kernel("gemm").program
-            config = AnalysisConfig(strategies=("test-legacy",))
-            plan = plan_program(program, config)
-            assert [t.statement for t in plan.tasks] == [WHOLE_STRATEGY]
-            result = Analyzer(config).analyze(program)
-            assert "legacy ran" in result.log
-        finally:
-            unregister_strategy("test-legacy")
-
-
 class TestTaskResultSerialization:
     def test_roundtrip_preserves_bounds_and_log(self):
-        from repro.analysis.plan import run_strategy_task
-        from repro.analysis.strategies import get_strategy
-
         program = get_kernel("durbin").program
         config = AnalysisConfig(max_depth=1)
         dfg = DFG.from_program(program)
         instance = config.heuristic_instance(program.params)
-        strategy = get_strategy("wavefront")
         task = DerivationTask(strategy="wavefront", statement="Y", depth=1)
-        result = run_strategy_task(strategy, dfg, config, instance, task)
+        result = get_strategy("wavefront").run_task(dfg, config, instance, task)
         assert result.sub_bounds, "durbin's Y must yield a wavefront bound"
 
         restored = TaskResult.from_dict(result.to_dict())

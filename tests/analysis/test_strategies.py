@@ -11,7 +11,21 @@ from repro.analysis import (
     register_strategy,
     unregister_strategy,
 )
+from repro.analysis.plan import DerivationTask, TaskResult
 from repro.polybench import get_kernel
+
+
+class OneTaskPerStatement:
+    """Task-protocol scaffolding for test strategies: one task per statement."""
+
+    def plan(self, dfg, config):
+        return [
+            DerivationTask(strategy=self.name, statement=statement)
+            for statement in dfg.topological_statements()
+        ]
+
+    def task_signature(self, config):
+        return (self.name,)
 
 
 class TestRegistry:
@@ -22,18 +36,18 @@ class TestRegistry:
     def test_get_strategy_instantiates(self):
         strategy = get_strategy("kpartition")
         assert strategy.name == "kpartition"
-        assert callable(strategy.derive)
+        assert callable(strategy.plan) and callable(strategy.run_task)
 
     def test_unknown_strategy_lists_alternatives(self):
         with pytest.raises(KeyError, match="kpartition"):
             get_strategy("definitely-not-registered")
 
     def test_duplicate_registration_rejected(self):
-        class Duplicate:
+        class Duplicate(OneTaskPerStatement):
             name = "kpartition"
 
-            def derive(self, dfg, config, instance, log):
-                return []
+            def run_task(self, dfg, config, instance, task):
+                return TaskResult(task=task)
 
         with pytest.raises(ValueError, match="already registered"):
             register_strategy(Duplicate)
@@ -41,6 +55,35 @@ class TestRegistry:
     def test_factory_without_name_rejected(self):
         with pytest.raises(ValueError, match="name"):
             register_strategy(lambda: None)
+
+    def test_incomplete_strategy_rejected_at_registration(self):
+        """A plug-in missing part of the task protocol fails when it is
+        registered, naming what is missing, not later inside a worker."""
+
+        class PlanOnly:
+            name = "test-plan-only"
+
+            def plan(self, dfg, config):
+                return []
+
+        class DeriveOnly:
+            name = "test-derive-only"
+
+            def derive(self, dfg, config, instance, log):
+                return []
+
+        with pytest.raises(
+            ValueError, match="'test-plan-only' does not implement run_task, task_signature"
+        ):
+            register_strategy(PlanOnly)
+        with pytest.raises(ValueError, match="plan, run_task, task_signature"):
+            register_strategy(DeriveOnly)
+        # A non-class factory is checked through the instance it builds.
+        with pytest.raises(ValueError, match="run_task, task_signature"):
+            register_strategy(lambda: PlanOnly(), name="test-plan-only-lambda")
+        assert not {
+            "test-plan-only", "test-derive-only", "test-plan-only-lambda"
+        } & set(available_strategies())
 
 
 class TestCustomStrategy:
@@ -50,13 +93,12 @@ class TestCustomStrategy:
 
         calls = []
 
-        class NoOpStrategy:
+        class NoOpStrategy(OneTaskPerStatement):
             name = "test-noop"
 
-            def derive(self, dfg, config, instance, log):
+            def run_task(self, dfg, config, instance, task):
                 calls.append(dfg.program.name)
-                log.append("noop: nothing derived")
-                return []
+                return TaskResult(task=task, log=["noop: nothing derived"])
 
         register_strategy(NoOpStrategy)
         try:
@@ -72,12 +114,11 @@ class TestCustomStrategy:
         assert sympy.simplify(result.smooth - program.input_size()) == 0
 
     def test_custom_strategy_composes_with_builtins(self):
-        class MarkerStrategy:
+        class MarkerStrategy(OneTaskPerStatement):
             name = "test-marker"
 
-            def derive(self, dfg, config, instance, log):
-                log.append("marker ran")
-                return []
+            def run_task(self, dfg, config, instance, task):
+                return TaskResult(task=task, log=["marker ran"])
 
         register_strategy(MarkerStrategy)
         try:

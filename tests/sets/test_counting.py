@@ -1,19 +1,26 @@
-"""Tests for symbolic cardinality: exactness against brute-force enumeration."""
+"""Tests for symbolic cardinality: exactness against brute-force enumeration,
+and the native count engine against its ``sympy.summation`` reference."""
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fuzz import random_program
+from repro.polybench import all_kernels
 from repro.sets import (
-    COUNT_BACKENDS,
+    BasicSet,
+    CountingError,
     card,
     card_at,
+    card_basic,
     card_upper,
     count_backend,
+    lin_to_sympy,
     parse_set,
     sym,
 )
+from repro.sets.counting import _card_basic_cold
 
 
 def instance_value(expr, **values):
@@ -126,7 +133,7 @@ BACKEND_AGREEMENT_CASES = [
     "[N, W] -> { S[i, j] : 0 <= i < N and 0 <= j < N and i = W }",
     "[N] -> { S[i] : i < 0 and i >= 0 }",
     "[N] -> { S[i, j] : 0 <= i < N and 0 <= j and j <= i - 3 }",
-    # The nested-split regression set: both backends must run the same case
+    # The nested-split regression set: both engines must run the same case
     # splits and guard the same branch-empty sub-ranges.
     "[N] -> { D[i0, i1, i2] : 3 <= i0 and i0 <= N - 2 and "
     "4 <= i1 and i1 <= N - 2 and i1 <= i0 + 2 and "
@@ -134,40 +141,92 @@ BACKEND_AGREEMENT_CASES = [
 ]
 
 
-class TestCountBackends:
-    def test_backend_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COUNT_BACKEND", raising=False)
-        assert count_backend() == "native"
-        monkeypatch.setenv("REPRO_COUNT_BACKEND", "sympy")
-        assert count_backend() == "sympy"
-        assert count_backend("native") == "native"  # explicit beats env
-        with pytest.raises(KeyError, match="unknown count backend"):
-            count_backend("isl")
-        monkeypatch.setenv("REPRO_COUNT_BACKEND", "bogus")
-        with pytest.raises(KeyError, match="unknown count backend"):
-            count_backend()
+class SympyWeightEngine:
+    """The reference weight algebra: ``sympy.summation`` then ``expand`` per
+    eliminated dimension, ``expand`` on every case-split combination."""
 
+    zero = sympy.Integer(0)
+    one = sympy.Integer(1)
+
+    def sum_over(self, weight, dim, lower, upper):
+        total = sympy.summation(weight, (sym(dim), lin_to_sympy(lower), lin_to_sympy(upper)))
+        return sympy.expand(total)
+
+    def combine(self, first, second):
+        return sympy.expand(first + second)
+
+    def finalize(self, weight):
+        return weight
+
+
+SYMPY_ENGINE = SympyWeightEngine()
+
+
+def assert_matches_reference(domain, label):
+    """``card_basic`` equals the sympy reference on every piece of ``domain``.
+
+    A piece the recursion rejects must be rejected by both engines: the
+    recursion raises :class:`CountingError` on set shape alone.
+    """
+    pieces = [domain] if isinstance(domain, BasicSet) else domain.pieces
+    for piece in pieces:
+        if piece.has_trivially_false_constraint():
+            assert card_basic(piece) == 0, label
+            continue
+        try:
+            native = card_basic(piece)
+        except CountingError:
+            with pytest.raises(CountingError):
+                _card_basic_cold(piece, SYMPY_ENGINE)
+            continue
+        assert sympy.sstr(native) == sympy.sstr(_card_basic_cold(piece, SYMPY_ENGINE)), label
+
+
+def _fuzz_domains():
+    for profile in ("small", "wide", "deep"):
+        for seed in range(8):
+            program = random_program(seed, profile)
+            for name, statement in program.statements.items():
+                yield f"{profile}-{seed}:{name}", statement.domain
+
+
+class TestSympyReferenceOracle:
     @pytest.mark.parametrize("text", BACKEND_AGREEMENT_CASES)
-    def test_backends_byte_identical(self, text):
+    def test_agreement_cases(self, text):
         d = parse_set(text)
-        results = {b: sympy.sstr(card(d, backend=b)) for b in COUNT_BACKENDS}
-        assert results["native"] == results["sympy"], text
+        assert_matches_reference(d, text)
+        if len(d.pieces) == 1:
+            assert sympy.sstr(card(d)) == sympy.sstr(
+                _card_basic_cold(d.pieces[0], SYMPY_ENGINE)
+            )
 
-    def test_card_basic_memoises_per_backend(self):
+    @pytest.mark.parametrize("spec", all_kernels(), ids=lambda spec: spec.name)
+    def test_polybench_statement_domains(self, spec):
+        for name, statement in spec.program.statements.items():
+            assert_matches_reference(statement.domain, f"{spec.name}:{name}")
+
+    def test_fuzz_statement_domains(self):
+        labels = []
+        for label, domain in _fuzz_domains():
+            assert_matches_reference(domain, label)
+            labels.append(label)
+        assert len(labels) >= 24
+
+    def test_count_backend_names_the_native_engine(self):
+        assert count_backend() == "native"
+
+    def test_card_basic_memoises_on_content(self):
         from repro.sets import memo
 
         d = parse_set("[N] -> { S[i, j] : 0 <= i < N and 0 <= j <= i }")
         memo.CARD_CACHE.clear()
         memo.CARD_CACHE.reset_counters()
-        first = card(d, backend="native")
+        first = card(d)
         misses = memo.CARD_CACHE.misses
         hits_before = memo.CARD_CACHE.hits
-        assert card(d, backend="native") == first
+        assert card(d) == first
         assert memo.CARD_CACHE.hits == hits_before + 1
         assert memo.CARD_CACHE.misses == misses
-        # The other backend is a distinct cache key, not a stale hit.
-        assert sympy.sstr(card(d, backend="sympy")) == sympy.sstr(first)
-        assert memo.CARD_CACHE.misses == misses + 1
 
     def test_counting_sum_timer_attributes_summation(self):
         from repro import perf
@@ -177,7 +236,7 @@ class TestCountBackends:
         from repro.sets import memo
 
         memo.CARD_CACHE.clear()
-        card(d, backend="native")
+        card(d)
         snapshot = perf.snapshot()
         counting = snapshot.timing("counting")
         summation = snapshot.timing("counting-sum")
