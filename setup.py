@@ -33,9 +33,6 @@ setup(
     ],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis", "pytest-cov"],
-        # Optional exact relation backend for the Algorithm-5 wavefront
-        # validation (auto-selected by repro.rel when importable).
-        "isl": ["islpy"],
     },
     entry_points={
         "console_scripts": [

@@ -87,7 +87,6 @@ from .analysis import (
     save_results,
 )
 from .analysis.executor import EXECUTOR_NAMES
-from .core.wavefront import VALIDATION_MODES
 from .polybench import all_kernels, analyze_suite, analyze_suite_stream, get_kernel, kernel_names
 from .upper import tightness_report
 
@@ -124,15 +123,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         help="heuristic ranking instance overrides (e.g. Ni=1000 S=512)",
     )
     group.add_argument(
-        "--no-validate-wavefront", action="store_true",
-        help="skip the validation of the wavefront hypothesis",
-    )
-    group.add_argument(
-        "--wavefront-validation", choices=VALIDATION_MODES, default="symbolic",
-        help="how the wavefront hypothesis is checked: symbolic relation "
-             "algebra (Algorithm 5, default) or concrete CDAG expansion",
-    )
-    group.add_argument(
         "--executor", choices=EXECUTOR_NAMES, default=None,
         help="task executor: serial (default), thread (one shared thread "
              "pool), or process (worker processes); unset consults "
@@ -165,8 +155,6 @@ def _config_for(args: argparse.Namespace, spec_max_depth: int) -> AnalysisConfig
     kwargs: dict = {
         "max_depth": args.max_depth if args.max_depth is not None else spec_max_depth,
         "instance": _parse_instance(args.instance),
-        "validate_wavefront": not args.no_validate_wavefront,
-        "wavefront_validation": args.wavefront_validation,
     }
     if args.gamma is not None:
         kwargs["gamma"] = args.gamma
@@ -220,8 +208,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
     overrides: dict = {
         "instance": _parse_instance(args.instance),
-        "validate_wavefront": not args.no_validate_wavefront,
-        "wavefront_validation": args.wavefront_validation,
     }
     if args.max_depth is not None:
         overrides["max_depth"] = args.max_depth

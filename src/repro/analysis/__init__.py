@@ -5,7 +5,8 @@ This package is the public entry point for deriving I/O lower bounds
 :class:`Analyzer`):
 
 * :class:`AnalysisConfig` — every knob of the derivation in one frozen,
-  JSON-serializable object;
+  JSON-serializable object (the wavefront hypothesis check is not a knob:
+  it is always the symbolic one of :mod:`repro.rel`);
 * :class:`BoundStrategy` / :func:`register_strategy` — the pluggable
   sub-bound derivation families run by the Algorithm 6 driver, each
   implementing ``plan``/``run_task``/``task_signature``
@@ -22,12 +23,12 @@ This package is the public entry point for deriving I/O lower bounds
   every executor and scheduling produces byte-identical bounds;
 * :func:`stream_analyses` — the one derivation driver: plan every job,
   schedule the batch's tasks through one shared executor, combine each
-  program as its last task lands, with on-disk memoisation keyed by
+  program as its last task lands (results yielded in completion order while
+  later programs still derive), with on-disk memoisation keyed by
   :func:`program_fingerprint` at both the result and the task level;
 * :class:`Analyzer` — ``analyze(program)`` for one program (a one-job
-  stream), ``analyze_stream(programs)`` for streamed batches (results
-  yielded in completion order while later programs still derive) and
-  ``analyze_many(programs)`` as its input-order collector;
+  stream) and ``analyze_many(programs)`` as an input-order collector over
+  the stream;
 * :class:`BoundStore` — the shared content-addressed persistent store behind
   that memoisation (``$REPRO_STORE`` / ``~/.cache/repro``), with schema
   negotiation, LRU eviction and ``stats``/``gc``/``clear`` maintenance;

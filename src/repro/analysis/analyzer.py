@@ -19,14 +19,12 @@ executed.  A derivation is an explicit three-stage pipeline:
    final bound, its sub-bound list and its log are byte-identical across
    executors and schedulings.
 
-:func:`stream_analyses` is the one driver of that pipeline.
-:meth:`Analyzer.analyze_stream` exposes its streaming shape directly —
-results are yielded in completion order while later programs are still
-deriving — :meth:`Analyzer.analyze_many` is a thin input-order collector
-over the same stream, and :meth:`Analyzer.analyze` is a one-job stream.
-A batch feeds its whole task set through one shared executor: a single
-``suite --jobs 8`` schedules every kernel's tasks in one work queue instead
-of paying a pool per program.
+:func:`stream_analyses` is the one driver of that pipeline: it yields
+results in completion order while later programs are still deriving.
+:meth:`Analyzer.analyze_many` is a thin input-order collector over it, and
+:meth:`Analyzer.analyze` is a one-job stream.  A batch feeds its whole
+task set through one shared executor: a single ``suite --jobs 8`` schedules
+every kernel's tasks in one work queue instead of paying a pool per program.
 
 :func:`repro.core.iolb.derive_bounds` is a public alias over this class.
 """
@@ -140,12 +138,11 @@ def stream_analyses(
 ) -> Iterator[tuple[int, IOBoundResult]]:
     """Stream ``(job_index, result)`` pairs in completion order.
 
-    The engine under both :meth:`Analyzer.analyze_stream` (one config, many
-    programs) and :func:`repro.polybench.analyze_suite_stream` (per-kernel
-    configs): every job's tasks enter one
-    :func:`~repro.analysis.scheduler.schedule_plans` ready queue, and a
-    job's bound is combined and yielded the moment its last task lands —
-    while other jobs' tasks are still running.  A per-stream
+    The engine under :class:`Analyzer` (one config, many programs) and
+    :func:`repro.polybench.analyze_suite_stream` (per-kernel configs): every
+    job's tasks enter one :func:`~repro.analysis.scheduler.schedule_plans`
+    ready queue, and a job's bound is combined and yielded the moment its
+    last task lands — while other jobs' tasks are still running.  A per-stream
     :class:`~repro.analysis.scheduler.StreamCounters` counts only *this*
     stream's derivations — the process-global :func:`derivation_count`
     aggregates over every stream running concurrently in the process, so a
@@ -207,8 +204,6 @@ class Analyzer:
         analyzer = Analyzer(AnalysisConfig(max_depth=1))
         result = analyzer.analyze(program)
         results = analyzer.analyze_many(programs)   # fans out when n_jobs > 1
-        for name, result in analyzer.analyze_stream(programs):
-            ...                                     # completion order, streamed
 
     With a :class:`~repro.analysis.store.BoundStore` attached (an explicit
     ``store=`` argument, or ``config.cache_dir`` as a thin alias for a store
@@ -252,34 +247,6 @@ class Analyzer:
 
     # -- batch entry points ---------------------------------------------------
 
-    def analyze_stream(
-        self,
-        programs: Iterable[AffineProgram],
-        executor: Executor | str | None = None,
-        counters: StreamCounters | None = None,
-    ) -> Iterator[tuple[str, IOBoundResult]]:
-        """Stream ``(program_name, result)`` pairs in **completion order**.
-
-        The streaming face of the batch pipeline: every uncached program's
-        tasks enter one event-driven scheduler ready queue, and a program's
-        bound is yielded the moment its last task lands — while other
-        programs' tasks are still running.  Store-satisfied programs stream
-        out first (in input order) without waiting on any derivation, which
-        is what gives a warm service request sub-millisecond turnaround.
-
-        Each input program yields exactly one pair; duplicates (same content
-        and result-relevant config) are derived once and fanned out.  The
-        yielded results are byte-identical to :meth:`analyze_many`'s — only
-        the iteration order differs.
-        """
-        batch = list(programs)
-        jobs = [(program, self.config) for program in batch]
-        resolved = executor if executor is not None else self.config.executor
-        for index, result in stream_analyses(
-            jobs, executor=resolved, store=self.store, counters=counters
-        ):
-            yield batch[index].name, result
-
     def analyze_many(
         self,
         programs: Iterable[AffineProgram],
@@ -287,7 +254,7 @@ class Analyzer:
     ) -> list[IOBoundResult]:
         """Derive bounds for a batch of programs, preserving input order.
 
-        A plan-order collector over :meth:`analyze_stream`: all uncached
+        An input-order collector over :func:`stream_analyses`: all uncached
         derivations flow through **one** shared executor (the config's, or
         an explicit ``executor=`` — pass a live instance to share one pool
         across batches), and the collected list is index-aligned with

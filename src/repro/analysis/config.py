@@ -1,11 +1,12 @@
 """Analysis configuration: every knob of the derivation in one frozen object.
 
-:class:`AnalysisConfig` replaces the seven loose keyword arguments of the
-legacy ``derive_bounds`` entry point.  A config is immutable, so it can be
-shared between an :class:`~repro.analysis.Analyzer` and its worker processes,
-compared for equality, folded into an on-disk cache key (via the hashable
-:meth:`AnalysisConfig.signature`), and round-tripped through JSON (for the
-CLI and for persisted suite runs).
+:class:`AnalysisConfig` bundles the knobs that ``derive_bounds`` takes as
+keyword arguments, plus how the derivation is executed.  The wavefront
+hypothesis check is not a knob: it is always the symbolic one.  A config is
+immutable, so it can be shared between an :class:`~repro.analysis.Analyzer`
+and its worker processes, compared for equality, folded into an on-disk
+cache key (via the hashable :meth:`AnalysisConfig.signature`), and
+round-tripped through JSON (for the CLI and for persisted suite runs).
 """
 
 from __future__ import annotations
@@ -55,20 +56,9 @@ class AnalysisConfig:
         by the K-partition search.
     max_depth:
         Maximum loop-parametrisation depth explored by the wavefront method
-        (0 disables wavefront bounds even when the strategy is listed).
-    validate_wavefront:
-        When True, wavefront bounds are only kept if the reachability
-        hypothesis of Cor. 6.3 is validated (see ``wavefront_validation``).
-    wavefront_validation:
-        How the hypothesis is checked: ``"symbolic"`` (default) decides it
-        on :mod:`repro.rel` affine relations with transitive closure —
-        instance-independent, faithful to the paper's Algorithm 5 — while
-        ``"concrete"`` expands a small CDAG and checks it by graph search
-        (the historical validator, kept as a differential oracle).
-    wavefront_validation_instance:
-        Parameter values for the concrete validation CDAG (None picks a
-        small default inside the wavefront detector; ignored in symbolic
-        mode).
+        (0 disables wavefront bounds even when the strategy is listed).  A
+        wavefront bound is kept only when the reachability hypothesis of
+        Cor. 6.3 is certified symbolically on :mod:`repro.rel` relations.
     max_subcdags_per_statement:
         Sub-CDAG rounds searched per statement (Sec. 4.2 decomposition).
     strategies:
@@ -100,9 +90,6 @@ class AnalysisConfig:
     instance: Mapping[str, int] | None = None
     gamma: float = DEFAULT_GAMMA
     max_depth: int = 1
-    validate_wavefront: bool = True
-    wavefront_validation: str = "symbolic"
-    wavefront_validation_instance: Mapping[str, int] | None = None
     max_subcdags_per_statement: int = DEFAULT_MAX_SUBCDAGS_PER_STATEMENT
     strategies: tuple[str, ...] = DEFAULT_STRATEGIES
     executor: str | None = None
@@ -116,12 +103,6 @@ class AnalysisConfig:
         if self.instance is not None:
             object.__setattr__(
                 self, "instance", {str(k): int(v) for k, v in dict(self.instance).items()}
-            )
-        if self.wavefront_validation_instance is not None:
-            object.__setattr__(
-                self,
-                "wavefront_validation_instance",
-                {str(k): int(v) for k, v in dict(self.wavefront_validation_instance).items()},
             )
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", Path(self.cache_dir))
@@ -142,13 +123,6 @@ class AnalysisConfig:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_NAMES} (or None for "
                 f"$REPRO_EXECUTOR / automatic), got {self.executor!r}"
-            )
-        from ..core.wavefront import VALIDATION_MODES
-
-        if self.wavefront_validation not in VALIDATION_MODES:
-            raise ValueError(
-                f"wavefront_validation must be one of {VALIDATION_MODES}, got "
-                f"{self.wavefront_validation!r}"
             )
         if not self.strategies:
             raise ValueError("strategies must name at least one registered strategy")
@@ -182,11 +156,6 @@ class AnalysisConfig:
             None if self.instance is None else tuple(sorted(self.instance.items())),
             self.gamma,
             self.max_depth,
-            self.validate_wavefront,
-            self.wavefront_validation,
-            None
-            if self.wavefront_validation_instance is None
-            else tuple(sorted(self.wavefront_validation_instance.items())),
             self.max_subcdags_per_statement,
             self.strategies,
         )
@@ -199,13 +168,6 @@ class AnalysisConfig:
             "instance": None if self.instance is None else dict(self.instance),
             "gamma": self.gamma,
             "max_depth": self.max_depth,
-            "validate_wavefront": self.validate_wavefront,
-            "wavefront_validation": self.wavefront_validation,
-            "wavefront_validation_instance": (
-                None
-                if self.wavefront_validation_instance is None
-                else dict(self.wavefront_validation_instance)
-            ),
             "max_subcdags_per_statement": self.max_subcdags_per_statement,
             "strategies": list(self.strategies),
             "executor": self.executor,

@@ -247,32 +247,18 @@ class WavefrontStrategy:
     ) -> TaskResult:
         log: list[str] = []
         sub_bounds: list[SubBound] = []
-        bound = sub_param_q_by_wavefront(
-            dfg,
-            task.statement,
-            depth=task.depth,
-            validation_instance=config.wavefront_validation_instance,
-            validate=config.validate_wavefront,
-            validation=config.wavefront_validation,
-        )
+        bound = sub_param_q_by_wavefront(dfg, task.statement, depth=task.depth)
         if bound is not None:
             sub_bounds.append(bound)
             log.append(f"wavefront[{task.statement} depth {task.depth}]: {bound.smooth}")
         return TaskResult(task=task, sub_bounds=sub_bounds, log=log)
 
     def task_signature(self, config: AnalysisConfig) -> tuple:
-        """Config fields a wavefront task's result can depend on.
+        """Config fields a wavefront task's result can depend on: none.
 
-        ``max_depth`` is deliberately absent: it decides which tasks are
-        *planned*, not what any one task computes, so a store populated at
-        ``max_depth=1`` keeps serving its depth-1 entries when the config is
-        re-run at ``max_depth=2``.
+        The hypothesis check has no knob, and ``max_depth`` decides which
+        tasks are *planned*, not what any one task computes, so a store
+        populated at ``max_depth=1`` keeps serving its depth-1 entries when
+        the config is re-run at ``max_depth=2``.
         """
-        return (
-            self.name,
-            config.validate_wavefront,
-            config.wavefront_validation,
-            None
-            if config.wavefront_validation_instance is None
-            else tuple(sorted(config.wavefront_validation_instance.items())),
-        )
+        return (self.name,)

@@ -50,8 +50,6 @@ def derive_bounds(
     instance: Mapping[str, int] | None = None,
     max_depth: int = 1,
     gamma: float = DEFAULT_GAMMA,
-    validate_wavefront: bool = True,
-    wavefront_validation_instance: Mapping[str, int] | None = None,
     max_subcdags_per_statement: int = DEFAULT_MAX_SUBCDAGS_PER_STATEMENT,
 ) -> IOBoundResult:
     """Derive a parametric I/O lower bound for ``program``.
@@ -73,9 +71,9 @@ def derive_bounds(
         Maximum loop-parametrisation depth explored by the wavefront method.
     gamma:
         Fraction of the statement domain a path must cover to be considered.
-    validate_wavefront:
-        When True, wavefront bounds are only kept if the reachability
-        hypothesis of Cor. 6.3 holds on a small concretely-expanded CDAG.
+
+    A wavefront bound is kept only when the reachability hypothesis of
+    Cor. 6.3 is certified symbolically.
     """
     # Imported here rather than at module level: repro.analysis.analyzer
     # imports repro.core submodules, so a load-time import would be circular
@@ -86,8 +84,6 @@ def derive_bounds(
         instance=instance,
         gamma=gamma,
         max_depth=max_depth,
-        validate_wavefront=validate_wavefront,
-        wavefront_validation_instance=wavefront_validation_instance,
         max_subcdags_per_statement=max_subcdags_per_statement,
     )
     return Analyzer(config).analyze(program)

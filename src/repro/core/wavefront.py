@@ -22,9 +22,11 @@ broadcast to the whole next slice) is combined with a *symbolic* validation of
 the hypothesis on :mod:`repro.rel` affine relations built from the DFG —
 every point of slice ``Omega + 1`` provably reachable from every point of
 slice ``Omega``, for every ``Omega`` and every parameter value, via a
-certified (under-approximated) transitive closure.  The historical
-concrete-CDAG validation (DESIGN.md, deviation 3 — retired) is kept as a
-differential oracle behind ``validation="concrete"``.
+certified (under-approximated) transitive closure.  This symbolic check is
+the only way a wavefront bound is admitted; the historical concrete-CDAG
+validation (DESIGN.md, deviation 3 — retired) is kept as
+:func:`_validate_reachability_concrete`, the reference the fuzz ``backends``
+oracle checks symbolic certificates against.
 """
 
 from __future__ import annotations
@@ -35,15 +37,18 @@ import networkx as nx
 import sympy
 
 from ..ir import CDAG, DFG
-from ..rel import AffineRelation, ReachabilityResult, get_backend, in_name, out_name
+from ..rel import (
+    AffineRelation,
+    ReachabilityResult,
+    check_universal_reachability,
+    in_name,
+    out_name,
+)
 from ..sets import Constraint, CountingError, EQ, LinExpr, ParamSet, card, lin_to_sympy, sym
 from .bounds import S_SYMBOL, SubBound
 from .paths import CHAIN, genpaths
 
 OMEGA_PREFIX = "Omega"
-
-#: Recognised values of the ``validation`` knob.
-VALIDATION_MODES = ("symbolic", "concrete")
 
 
 def wavefront_depths(dims: tuple[str, ...], max_depth: int) -> list[int]:
@@ -58,29 +63,14 @@ def wavefront_depths(dims: tuple[str, ...], max_depth: int) -> list[int]:
     return [depth for depth in range(1, max_depth + 1) if len(dims) > depth]
 
 
-def sub_param_q_by_wavefront(
-    dfg: DFG,
-    statement: str,
-    depth: int = 1,
-    validation_instance: Mapping[str, int] | None = None,
-    validate: bool = True,
-    validation: str = "symbolic",
-) -> SubBound | None:
+def sub_param_q_by_wavefront(dfg: DFG, statement: str, depth: int = 1) -> SubBound | None:
     """Derive a wavefront bound for ``statement`` parametrised at loop ``depth``.
 
-    ``validation`` selects how the complete-reachability hypothesis of
-    Cor. 6.3 is checked: ``"symbolic"`` (default) decides it on affine
-    relations built from the DFG — instance-independent and faithful to
-    Algorithm 5 — while ``"concrete"`` expands a small CDAG at
-    ``validation_instance`` and checks it by graph search (the historical
-    deviation-3 oracle).  Returns ``None`` when the structural pattern is
-    absent or when the validation fails.
+    The complete-reachability hypothesis of Cor. 6.3 is decided on affine
+    relations built from the DFG (:func:`_validate_reachability_symbolic`),
+    instance-independent and faithful to Algorithm 5.  Returns ``None`` when
+    the structural pattern is absent or when the hypothesis is not certified.
     """
-    if validation not in VALIDATION_MODES:
-        raise ValueError(
-            f"unknown wavefront validation mode {validation!r}; expected one of "
-            f"{VALIDATION_MODES}"
-        )
     program = dfg.program
     stmt = program.statement(statement)
     dims = stmt.dims
@@ -102,16 +92,9 @@ def sub_param_q_by_wavefront(
         return None
 
     # 3. Validate the complete-reachability hypothesis.
-    certificate = None
-    if validate:
-        if validation == "symbolic":
-            certificate = _validate_reachability_symbolic(dfg, statement, depth)
-            if not certificate.holds:
-                return None
-        else:
-            instance = validation_instance or {p: 4 for p in program.params}
-            if not _validate_reachability_concrete(dfg, statement, depth, instance):
-                return None
+    certificate = _validate_reachability_symbolic(dfg, statement, depth)
+    if not certificate.holds:
+        return None
 
     # 4. Parametric bound: for each value Omega of the sliced dimension,
     #    Q(G|V_Omega) >= |slice(Omega)| - S ; sum over the admissible Omegas.
@@ -134,10 +117,11 @@ def sub_param_q_by_wavefront(
     total = sympy.expand(total)
 
     may_spill = {statement: stmt.domain}
-    notes = f"wavefront over {slice_dim}, chain {chain.describe()}"
-    if certificate is not None:
-        closure_kind = "exact" if certificate.exact else "approximated"
-        notes += f", symbolic validation ({closure_kind} closure)"
+    closure_kind = "exact" if certificate.exact else "approximated"
+    notes = (
+        f"wavefront over {slice_dim}, chain {chain.describe()}, "
+        f"symbolic validation ({closure_kind} closure)"
+    )
     return SubBound(
         expression=sympy.Max(total, sympy.Integer(0)),
         smooth=total,
@@ -289,31 +273,29 @@ def _cached_forward_relations(dfg: DFG) -> list[AffineRelation]:
     return cache
 
 
-def _validate_reachability_symbolic(
-    dfg: DFG, statement: str, depth: int, backend=None
-) -> ReachabilityResult:
+def _validate_reachability_symbolic(dfg: DFG, statement: str, depth: int) -> ReachabilityResult:
     """Check Cor. 6.3's hypothesis symbolically (Algorithm 5).
 
     Builds the forward dependence relations of the DFG, the universal
-    slice-step relation of the statement, and asks the relation backend to
-    certify the containment in the transitive closure.  The answer is
+    slice-step relation of the statement, and asks
+    :func:`~repro.rel.check_universal_reachability` to certify the
+    containment in the transitive closure.  The answer is
     instance-independent: it quantifies over all slices and all parameter
     values in the non-degenerate regime (every parameter >= 1).
 
-    The verdict is memoised on the DFG instance, keyed by (statement, depth,
-    backend name): the transitive-closure check is by far the most expensive
-    step of a derivation, it is deterministic for a fixed backend, and the
-    per-process DFG cache (:func:`repro.analysis.plan.dfg_for`) hands the
-    same DFG to every derivation of the same program — so re-deriving under
+    The verdict is memoised on the DFG instance, keyed by (statement,
+    depth): the transitive-closure check is by far the most expensive step
+    of a derivation, it is deterministic, and the per-process DFG cache
+    (:func:`repro.analysis.plan.dfg_for`) hands the same DFG to every
+    derivation of the same program — so re-deriving under
     a different executor, strategy subset or store state (exactly what the
     differential fuzzer does all day) pays for the closure once.
     """
-    resolved = backend if backend is not None else get_backend()
     cache = getattr(dfg, "_reachability_cache", None)
     if cache is None:
         cache = {}
         dfg._reachability_cache = cache
-    key = (statement, depth, resolved.name)
+    key = (statement, depth)
     cached = cache.get(key)
     if cached is not None:
         return cached
@@ -321,12 +303,12 @@ def _validate_reachability_symbolic(
     edges = _cached_forward_relations(dfg)
     target = slice_step_relation(stmt.domain, depth)
     context = [Constraint(LinExpr({p: 1}, -1)) for p in dfg.program.params]
-    result = resolved.check_reachability(edges, target, statement, context)
+    result = check_universal_reachability(edges, target, statement, context)
     cache[key] = result
     return result
 
 
-# -- concrete validation (differential oracle; DESIGN.md deviation 3) --------
+# -- concrete validation (reference for the fuzz oracle; DESIGN.md deviation 3)
 
 
 def _validate_reachability_concrete(
@@ -335,9 +317,10 @@ def _validate_reachability_concrete(
     """Check Cor. 6.3's hypothesis on a concretely expanded CDAG.
 
     For two consecutive slices of the statement, every vertex of the later
-    slice must be reachable from every vertex of the earlier one.  Retained
-    as the differential oracle for the symbolic validator: it checks one
-    small instance only and scales as O(N^d) with it.
+    slice must be reachable from every vertex of the earlier one.  Never
+    used to admit a bound: it is the reference the fuzz ``backends`` oracle
+    and the tests check symbolic certificates against.  It checks one small
+    instance only and scales as O(N^d) with it.
     """
     try:
         cdag = CDAG.expand(dfg.program, instance)
@@ -364,7 +347,3 @@ def _validate_reachability_concrete(
         if checked_pairs >= 2:
             break
     return checked_pairs > 0
-
-
-#: Backwards-compatible alias (pre-symbolic name of the concrete oracle).
-_validate_reachability = _validate_reachability_concrete

@@ -11,15 +11,14 @@ system (see DESIGN.md, "Oracle soundness"):
     the oracle derives under ``serial``, ``thread`` and ``process`` and
     compares the canonical JSON of the results byte for byte.
 ``backends``
-    The ``repro.rel`` reachability decision procedure, cross-checked.  The
-    pure-Python backend (and islpy when installed) answer the Cor. 6.3
-    wavefront hypothesis for every statement the derivation pipeline would
-    actually query (chain + broadcast pattern present — closures for
-    never-asked questions would dominate the campaign without guarding any
-    bound); any two *exact* answers must agree, and every
-    ``holds=True`` certificate is confirmed against brute-force graph search
-    on tiny expanded CDAGs — a symbolic "yes" that a concrete instance
-    refutes is a false accept, the exact bug class PR 3 fixed.
+    The ``repro.rel`` reachability decision procedure against brute force.
+    The symbolic validator answers the Cor. 6.3 wavefront hypothesis for
+    every statement the derivation pipeline would actually query (chain +
+    broadcast pattern present — closures for never-asked questions would
+    dominate the campaign without guarding any bound), and every
+    ``holds=True`` certificate is confirmed by graph search on tiny
+    expanded CDAGs — a symbolic "yes" that a concrete instance refutes is a
+    false accept, i.e. a wavefront bound admitted on a false hypothesis.
 ``store``
     Cold vs warm ``BoundStore``.  A warm re-analysis must be served entirely
     from the store (no misses) and reproduce the cold bound byte for byte —
@@ -64,7 +63,6 @@ from repro.core.wavefront import (
 from repro.ir.cdag import CDAG
 from repro.ir.program import AffineProgram
 from repro.pebble import TilingFallbackWarning, lexicographic_schedule, simulate_schedule
-from repro.rel.backend import IslBackend, PurePythonBackend, islpy_available
 from repro.sets.counting import CountingError, card
 
 from .generator import FuzzProfile, resolve_profile
@@ -272,7 +270,7 @@ def oracle_store(program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
 
 
 def _pipeline_queries_reachability(dfg, statement: str, depth: int) -> bool:
-    """True when the wavefront detector would ask the backend about ``statement``.
+    """True when the wavefront detector would ask about ``statement``.
 
     Mirrors steps 1–2 of :func:`~repro.core.wavefront.sub_param_q_by_wavefront`:
     the derivation pipeline only pays for the (potentially expensive) symbolic
@@ -292,68 +290,45 @@ def _pipeline_queries_reachability(dfg, statement: str, depth: int) -> bool:
 
 @register_oracle("backends")
 def oracle_backends(program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
-    """Cross-check relation backends; confirm symbolic accepts concretely."""
+    """Confirm every symbolic reachability accept by concrete graph search.
+
+    The name predates the single relation engine; it stays ``backends``
+    because perf traces (``fuzz.oracle.backends``) and campaign reports key
+    on it.
+    """
     dfg = dfg_for(program)
-    backends = [PurePythonBackend()]
-    isl_active = islpy_available()
-    if isl_active:
-        backends.append(IslBackend())
     checks = 0
     queried = 0
     for name in program.statements:
         if not _pipeline_queries_reachability(dfg, name, 1):
             continue
         queried += 1
-        verdicts = {
-            backend.name: _validate_reachability_symbolic(dfg, name, 1, backend=backend)
-            for backend in backends
-        }
-        checks += len(verdicts)
-        exact = {b: v for b, v in verdicts.items() if v.exact}
-        answers = {v.holds for v in exact.values()}
-        if len(answers) > 1:
-            return OracleVerdict(
-                oracle="backends",
-                ok=False,
-                details=f"exact backends disagree on reachability of {name!r}",
-                divergence={
-                    "kind": "backend-disagreement",
-                    "statement": name,
-                    "verdicts": {
-                        b: {"holds": v.holds, "exact": v.exact}
-                        for b, v in verdicts.items()
+        checks += 1
+        if not _validate_reachability_symbolic(dfg, name, 1).holds:
+            continue
+        for instance in ctx.profile.instance_dicts():
+            checks += 1
+            if not _validate_reachability_concrete(dfg, name, 1, instance):
+                return OracleVerdict(
+                    oracle="backends",
+                    ok=False,
+                    details=(
+                        f"symbolic validator certified reachability of {name!r} "
+                        f"but the concrete CDAG at {instance} refutes it"
+                    ),
+                    divergence={
+                        "kind": "false-accept",
+                        "statement": name,
+                        "instance": instance,
                     },
-                },
-                checks=checks,
-            )
-        for backend_name, verdict in verdicts.items():
-            if not verdict.holds:
-                continue
-            for instance in ctx.profile.instance_dicts():
-                checks += 1
-                if not _validate_reachability_concrete(dfg, name, 1, instance):
-                    return OracleVerdict(
-                        oracle="backends",
-                        ok=False,
-                        details=(
-                            f"{backend_name} certified reachability of {name!r} "
-                            f"but the concrete CDAG at {instance} refutes it"
-                        ),
-                        divergence={
-                            "kind": "false-accept",
-                            "statement": name,
-                            "backend": backend_name,
-                            "instance": instance,
-                        },
-                        checks=checks,
-                    )
-    suffix = "pure+islpy" if isl_active else "pure only (islpy unavailable)"
+                    checks=checks,
+                )
     return OracleVerdict(
         oracle="backends",
         ok=True,
         details=(
-            f"reachability consistent on {queried}/{len(program.statements)} "
-            f"queried statements ({suffix})"
+            f"reachability confirmed on {queried}/{len(program.statements)} "
+            f"queried statements"
         ),
         checks=checks,
     )

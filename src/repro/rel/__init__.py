@@ -11,20 +11,12 @@ The subsystem behind the Algorithm-5-faithful wavefront validation
   over- or under-approximation (by ``direction``) otherwise;
 * :func:`graph_reachability` / :func:`check_universal_reachability` —
   Kleene-style reachability over a graph of relations (the DFG), the query
-  the wavefront completeness hypothesis reduces to;
-* :func:`get_backend` — pure-Python engine by default, ``islpy`` when
-  importable (override with ``$REPRO_REL_BACKEND``).
+  the wavefront completeness hypothesis reduces to.  It is the only decision
+  procedure behind a wavefront bound; ISL serves only as a test-time oracle
+  (``tests/rel/test_isl_oracle.py``), so a bound never depends on whether
+  ``islpy`` is installed.
 """
 
-from .backend import (
-    BACKEND_ENV,
-    IslBackend,
-    PurePythonBackend,
-    RelationBackend,
-    get_backend,
-    islpy_available,
-    relation_to_isl_str,
-)
 from .closure import (
     ClosureResult,
     ReachabilityResult,
@@ -37,20 +29,13 @@ from .relation import AffineRelation, in_name, out_name, translation_of_piece
 
 __all__ = [
     "AffineRelation",
-    "BACKEND_ENV",
     "ClosureResult",
-    "IslBackend",
-    "PurePythonBackend",
     "ReachabilityResult",
-    "RelationBackend",
     "check_universal_reachability",
-    "get_backend",
     "graph_reachability",
     "in_name",
-    "islpy_available",
     "out_name",
     "reflexive_closure",
-    "relation_to_isl_str",
     "transitive_closure",
     "translation_of_piece",
 ]

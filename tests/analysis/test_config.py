@@ -1,5 +1,7 @@
 """AnalysisConfig: validation, defaults, and equivalence with the legacy API."""
 
+import dataclasses
+
 import pytest
 import sympy
 
@@ -20,8 +22,6 @@ class TestDefaults:
         assert config.instance is None
         assert config.gamma == DEFAULT_GAMMA
         assert config.max_depth == 1
-        assert config.validate_wavefront is True
-        assert config.wavefront_validation_instance is None
         assert config.max_subcdags_per_statement == 1
         assert config.strategies == ("kpartition", "wavefront")
         assert config.n_jobs == 1
@@ -76,20 +76,17 @@ class TestValidation:
         with pytest.raises(KeyError, match="no-such-strategy"):
             Analyzer(config).analyze(get_kernel("gemm").program)
 
-    def test_unknown_wavefront_validation_mode(self):
-        with pytest.raises(ValueError, match="wavefront_validation"):
-            AnalysisConfig(wavefront_validation="both")
-
-    def test_wavefront_validation_default_and_signature(self):
-        assert AnalysisConfig().wavefront_validation == "symbolic"
-        symbolic = AnalysisConfig().signature()
-        concrete = AnalysisConfig(wavefront_validation="concrete").signature()
-        assert symbolic != concrete  # different semantics -> different cache keys
-
-    def test_concrete_validation_mode_still_derives_durbin(self):
-        config = AnalysisConfig(max_depth=1, wavefront_validation="concrete")
-        result = Analyzer(config).analyze(get_kernel("durbin").program)
-        assert any(b.method == "wavefront" for b in result.sub_bounds)
+    def test_eight_fields(self):
+        assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
+            "instance",
+            "gamma",
+            "max_depth",
+            "max_subcdags_per_statement",
+            "strategies",
+            "executor",
+            "n_jobs",
+            "cache_dir",
+        ]
 
 
 class TestRoundTripAndSignature:
@@ -99,9 +96,20 @@ class TestRoundTripAndSignature:
         )
         assert AnalysisConfig.from_dict(config.to_dict()) == config
 
-    def test_from_dict_rejects_unknown_fields(self):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"gama": 0.5},
+            # The removed wavefront-validation knobs: the symbolic check is
+            # the only one, so a config naming them is refused, not ignored.
+            {"wavefront_validation": "concrete"},
+            {"validate_wavefront": False},
+            {"wavefront_validation_instance": {"N": 4}},
+        ],
+    )
+    def test_from_dict_rejects_unknown_fields(self, data):
         with pytest.raises(ValueError, match="unknown"):
-            AnalysisConfig.from_dict({"gama": 0.5})
+            AnalysisConfig.from_dict(data)
 
     def test_signature_ignores_execution_fields(self):
         base = AnalysisConfig()

@@ -50,6 +50,13 @@ def result_bytes(result) -> bytes:
     return json.dumps(result.to_dict(), sort_keys=True).encode()
 
 
+def stream_by_name(programs, config, executor=None, store=None):
+    """``(program_name, result)`` pairs of one-config jobs, completion order."""
+    jobs = [(program, config) for program in programs]
+    for index, result in stream_analyses(jobs, executor=executor, store=store):
+        yield programs[index].name, result
+
+
 class ReversedExecutor:
     """Completion-order adversary: completes tasks in *reverse* submission
     order, so the scheduler's lowest-priority work lands first — the
@@ -112,7 +119,7 @@ class TestStreamingSemantics:
         total_tasks = sum(len(plan_program(p, config).tasks) for p in programs)
 
         reset_task_derivation_count()
-        stream = Analyzer(config).analyze_stream(programs)
+        stream = stream_by_name(programs, config)
         first_name, first_result = next(stream)
         executed_at_first_yield = task_derivation_count()
 
@@ -131,7 +138,7 @@ class TestStreamingSemantics:
         programs = [get_kernel(name).program for name in [BIG] + SMALL]
         config = AnalysisConfig(max_depth=1)
         recorder = RecordingExecutor()
-        list(Analyzer(config).analyze_stream(programs, executor=recorder))
+        list(stream_by_name(programs, config, executor=recorder))
 
         big_positions = [
             position for position, (name, _) in enumerate(recorder.seen) if name == BIG
@@ -149,7 +156,7 @@ class TestStreamingSemantics:
         programs = [get_kernel(name).program for name in [BIG] + SMALL]
         config = AnalysisConfig(max_depth=1)
         streamed = list(
-            Analyzer(config).analyze_stream(programs, executor=ReversedExecutor())
+            stream_by_name(programs, config, executor=ReversedExecutor())
         )
         # Under reversed completions the big lead kernel lands first and the
         # highest-priority small kernel last — a completion order that
@@ -168,7 +175,7 @@ class TestStreamingSemantics:
         cold = analyzer.analyze_many(programs)
 
         reset_task_derivation_count()
-        warm = list(analyzer.analyze_stream(programs))
+        warm = list(stream_by_name(programs, config, store=store))
         assert task_derivation_count() == 0
         assert [name for name, _ in warm] == [p.name for p in programs]
         for (_, warm_result), cold_result in zip(warm, cold):
@@ -190,7 +197,7 @@ class TestStreamingSemantics:
         program = get_kernel("gemm").program
         config = AnalysisConfig(max_depth=0)
         reset_task_derivation_count()
-        streamed = list(Analyzer(config).analyze_stream([program, program]))
+        streamed = list(stream_by_name([program, program], config))
         assert len(streamed) == 2
         assert task_derivation_count() == len(plan_program(program, config).tasks)
         assert result_bytes(streamed[0][1]) == result_bytes(streamed[1][1])
@@ -201,7 +208,7 @@ class TestStreamEqualsBarrier:
     def test_byte_equality_per_kernel_serial(self, kernel):
         program = get_kernel(kernel).program
         config = AnalysisConfig(max_depth=1)
-        ((name, streamed),) = list(Analyzer(config).analyze_stream([program]))
+        ((name, streamed),) = list(stream_by_name([program], config))
         (barrier,) = Analyzer(config).analyze_many([program])
         assert name == program.name
         assert result_bytes(streamed) == result_bytes(barrier)
@@ -209,7 +216,7 @@ class TestStreamEqualsBarrier:
     def test_byte_equality_threaded_batch(self):
         programs = [get_kernel(name).program for name in [BIG] + SMALL]
         config = AnalysisConfig(max_depth=1, executor="thread", n_jobs=4)
-        streamed = dict(Analyzer(config).analyze_stream(programs))
+        streamed = dict(stream_by_name(programs, config))
         barrier = Analyzer(config).analyze_many(programs)
         for program, expected in zip(programs, barrier):
             assert result_bytes(streamed[program.name]) == result_bytes(expected)
@@ -236,7 +243,7 @@ class TestEventLoopExecutors:
         config = AnalysisConfig(max_depth=1)
         serial = Analyzer(config).analyze_many(programs)
         with ThreadExecutor(n_jobs=3) as executor:
-            streamed = dict(Analyzer(config).analyze_stream(programs, executor=executor))
+            streamed = dict(stream_by_name(programs, config, executor=executor))
         for program, expected in zip(programs, serial):
             assert result_bytes(streamed[program.name]) == result_bytes(expected)
 

@@ -110,7 +110,7 @@ class TestGemm:
 class TestExample2Wavefront:
     def test_wavefront_bound_detected(self, example2):
         dfg = DFG.from_program(example2)
-        bound = sub_param_q_by_wavefront(dfg, "S2", depth=1, validation_instance={"M": 4, "N": 4})
+        bound = sub_param_q_by_wavefront(dfg, "S2", depth=1)
         assert bound is not None
         m, n, s = sym("M"), sym("N"), S_SYMBOL
         # Paper: Q >= (M - 1)(N - S).
@@ -121,12 +121,6 @@ class TestExample2Wavefront:
         result = derive_bounds(example2, max_depth=1)
         m, n = sym("M"), sym("N")
         assert leading_ratio(result.asymptotic, m * n, ["M", "N"]) == 1
-
-    def test_wavefront_requires_validation_pass(self, example2):
-        dfg = DFG.from_program(example2)
-        # With validation disabled the structural detector alone fires too.
-        bound = sub_param_q_by_wavefront(dfg, "S2", depth=1, validate=False)
-        assert bound is not None
 
     def test_bound_below_simulated_loads(self, example2):
         result = derive_bounds(example2, max_depth=1)

@@ -1,14 +1,17 @@
-"""Wavefront validation modes and the _omega_range tightest-bound fix."""
+"""The symbolic wavefront validator and the _omega_range tightest-bound fix."""
 
 from __future__ import annotations
 
 import pytest
-import sympy
 
-from repro.core.bounds import S_SYMBOL
-from repro.core.wavefront import _omega_range, sub_param_q_by_wavefront
+from repro.core.wavefront import (
+    _omega_range,
+    _validate_reachability_concrete,
+    _validate_reachability_symbolic,
+    sub_param_q_by_wavefront,
+)
 from repro.ir import DFG, expand_count, reset_expand_count
-from repro.sets import LinExpr, parse_set, sym
+from repro.sets import LinExpr, parse_set
 
 
 class TestOmegaRange:
@@ -61,23 +64,22 @@ class TestOmegaRange:
         assert _omega_range(domain, "t") is None
 
 
-class TestValidationModes:
-    def test_symbolic_and_concrete_agree_on_example2(self, example2):
+class TestSymbolicCertificate:
+    """The symbolic check is the only validator; these tests pin it to the
+    concrete graph search it replaced (kept as a reference in src)."""
+
+    @pytest.mark.parametrize("statement", ["S1", "S2"])
+    def test_certificate_agrees_with_concrete_on_example2(self, example2, statement):
         dfg = DFG.from_program(example2)
-        symbolic = sub_param_q_by_wavefront(dfg, "S2", depth=1, validation="symbolic")
-        concrete = sub_param_q_by_wavefront(
-            dfg, "S2", depth=1, validation="concrete",
-            validation_instance={"M": 4, "N": 4},
-        )
-        assert symbolic is not None and concrete is not None
-        assert sympy.expand(symbolic.smooth - concrete.smooth) == 0
-        m, n = sym("M"), sym("N")
-        assert sympy.expand(symbolic.smooth - (m - 1) * (n - S_SYMBOL)) == 0
+        certificate = _validate_reachability_symbolic(dfg, statement, 1)
+        assert certificate.holds and certificate.exact
+        for instance in ({"M": 4, "N": 4}, {"M": 3, "N": 6}):
+            assert _validate_reachability_concrete(dfg, statement, 1, instance)
 
     def test_symbolic_validation_expands_no_cdag(self, example2):
         dfg = DFG.from_program(example2)
         reset_expand_count()
-        bound = sub_param_q_by_wavefront(dfg, "S2", depth=1, validation="symbolic")
+        bound = sub_param_q_by_wavefront(dfg, "S2", depth=1)
         assert bound is not None
         assert expand_count() == 0, "symbolic validation must not expand a CDAG"
 
@@ -85,14 +87,3 @@ class TestValidationModes:
         dfg = DFG.from_program(example2)
         bound = sub_param_q_by_wavefront(dfg, "S2", depth=1)
         assert "symbolic validation (exact closure)" in bound.notes
-
-    def test_unknown_validation_mode_rejected(self, example2):
-        dfg = DFG.from_program(example2)
-        with pytest.raises(ValueError, match="validation"):
-            sub_param_q_by_wavefront(dfg, "S2", depth=1, validation="both")
-
-    def test_validate_false_skips_validation(self, example2):
-        dfg = DFG.from_program(example2)
-        bound = sub_param_q_by_wavefront(dfg, "S2", depth=1, validate=False)
-        assert bound is not None
-        assert "symbolic validation" not in bound.notes

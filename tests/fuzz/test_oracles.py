@@ -11,6 +11,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.plan import dfg_for
+from repro.core.wavefront import (
+    _validate_reachability_concrete,
+    _validate_reachability_symbolic,
+    sub_param_q_by_wavefront,
+)
 from repro.fuzz.generator import random_program
 from repro.fuzz.oracles import (
     OracleContext,
@@ -21,6 +27,8 @@ from repro.fuzz.oracles import (
     run_oracle,
 )
 from repro.fuzz.oracles import _ORACLES
+from repro.ir import ProgramBuilder
+from repro.rel import ReachabilityResult
 
 BUILTIN_ORACLES = ("backends", "counting", "executors", "sandwich", "store")
 
@@ -102,3 +110,55 @@ class TestVerdictShape:
         )
         # 2 statements + input-size + total-flops at each of 2 instances.
         assert verdict.checks == 8
+
+
+def first_column_broadcast_program():
+    """Example 2 with the broadcast read from ``S1[t, 0]`` instead of
+    ``S1[t, N-1]``: the chain + broadcast pattern is present, but ``S1[t, 0]``
+    only sees ``S2[t-1, 0]``, so Cor. 6.3's complete reachability is false."""
+    return (
+        ProgramBuilder("first-column-broadcast", ["M", "N"])
+        .add_array("[N] -> { A[i] : 0 <= i < N }")
+        .add_statement("[M, N] -> { S1[t, i] : 0 <= t < M and 0 <= i < N }", flops=1)
+        .add_statement("[M, N] -> { S2[t, i] : 0 <= t < M and 0 <= i < N }", flops=1)
+        .add_dependence("[M, N] -> { S1[t, i] -> S1[t, i - 1] : 0 <= t < M and 1 <= i < N }")
+        .add_dependence("[M, N] -> { S1[t, i] -> S2[t - 1, i] : 1 <= t < M and 0 <= i < N }")
+        .add_dependence("[M, N] -> { S1[t, i] -> A[i] : t = 0 and 0 <= i < N }")
+        .add_dependence("[M, N] -> { S2[t, i] -> S1[t, 0] : 0 <= t < M and 0 <= i < N }")
+        .add_dependence("[M, N] -> { S2[t, i] -> S2[t - 1, i] : 1 <= t < M and 0 <= i < N }")
+        .add_dependence("[M, N] -> { S2[t, i] -> A[i] : t = 0 and 0 <= i < N }")
+        .build()
+    )
+
+
+class TestBackendsOracle:
+    """The ``backends`` oracle (named for perf traces that key on it) checks
+    symbolic reachability certificates against concrete graph search."""
+
+    @pytest.fixture
+    def dfg(self):
+        dfg = dfg_for(first_column_broadcast_program())
+        # The verdict memo lives on the shared per-process DFG: clear it on
+        # both sides so a planted answer never leaks into another test.
+        dfg.__dict__.pop("_reachability_cache", None)
+        yield dfg
+        dfg.__dict__.pop("_reachability_cache", None)
+
+    def test_rejected_hypothesis_passes(self, dfg):
+        # Symbolic and concrete agree the hypothesis is false, so no
+        # wavefront bound is admitted and the oracle has nothing to confirm.
+        assert not _validate_reachability_symbolic(dfg, "S2", 1).holds
+        assert not _validate_reachability_concrete(dfg, "S2", 1, {"M": 3, "N": 4})
+        assert sub_param_q_by_wavefront(dfg, "S2", 1) is None
+        verdict = run_oracle("backends", dfg.program, OracleContext.for_case(0, "small"))
+        assert verdict.ok and verdict.checks == 1
+
+    def test_planted_false_accept_is_caught(self, dfg, monkeypatch):
+        monkeypatch.setattr(
+            "repro.core.wavefront.check_universal_reachability",
+            lambda *args, **kwargs: ReachabilityResult(holds=True, exact=True, pivots=0),
+        )
+        verdict = run_oracle("backends", dfg.program, OracleContext.for_case(0, "small"))
+        assert not verdict.ok
+        assert verdict.divergence["kind"] == "false-accept"
+        assert verdict.divergence["statement"] == "S2"

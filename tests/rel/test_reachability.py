@@ -21,7 +21,6 @@ from repro.core.wavefront import (
 )
 from repro.ir import DFG, ProgramBuilder
 from repro.polybench import get_kernel
-from repro.rel import PurePythonBackend, get_backend, islpy_available
 
 
 def example2_program():
@@ -104,56 +103,3 @@ def test_random_dfg_soundness_fast(seed):
 @pytest.mark.parametrize("seed", [0, 1, *range(4, 40)])
 def test_random_dfg_soundness_sweep(seed):
     assert_symbolic_sound_against_concrete(seed)
-
-
-# -- backends ----------------------------------------------------------------
-
-
-class TestBackends:
-    def test_pure_backend_always_available(self):
-        assert isinstance(get_backend("pure"), PurePythonBackend)
-
-    def test_auto_selection_respects_availability(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REL_BACKEND", raising=False)
-        backend = get_backend()
-        if islpy_available():
-            assert backend.name == "islpy"
-        else:
-            assert backend.name == "pure"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REL_BACKEND", "pure")
-        assert get_backend().name == "pure"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError):
-            get_backend("no-such-backend")
-
-    @pytest.mark.skipif(not islpy_available(), reason="islpy not installed")
-    def test_islpy_backend_agrees_on_examples(self):
-        from repro.rel import IslBackend
-
-        backend = IslBackend()
-        dfg = DFG.from_program(example2_program())
-        from repro.core.wavefront import dfg_forward_relations, slice_step_relation
-        from repro.sets import Constraint, LinExpr
-
-        stmt = dfg.program.statement("S2")
-        edges = dfg_forward_relations(dfg)
-        target = slice_step_relation(stmt.domain, 1)
-        context = [Constraint(LinExpr({p: 1}, -1)) for p in dfg.program.params]
-        result = backend.check_reachability(edges, target, "S2", context)
-        assert result.holds
-
-    @pytest.mark.skipif(not islpy_available(), reason="islpy not installed")
-    def test_isl_serialization_parses(self):
-        import islpy
-
-        from repro.core.wavefront import dfg_forward_relations
-        from repro.rel import relation_to_isl_str
-
-        dfg = DFG.from_program(get_kernel("durbin").program)
-        for edge in dfg_forward_relations(dfg):
-            text = relation_to_isl_str(edge, list(dfg.program.params))
-            parsed = islpy.UnionMap(text)
-            assert not parsed.is_empty()

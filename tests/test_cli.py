@@ -129,3 +129,20 @@ class TestServeArgs:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--executor", "fibers"])
+
+
+class TestRemovedWavefrontFlags:
+    """The symbolic wavefront check has no CLI switch: the old flags are
+    argparse errors (exit code 2), never silently accepted."""
+
+    @pytest.mark.parametrize("command", ["analyze", "suite"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--wavefront-validation", "concrete"], ["--no-validate-wavefront"]],
+    )
+    def test_flag_is_rejected(self, command, flags, capsys):
+        argv = [command, "durbin", *flags] if command == "analyze" else [command, *flags]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--no-cache"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

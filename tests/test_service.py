@@ -110,6 +110,15 @@ class TestErrors:
             (request_line(kernels="gemm"), "list of kernel names"),
             (request_line(bogus=1), "unknown request keys"),
             (request_line(kernels=["gemm"], config={"bogus": 1}), "unknown config fields"),
+            # The removed wavefront-validation knobs are unknown fields now.
+            *(
+                (request_line(kernels=["gemm"], config={field: value}), "unknown config fields")
+                for field, value in (
+                    ("wavefront_validation", "concrete"),
+                    ("validate_wavefront", False),
+                    ("wavefront_validation_instance", {"N": 4}),
+                )
+            ),
             # cache_dir is a real AnalysisConfig field, so it earns the
             # documented purposeful rejection, not the unknown-field error.
             (
