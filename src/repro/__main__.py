@@ -125,11 +125,11 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--executor", choices=EXECUTOR_NAMES, default=None,
         help="task executor: serial (default), thread (one shared thread "
-             "pool), or process (worker processes); unset consults "
-             "$REPRO_EXECUTOR, then picks process when --jobs > 1",
+             "pool), or process (worker processes); unset picks process "
+             "when --jobs > 1",
     )
     group.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=int, default=1, metavar="N",
         help="parallel workers for the task executor (threads or processes, "
              "depending on --executor); every (statement x strategy x depth) "
              "derivation task is scheduled independently",
@@ -160,10 +160,6 @@ def _config_for(args: argparse.Namespace, spec_max_depth: int) -> AnalysisConfig
         kwargs["gamma"] = args.gamma
     if args.strategies is not None:
         kwargs["strategies"] = tuple(args.strategies)
-    if getattr(args, "jobs", None) is not None:
-        kwargs["n_jobs"] = args.jobs  # 0 and negatives reach config validation
-    if getattr(args, "executor", None) is not None:
-        kwargs["executor"] = args.executor
     return AnalysisConfig(**kwargs)
 
 
@@ -174,7 +170,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
     spec = get_kernel(args.kernel)
     config = _config_for(args, spec.max_depth)
-    result = Analyzer(config, store=_store_for(args)).analyze(spec.program)
+    result = Analyzer(config, store=_store_for(args)).analyze(
+        spec.program, executor=args.executor, n_jobs=args.jobs
+    )
 
     if args.json is not None:
         payload = json.dumps(result.to_dict(), indent=2) + "\n"
@@ -428,7 +426,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         profile=args.profile,
         oracles=args.oracle or None,
         executor=args.executor,
-        n_jobs=args.jobs or 1,
+        n_jobs=args.jobs,
         time_budget=args.time_budget,
         corpus_dir=args.corpus,
         shrink=not args.no_shrink,
@@ -581,9 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--executor", choices=EXECUTOR_NAMES, default=None,
         help="executor for derivations and simulations (default: serial; "
-             "unset consults $REPRO_EXECUTOR)",
+             "unset picks process when --jobs > 1)",
     )
-    report.add_argument("--jobs", type=int, default=None, metavar="N",
+    report.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="parallel workers for the executor")
     report.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -632,11 +630,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--executor", choices=EXECUTOR_NAMES, default=None,
-        help="default task executor for requests that do not override it",
+        help="task executor shared by every request (default: serial; "
+             "unset picks process when --jobs > 1)",
     )
     serve.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="default worker count for requests that do not override it",
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker count of the shared executor",
     )
     serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -693,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign executor (default: serial; process parallelises across "
              "seeds)",
     )
-    fuzz.add_argument("--jobs", type=int, default=None, metavar="N",
+    fuzz.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="parallel workers for the campaign executor")
     fuzz.add_argument("--json", action="store_true",
                       help="emit the campaign (or replay) result as JSON on stdout")

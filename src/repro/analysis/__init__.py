@@ -16,8 +16,8 @@ This package is the public entry point for deriving I/O lower bounds
   pipeline: every derivation is an explicit list of independent
   :class:`DerivationTask` units scheduled over a pluggable
   :class:`Executor` (:class:`SerialExecutor`, :class:`ThreadExecutor`,
-  :class:`ProcessExecutor`; selected via ``AnalysisConfig(executor=...,
-  n_jobs=...)`` or ``$REPRO_EXECUTOR``) by an event-driven scheduler
+  :class:`ProcessExecutor`; chosen at the call with ``executor=`` and
+  ``n_jobs=``, never by the config) by an event-driven scheduler
   (:func:`schedule_plans`: one ready queue per batch, fewest-remaining
   priority, combine-on-last-task), with results combined in plan order so
   every executor and scheduling produces byte-identical bounds;
@@ -39,8 +39,8 @@ Typical usage::
 
     from repro.analysis import AnalysisConfig, Analyzer
 
-    analyzer = Analyzer(AnalysisConfig(max_depth=1, n_jobs=4, cache_dir=".iolb"))
-    result = analyzer.analyze(program)
+    analyzer = Analyzer(AnalysisConfig(max_depth=1), store=".iolb")
+    result = analyzer.analyze(program, executor="process", n_jobs=4)
     print(result.asymptotic, result.oi_upper_bound())
 """
 
@@ -66,7 +66,6 @@ from .config import (
     AnalysisConfig,
 )
 from .executor import (
-    EXECUTOR_ENV,
     EXECUTOR_NAMES,
     Executor,
     ProcessExecutor,
@@ -94,7 +93,6 @@ from .store import (
     StoreStats,
     default_store_root,
     parse_size,
-    resolve_store,
 )
 from .strategies import (
     BoundStrategy,
@@ -121,7 +119,6 @@ __all__ = [
     "DERIVATION_VERSION",
     "DerivationPlan",
     "DerivationTask",
-    "EXECUTOR_ENV",
     "EXECUTOR_NAMES",
     "Executor",
     "KPartitionStrategy",
@@ -148,7 +145,6 @@ __all__ = [
     "reset_derivation_count",
     "reset_task_derivation_count",
     "resolve_executor",
-    "resolve_store",
     "resolve_strategies",
     "result_key",
     "results_from_document",

@@ -10,8 +10,8 @@ executed.  A derivation is an explicit three-stage pipeline:
 2. **schedule** — :func:`repro.analysis.scheduler.schedule_plans` runs the
    whole batch's tasks through one event loop over a pluggable
    :class:`~repro.analysis.executor.Executor` (serial, thread pool or
-   process pool, selected by ``AnalysisConfig(executor=..., n_jobs=...)`` or
-   ``$REPRO_EXECUTOR``), memoising each finished task in the
+   process pool, chosen by the caller with ``executor=``/``n_jobs=``),
+   memoising each finished task in the
    :class:`~repro.analysis.store.BoundStore` keyed by its task fingerprint
    and handing each program's task set back the moment its last task lands;
 3. **combine** — :func:`combine_plan` merges the task results **in plan
@@ -57,7 +57,7 @@ from .scheduler import (
     schedule_plans,
     task_derivation_count,
 )
-from .store import DERIVATION_VERSION, BoundStore, resolve_store
+from .store import DERIVATION_VERSION, BoundStore
 
 __all__ = [
     "Analyzer",
@@ -133,6 +133,7 @@ def result_key(program: AffineProgram, config: AnalysisConfig) -> str:
 def stream_analyses(
     jobs: Sequence[tuple[AffineProgram, AnalysisConfig]],
     executor: Executor | str | None = None,
+    n_jobs: int = 1,
     store: BoundStore | None = None,
     counters: StreamCounters | None = None,
 ) -> Iterator[tuple[int, IOBoundResult]]:
@@ -147,6 +148,10 @@ def stream_analyses(
     stream's derivations — the process-global :func:`derivation_count`
     aggregates over every stream running concurrently in the process, so a
     concurrent front-end must account per stream, never by global deltas.
+
+    ``executor``/``n_jobs`` choose how the whole batch runs (see
+    :func:`~repro.analysis.executor.resolve_executor`); the configs only say
+    what each job derives.
 
     Ordering: store-satisfied jobs first (in job order — a warm job never
     waits behind a cold one), then completion order.  Jobs that share a
@@ -178,7 +183,7 @@ def stream_analyses(
 
     plans = [plan_program(*jobs[indices[0]]) for indices in groups]
     for plan_index, task_results in schedule_plans(
-        plans, executor=executor, store=store, counters=counters
+        plans, executor=executor, n_jobs=n_jobs, store=store, counters=counters
     ):
         _count_program_derivation(counters)
         result = combine_plan(plans[plan_index], task_results)
@@ -203,14 +208,13 @@ class Analyzer:
 
         analyzer = Analyzer(AnalysisConfig(max_depth=1))
         result = analyzer.analyze(program)
-        results = analyzer.analyze_many(programs)   # fans out when n_jobs > 1
+        results = analyzer.analyze_many(programs, executor="process", n_jobs=4)
 
-    With a :class:`~repro.analysis.store.BoundStore` attached (an explicit
-    ``store=`` argument, or ``config.cache_dir`` as a thin alias for a store
-    rooted there), results are memoised on disk at two granularities: whole
-    results keyed by the program fingerprint and the result-relevant part of
-    the configuration, and individual derivation tasks keyed by their task
-    fingerprints — so repeated runs skip everything, and interrupted or
+    With a :class:`~repro.analysis.store.BoundStore` attached (``store=``, a
+    store or the path of its root), results are memoised on disk at two
+    granularities: whole results keyed by the program fingerprint and the
+    configuration signature, and individual derivation tasks keyed by their
+    task fingerprints — so repeated runs skip everything, and interrupted or
     config-tweaked runs skip everything that still applies.  Pass
     ``store=BoundStore()`` to share the default per-user store
     (``$REPRO_STORE`` or ``~/.cache/repro``).
@@ -222,22 +226,27 @@ class Analyzer:
         store: BoundStore | str | Path | None = None,
     ):
         self.config = config if config is not None else AnalysisConfig()
-        self.store = resolve_store(store, self.config.cache_dir)
+        if isinstance(store, (str, Path)):
+            store = BoundStore(store)
+        self.store = store
 
     # -- single-program entry point -----------------------------------------
 
     def analyze(
-        self, program: AffineProgram, executor: Executor | str | None = None
+        self,
+        program: AffineProgram,
+        executor: Executor | str | None = None,
+        n_jobs: int = 1,
     ) -> IOBoundResult:
         """Derive the parametric I/O lower bound for one program.
 
         A one-job :func:`stream_analyses` call: a result-store hit is
         returned without planning, otherwise the program's tasks run on
-        ``executor`` (default: the config's) and the combined bound is
+        ``executor`` with ``n_jobs`` workers and the combined bound is
         written back to the store.
         """
         [(_index, result)] = stream_analyses(
-            [(program, self.config)], executor=executor, store=self.store
+            [(program, self.config)], executor=executor, n_jobs=n_jobs, store=self.store
         )
         return result
 
@@ -251,13 +260,14 @@ class Analyzer:
         self,
         programs: Iterable[AffineProgram],
         executor: Executor | str | None = None,
+        n_jobs: int = 1,
     ) -> list[IOBoundResult]:
         """Derive bounds for a batch of programs, preserving input order.
 
         An input-order collector over :func:`stream_analyses`: all uncached
-        derivations flow through **one** shared executor (the config's, or
-        an explicit ``executor=`` — pass a live instance to share one pool
-        across batches), and the collected list is index-aligned with
+        derivations flow through **one** shared executor (``executor=`` and
+        ``n_jobs=`` — pass a live instance to share one pool across
+        batches), and the collected list is index-aligned with
         ``programs``.  Every program yields exactly one result, and a
         derivation that silently produces nothing raises
         :class:`RuntimeError` rather than shifting later results onto
@@ -266,8 +276,9 @@ class Analyzer:
         batch: Sequence[AffineProgram] = list(programs)
         jobs = [(program, self.config) for program in batch]
         results: list[IOBoundResult | None] = [None] * len(batch)
-        resolved = executor if executor is not None else self.config.executor
-        for index, result in stream_analyses(jobs, executor=resolved, store=self.store):
+        for index, result in stream_analyses(
+            jobs, executor=executor, n_jobs=n_jobs, store=self.store
+        ):
             results[index] = result
 
         missing = [index for index, result in enumerate(results) if result is None]
@@ -278,12 +289,3 @@ class Analyzer:
                 f"({names}); refusing to return a misaligned batch"
             )
         return results
-
-    # -- persistent store ------------------------------------------------------
-
-    def cache_key(self, program: AffineProgram) -> str:
-        """Store key: program fingerprint x config signature x semantics version.
-
-        See :func:`result_key` (this is it, bound to the analyzer's config).
-        """
-        return result_key(program, self.config)

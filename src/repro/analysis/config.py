@@ -1,19 +1,20 @@
 """Analysis configuration: every knob of the derivation in one frozen object.
 
 :class:`AnalysisConfig` bundles the knobs that ``derive_bounds`` takes as
-keyword arguments, plus how the derivation is executed.  The wavefront
-hypothesis check is not a knob: it is always the symbolic one.  A config is
-immutable, so it can be shared between an :class:`~repro.analysis.Analyzer`
-and its worker processes, compared for equality, folded into an on-disk
-cache key (via the hashable :meth:`AnalysisConfig.signature`), and
-round-tripped through JSON (for the CLI and for persisted suite runs).
+keyword arguments — only what changes the derived bound.  How a derivation
+runs (the executor, its worker count, the bound store) is chosen by the
+caller at the call, never here.  The wavefront hypothesis check is not a
+knob: it is always the symbolic one.  A config is immutable, so it can be
+shared between an :class:`~repro.analysis.Analyzer` and its worker
+processes, compared for equality, folded into an on-disk cache key (via the
+hashable :meth:`AnalysisConfig.signature`), and round-tripped through JSON
+(for the CLI and for persisted suite runs).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Mapping
 
 #: Default heuristic instance: parameters are taken much larger than the cache
@@ -66,25 +67,6 @@ class AnalysisConfig:
         implementations to run, in order.  Names are resolved against the
         strategy registry at analysis time, so strategies registered after
         the config was created are usable.
-    executor:
-        How derivation tasks are executed: ``"serial"`` (in-process, the
-        default), ``"thread"`` (a shared thread pool), or ``"process"`` (a
-        shared process pool).  ``None`` consults ``$REPRO_EXECUTOR`` and
-        finally picks ``"process"`` when ``n_jobs > 1``, ``"serial"``
-        otherwise — so ``n_jobs=8`` alone keeps the historical process
-        fan-out behaviour.  Executors change *how fast* the analysis runs,
-        never *what* it computes: results are combined in plan order, so
-        they are byte-identical across executors.
-    n_jobs:
-        Worker count of the task executor (threads or processes).  1 means
-        sequential in-process execution.
-    cache_dir:
-        Thin alias for a result store: when set, the
-        :class:`~repro.analysis.Analyzer` memoises through a
-        :class:`~repro.analysis.store.BoundStore` rooted at this directory
-        (keyed by program fingerprint + config signature).  None means no
-        implicit store — pass ``store=`` to the analyzer to use one (e.g.
-        the shared default under ``$REPRO_STORE`` / ``~/.cache/repro``).
     """
 
     instance: Mapping[str, int] | None = None
@@ -92,9 +74,6 @@ class AnalysisConfig:
     max_depth: int = 1
     max_subcdags_per_statement: int = DEFAULT_MAX_SUBCDAGS_PER_STATEMENT
     strategies: tuple[str, ...] = DEFAULT_STRATEGIES
-    executor: str | None = None
-    n_jobs: int = 1
-    cache_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
         # Normalise sequence/str fields so equality and the cache signature
@@ -104,8 +83,6 @@ class AnalysisConfig:
             object.__setattr__(
                 self, "instance", {str(k): int(v) for k, v in dict(self.instance).items()}
             )
-        if self.cache_dir is not None:
-            object.__setattr__(self, "cache_dir", Path(self.cache_dir))
 
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
@@ -114,15 +91,6 @@ class AnalysisConfig:
         if self.max_subcdags_per_statement < 1:
             raise ValueError(
                 f"max_subcdags_per_statement must be >= 1, got {self.max_subcdags_per_statement}"
-            )
-        if self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        from .executor import EXECUTOR_NAMES
-
-        if self.executor is not None and self.executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_NAMES} (or None for "
-                f"$REPRO_EXECUTOR / automatic), got {self.executor!r}"
             )
         if not self.strategies:
             raise ValueError("strategies must name at least one registered strategy")
@@ -145,13 +113,7 @@ class AnalysisConfig:
         return values
 
     def signature(self) -> tuple:
-        """Hashable summary of every field that influences the *result*.
-
-        ``executor``, ``n_jobs`` and ``cache_dir`` change how the analysis
-        is executed, not what it computes (results are combined in plan
-        order on every executor), so they are excluded — a cached result
-        stays valid when only those fields differ.
-        """
+        """Hashable summary of every field, the part of every store key."""
         return (
             None if self.instance is None else tuple(sorted(self.instance.items())),
             self.gamma,
@@ -170,9 +132,6 @@ class AnalysisConfig:
             "max_depth": self.max_depth,
             "max_subcdags_per_statement": self.max_subcdags_per_statement,
             "strategies": list(self.strategies),
-            "executor": self.executor,
-            "n_jobs": self.n_jobs,
-            "cache_dir": None if self.cache_dir is None else str(self.cache_dir),
         }
 
     @classmethod
@@ -180,7 +139,7 @@ class AnalysisConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(f"unknown AnalysisConfig fields: {sorted(unknown)}")
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(data)
         if kwargs.get("strategies") is not None:
             kwargs["strategies"] = tuple(kwargs["strategies"])

@@ -38,23 +38,19 @@ throughput device, not a sandbox.  Task payloads and results cross the
 boundary by pickling; never feed a store you do not trust into a process
 that unpickles from it.
 
-Selection: :func:`resolve_executor` honours, in order, an explicit
-instance/name, ``$REPRO_EXECUTOR``, then falls back to ``"process"`` when
-``n_jobs > 1`` (matching the historical process fan-out of
-``Analyzer.analyze_many``) and ``"serial"`` otherwise.
+Selection: :func:`resolve_executor` takes an explicit instance or name,
+otherwise ``"process"`` when ``n_jobs > 1`` and ``"serial"`` otherwise.
+The caller chooses at the call (``analyze(program, executor=..., n_jobs=...)``);
+the :class:`~repro.analysis.AnalysisConfig` never does.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import os
 import threading
 from typing import Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
 
-#: Environment variable naming the default executor.
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Names accepted by :func:`resolve_executor` and ``AnalysisConfig.executor``.
+#: Names accepted by :func:`resolve_executor`.
 EXECUTOR_NAMES = ("serial", "thread", "process")
 
 
@@ -133,8 +129,7 @@ class _PoolExecutor(_ExecutorBase):
         if len(items) <= 1:
             # A single task gains nothing from a pool round-trip.  n_jobs=1
             # still uses a real (one-worker) pool for longer maps: naming a
-            # pool executor means "run my tasks on workers", and the CI
-            # env-selection smoke relies on that actually happening.
+            # pool executor means "run my tasks on workers".
             for index, item in enumerate(items):
                 yield index, fn(item)
             return
@@ -191,15 +186,15 @@ def resolve_executor(
 
     ``executor`` may be an :class:`Executor` instance (passed through — the
     caller keeps ownership and ``n_jobs`` is ignored), one of
-    :data:`EXECUTOR_NAMES`, or ``None``, which consults ``$REPRO_EXECUTOR``
-    and finally defaults to ``"process"`` when ``n_jobs > 1``, else
-    ``"serial"``.
+    :data:`EXECUTOR_NAMES`, or ``None``, which picks ``"process"`` when
+    ``n_jobs > 1``, else ``"serial"``.  ``n_jobs < 1`` is a
+    :class:`ValueError` whatever the executor.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if executor is not None and not isinstance(executor, str):
         return executor
     name = executor
-    if name is None:
-        name = os.environ.get(EXECUTOR_ENV) or None
     if name is None:
         name = "process" if n_jobs > 1 else "serial"
     try:
@@ -208,4 +203,4 @@ def resolve_executor(
         raise ValueError(
             f"unknown executor {name!r}; expected one of {EXECUTOR_NAMES}"
         ) from None
-    return cls(n_jobs=max(1, int(n_jobs)))
+    return cls(n_jobs=n_jobs)

@@ -245,7 +245,7 @@ def schedule_work(
     if not material:
         return
     owns_executor = executor is None or isinstance(executor, str)
-    resolved = resolve_executor(executor, n_jobs) if owns_executor else executor
+    resolved = resolve_executor(executor, n_jobs)
     try:
         yield from _run_event_loop(
             material, run, resolved, store_get, store_put, decode, encode, on_executed
@@ -366,6 +366,7 @@ def _run_event_loop(
 def schedule_plans(
     plans: Sequence[DerivationPlan],
     executor: "Executor | str | None" = None,
+    n_jobs: int = 1,
     store: BoundStore | None = None,
     counters: "StreamCounters | None" = None,
 ) -> Iterator[tuple[int, list[TaskResult]]]:
@@ -377,10 +378,10 @@ def schedule_plans(
     ``store`` are yielded first, by ascending plan index, without executing
     anything.
 
-    An ``executor`` given by name (or ``None``, resolved from the first
-    plan's config) is owned by the scheduler and closed — cancelling
-    anything still queued — when the stream ends, errors, or is abandoned;
-    a live instance stays the caller's to close.
+    ``executor`` and ``n_jobs`` go straight to :func:`schedule_work`: a name
+    (or ``None``) is resolved and owned there — closed, cancelling anything
+    still queued, when the stream ends, errors, or is abandoned — while a
+    live instance stays the caller's to close.
 
     Implemented as an adapter over the generic :func:`schedule_work` engine:
     one :class:`WorkItem` per :class:`DerivationTask`, memoised through the
@@ -390,13 +391,6 @@ def schedule_plans(
     concurrent service reports each request's work from these, since the
     process-global counters aggregate over all concurrent requests).
     """
-    if not plans:
-        return
-    owns_executor = executor is None or isinstance(executor, str)
-    resolved = resolve_executor(
-        executor if executor is not None else plans[0].config.executor,
-        plans[0].config.n_jobs,
-    )
     groups = [
         [
             WorkItem(
@@ -408,17 +402,14 @@ def schedule_plans(
         ]
         for plan in plans
     ]
-    try:
-        yield from schedule_work(
-            groups,
-            _execute_payload,
-            executor=resolved,
-            store_get=store.get_task if store is not None else None,
-            store_put=store.put_task if store is not None else None,
-            decode=lambda item, payload: TaskResult.from_dict(payload, task=item.context),
-            encode=lambda item, task_result: task_result.to_dict(),
-            on_executed=lambda: _count_task_derivations(1, counters),
-        )
-    finally:
-        if owns_executor:
-            resolved.close()
+    yield from schedule_work(
+        groups,
+        _execute_payload,
+        executor=executor,
+        n_jobs=n_jobs,
+        store_get=store.get_task if store is not None else None,
+        store_put=store.put_task if store is not None else None,
+        decode=lambda item, payload: TaskResult.from_dict(payload, task=item.context),
+        encode=lambda item, task_result: task_result.to_dict(),
+        on_executed=lambda: _count_task_derivations(1, counters),
+    )

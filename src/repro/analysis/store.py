@@ -52,7 +52,7 @@ from ..core.bounds import IOBoundResult
 #: Version of the *derivation semantics*.  Bump it whenever an algorithm
 #: change (strategy logic, set counting, decomposition, simplification) can
 #: alter a derived bound: the version is folded into every store key (see
-#: :meth:`repro.analysis.Analyzer.cache_key`), so a warm shared store never
+#: :func:`repro.analysis.result_key`), so a warm shared store never
 #: serves results computed by older, differently-behaving code.
 #: History: 2 — the nested-case-split counting fix in ``repro.sets``;
 #: 3 — symbolic (Algorithm 5) wavefront validation replaces the
@@ -577,23 +577,6 @@ class BoundStore:
     def __repr__(self) -> str:
         budget = "unbounded" if self.size_budget is None else f"{self.size_budget}B"
         return f"BoundStore({str(self.root)!r}, {budget})"
-
-
-def resolve_store(store: "BoundStore | str | Path | None", cache_dir: str | Path | None = None) -> "BoundStore | None":
-    """Normalise the ways callers can name a store.
-
-    Explicit :class:`BoundStore` instances pass through; strings/paths become
-    a store rooted there; ``None`` falls back to ``cache_dir`` (the
-    :class:`~repro.analysis.config.AnalysisConfig` alias) or, when that is
-    unset too, to no store at all.
-    """
-    if isinstance(store, BoundStore):
-        return store
-    if store is not None:
-        return BoundStore(store)
-    if cache_dir is not None:
-        return BoundStore(cache_dir)
-    return None
 
 
 # -- entry parsing helpers ----------------------------------------------------

@@ -54,9 +54,8 @@ def derive_bounds(
 ) -> IOBoundResult:
     """Derive a parametric I/O lower bound for ``program``.
 
-    An alias over :class:`repro.analysis.Analyzer`; build an
-    :class:`repro.analysis.AnalysisConfig` directly for batching, caching,
-    executors and custom strategies.
+    An alias over :class:`repro.analysis.Analyzer`; use the analyzer
+    directly for batching, caching, executors and custom strategies.
 
     Parameters
     ----------

@@ -171,15 +171,14 @@ def _result_bytes(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
-def _pipeline_config(**overrides) -> AnalysisConfig:
+def _pipeline_config() -> AnalysisConfig:
     """Config for oracles that exercise the *pipeline*, not the wavefront math.
 
     ``max_depth=0`` keeps derivations kpartition-only: the expensive part of
     a random-program derivation is the symbolic transitive-closure check, and
     executor/store determinism is independent of which strategies ran.
     """
-    overrides.setdefault("max_depth", 0)
-    return AnalysisConfig(**overrides)
+    return AnalysisConfig(max_depth=0)
 
 
 def _sandwich_capacity(cdag: CDAG) -> int:
@@ -197,10 +196,12 @@ def _sandwich_capacity(cdag: CDAG) -> int:
 @register_oracle("executors")
 def oracle_executors(program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
     """Bounds must be byte-identical across serial/thread/process executors."""
-    config = _pipeline_config(n_jobs=2)
+    config = _pipeline_config()
     docs: dict[str, str] = {}
     for name in EXECUTOR_SET:
-        docs[name] = _result_bytes(Analyzer(config).analyze(program, executor=name))
+        docs[name] = _result_bytes(
+            Analyzer(config).analyze(program, executor=name, n_jobs=2)
+        )
     reference = docs[EXECUTOR_SET[0]]
     for name, doc in docs.items():
         if doc != reference:

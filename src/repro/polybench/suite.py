@@ -23,7 +23,6 @@ from ..analysis import (
     BoundStore,
     Executor,
     StreamCounters,
-    resolve_store,
     stream_analyses,
 )
 from ..core import (
@@ -82,29 +81,10 @@ def analyze_kernel(
     return KernelAnalysis(spec=spec, result=analyzer.analyze(spec.program))
 
 
-def _suite_jobs(
-    specs: list[KernelSpec],
-    config: AnalysisConfig | None,
-    n_jobs: int | None,
-    executor: "Executor | str | None",
-    **kwargs,
-) -> list[tuple[KernelSpec, AnalysisConfig]]:
-    """Pair every spec with its effective config (spec defaults + overrides)."""
-    jobs = []
-    for spec in specs:
-        kernel_config = _kernel_config(spec, config, **kwargs)
-        if n_jobs is not None:
-            kernel_config = kernel_config.replace(n_jobs=n_jobs)
-        if executor is not None and isinstance(executor, str):
-            kernel_config = kernel_config.replace(executor=executor)
-        jobs.append((spec, kernel_config))
-    return jobs
-
-
 def analyze_suite_stream(
     names: Iterable[str] | None = None,
     config: AnalysisConfig | None = None,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
     store: BoundStore | None = None,
     executor: "Executor | str | None" = None,
     counters: StreamCounters | None = None,
@@ -119,7 +99,9 @@ def analyze_suite_stream(
     first bounds stream out while later kernels are still deriving.
     Store-satisfied kernels stream out first without waiting on any
     derivation.  Results are byte-identical to :func:`analyze_suite`'s —
-    only the iteration order differs.
+    only the iteration order differs.  ``executor`` (a name or a live
+    :class:`~repro.analysis.Executor`) and ``n_jobs`` choose how the whole
+    batch runs.
 
     ``counters`` (a :class:`~repro.analysis.StreamCounters`) receives only
     *this* stream's derivation counts — what a concurrent caller such as the
@@ -128,26 +110,22 @@ def analyze_suite_stream(
     every stream running in the process at once.
     """
     specs = all_kernels() if names is None else [get_kernel(n) for n in names]
-    jobs = _suite_jobs(specs, config, n_jobs, executor, **kwargs)
-    if store is None and jobs:
-        store = resolve_store(None, jobs[0][1].cache_dir)
-    # Executor resolution (env, n_jobs fallback) happens inside the
-    # scheduler, seeded by the first pending job's config; a name or None
-    # keeps ownership there so the pool is closed even on early exit, while
-    # a live instance stays the caller's to close.
+    # A name or None is resolved and owned by the scheduler, so the pool is
+    # closed even on early exit; a live instance stays the caller's to close.
     for index, result in stream_analyses(
-        [(spec.program, job_config) for spec, job_config in jobs],
+        [(spec.program, _kernel_config(spec, config, **kwargs)) for spec in specs],
         executor=executor,
+        n_jobs=n_jobs,
         store=store,
         counters=counters,
     ):
-        yield KernelAnalysis(spec=jobs[index][0], result=result)
+        yield KernelAnalysis(spec=specs[index], result=result)
 
 
 def analyze_suite(
     names: Iterable[str] | None = None,
     config: AnalysisConfig | None = None,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
     store: BoundStore | None = None,
     executor: "Executor | str | None" = None,
     **kwargs,
@@ -156,12 +134,11 @@ def analyze_suite(
 
     The request-order collector over :func:`analyze_suite_stream`: all
     kernels' derivation tasks flow through a single work queue of threads or
-    worker processes — with ``n_jobs > 1`` (given here or on ``config``)
-    and/or an ``executor`` (a name or a live
-    :class:`~repro.analysis.Executor`) — and the collected list follows the
-    requested kernel order.  Passing a :class:`~repro.analysis.BoundStore`
-    (or setting ``config.cache_dir``) memoises every derivation persistently
-    — a warm second suite run does zero derivations.
+    worker processes — with ``n_jobs > 1`` and/or an ``executor`` (a name or
+    a live :class:`~repro.analysis.Executor`) — and the collected list
+    follows the requested kernel order.  Passing a
+    :class:`~repro.analysis.BoundStore` memoises every derivation
+    persistently — a warm second suite run does zero derivations.
     """
     specs = all_kernels() if names is None else [get_kernel(n) for n in names]
     analyses: dict[str, KernelAnalysis] = {}

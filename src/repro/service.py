@@ -19,11 +19,12 @@ Request (one JSON object per line)::
   ``python -m repro kernels --json``); omitted or ``null`` means the whole
   suite.
 * ``config`` — optional :class:`~repro.analysis.AnalysisConfig` field
-  overrides, applied on top of each kernel's registered defaults (the CLI
-  ``suite`` flags).  ``executor``/``n_jobs`` here override the server's own
-  defaults for this request (such a request runs on its own pool; all other
-  requests share the server's).  ``cache_dir`` is rejected: the bound store
-  is server-side state (``--cache-dir``/``--no-cache`` on ``serve``).
+  overrides (``instance``, ``gamma``, ``max_depth``,
+  ``max_subcdags_per_statement``, ``strategies``), applied on top of each
+  kernel's registered defaults (the CLI ``suite`` flags).  How requests run
+  is server-side state fixed at startup: the executor and its worker count
+  (``--executor``/``--jobs``) and the bound store
+  (``--cache-dir``/``--no-cache``).  Any other field is an ``error``.
 
 A ``{"stats": true}`` request (optionally with an ``id``) is answered with
 one ``stats`` event instead of results: service uptime, the number of
@@ -80,7 +81,6 @@ safe.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import socketserver
 import threading
@@ -99,19 +99,10 @@ from .polybench import analyze_suite_stream, kernel_names
 #: Version tag of the request/event protocol (bumped on breaking changes;
 #: echoed by the ``hello`` event so clients can refuse a mismatch).  The
 #: ``stats`` request/event pair is a backward-compatible addition: clients
-#: that never send ``{"stats": true}`` never see the new event.
-PROTOCOL_VERSION = 1
-
-#: AnalysisConfig fields a request's ``config`` object may override.
-#: ``cache_dir`` is excluded on purpose: the store is server-side state, and
-#: silently honouring a client-supplied root would either be ignored or
-#: redirect the server's persistence — both surprising.  Requests that need
-#: different storage talk to a differently-configured server.  A request
-#: supplying it gets a purposeful rejection naming that reason (see
-#: :meth:`AnalysisService._validate`), not a generic unknown-field error.
-_CONFIG_FIELDS = {field.name for field in dataclasses.fields(AnalysisConfig)} - {
-    "cache_dir"
-}
+#: that never send ``{"stats": true}`` never see the new event.  Version 2
+#: refuses ``executor``, ``n_jobs`` and ``cache_dir`` in a request's
+#: ``config``: the server fixes all three at startup.
+PROTOCOL_VERSION = 2
 
 
 class ServiceError(ValueError):
@@ -123,26 +114,24 @@ class AnalysisService:
 
     One instance serves any number of requests — and, in socket mode, any
     number of **concurrent** connections: it owns the service-level shared
-    state (the bound store, the lazily-created executor pool requests
-    inherit unless their ``config`` overrides it, and the in-flight/uptime
-    bookkeeping behind the ``stats`` event), all guarded for concurrent
-    handler threads.
+    state (the bound store, the lazily-created executor pool every request
+    runs on, and the in-flight/uptime bookkeeping behind the ``stats``
+    event), all guarded for concurrent handler threads.
     """
 
     def __init__(
         self,
         store: BoundStore | None = None,
         executor: "Executor | str | None" = None,
-        n_jobs: int | None = None,
+        n_jobs: int = 1,
     ):
         self.store = store
         self.executor = executor
         self.n_jobs = n_jobs
-        # The shared pool behind every request that does not override the
-        # executor settings: resolved lazily on first use, reused across
-        # requests (a per-request pool would pay worker spawn + imports on
-        # every request), closed by close().  A live instance passed in
-        # stays the caller's to close.
+        # The shared pool behind every request: resolved lazily on first
+        # use, reused across requests (a per-request pool would pay worker
+        # spawn + imports on every request), closed by close().  A live
+        # instance passed in stays the caller's to close.
         self._owns_shared = executor is None or isinstance(executor, str)
         self._shared: Executor | None = None
         # One lock covers the shared-pool lifecycle and the request
@@ -159,7 +148,7 @@ class AnalysisService:
             return self.executor  # a live instance the caller owns
         with self._lock:
             if self._shared is None:
-                self._shared = resolve_executor(self.executor, self.n_jobs or 1)
+                self._shared = resolve_executor(self.executor, self.n_jobs)
             return self._shared
 
     def close(self) -> None:
@@ -247,25 +236,6 @@ class AnalysisService:
             yield {"id": request_id, "event": "error", "error": str(error)}
             return
 
-        # A request overriding executor settings gets its own (request-owned,
-        # scheduler-closed) pool; everything else shares the server's.
-        executor = overrides.pop("executor", None)
-        n_jobs = overrides.pop("n_jobs", None)
-        if executor is not None or n_jobs is not None:
-            if executor is None:
-                # n_jobs alone resizes, it does not change *kind*: inherit
-                # the server's executor choice (its registry name when the
-                # server holds a live instance) rather than falling through
-                # to the process-when-n_jobs>1 auto-selection.
-                if self.executor is None or isinstance(self.executor, str):
-                    executor = self.executor
-                else:
-                    executor = getattr(self.executor, "name", None)
-            request_executor: "Executor | str | None" = executor
-            request_jobs = n_jobs if n_jobs is not None else self.n_jobs
-        else:
-            request_executor = self._default_executor()
-            request_jobs = self.n_jobs
         # Per-request accounting: the process-global derivation_count()
         # aggregates over every concurrently-running request, so `done` must
         # report from a counter scoped to this request's stream alone.
@@ -277,8 +247,7 @@ class AnalysisService:
                 for analysis in analyze_suite_stream(
                     names,
                     store=self.store,
-                    executor=request_executor,
-                    n_jobs=request_jobs,
+                    executor=self._default_executor(),
                     counters=counters,
                     **overrides,
                 ):
@@ -389,27 +358,14 @@ class AnalysisService:
         overrides = request.get("config") or {}
         if not isinstance(overrides, dict):
             raise ServiceError('"config" must be a JSON object of AnalysisConfig fields')
-        if "cache_dir" in overrides:
-            # The documented purposeful rejection, not a generic unknown-field
-            # error: the field exists on AnalysisConfig, it is just not a
-            # per-request knob.
-            raise ServiceError(
-                '"cache_dir" cannot be set per request: the bound store is '
-                "server-side state shared by every request (configure it with "
-                "--cache-dir/--no-cache on `repro serve`)"
-            )
-        unknown_fields = set(overrides) - _CONFIG_FIELDS
-        if unknown_fields:
-            raise ServiceError(f"unknown config fields: {sorted(unknown_fields)}")
-        if "strategies" in overrides and overrides["strategies"] is not None:
-            overrides["strategies"] = tuple(overrides["strategies"])
         try:
-            # Validate the override values eagerly (range checks, executor
-            # names, ...) so a bad request fails before any scheduling.
-            AnalysisConfig(**overrides)
+            # The config decoder rejects unknown fields (executor, n_jobs
+            # and cache_dir among them) and checks every value, so a bad
+            # request fails before any scheduling.
+            config = AnalysisConfig.from_dict(overrides)
         except (TypeError, ValueError) as error:
             raise ServiceError(f"invalid config: {error}") from None
-        return names, overrides
+        return names, {name: getattr(config, name) for name in overrides}
 
 
 class _TCPHandler(socketserver.StreamRequestHandler):

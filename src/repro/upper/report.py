@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import sympy
 
-from ..analysis import BoundStore, Executor, resolve_executor, resolve_store
+from ..analysis import BoundStore, Executor, resolve_executor
 from ..analysis.scheduler import derivation_count
 from ..polybench.registry import all_kernels, get_kernel
 from ..polybench.suite import _shrink, analyze_suite_stream
@@ -184,7 +184,7 @@ def tightness_report(
     instance: Mapping[str, int] | None = None,
     store: BoundStore | None = None,
     executor: "Executor | str | None" = None,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
     policies=("lru", "opt"),
     max_candidates: int = 64,
     refine: bool = True,
@@ -201,20 +201,17 @@ def tightness_report(
     records both counters.
     """
     specs = all_kernels() if names is None else [get_kernel(name) for name in names]
-    if store is None:
-        store = resolve_store(None, getattr(config, "cache_dir", None))
     derivations_before = derivation_count()
     simulations_before = simulation_count()
 
     owns_executor = executor is None or isinstance(executor, str)
-    resolved = resolve_executor(executor, n_jobs if n_jobs is not None else 1)
+    resolved = resolve_executor(executor, n_jobs)
     try:
         analyses = {
             analysis.spec.name: analysis
             for analysis in analyze_suite_stream(
                 [spec.name for spec in specs],
                 config=config,
-                n_jobs=n_jobs,
                 store=store,
                 executor=resolved,
             )

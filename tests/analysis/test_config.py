@@ -24,8 +24,6 @@ class TestDefaults:
         assert config.max_depth == 1
         assert config.max_subcdags_per_statement == 1
         assert config.strategies == ("kpartition", "wavefront")
-        assert config.n_jobs == 1
-        assert config.cache_dir is None
 
     def test_heuristic_instance_defaults(self):
         config = AnalysisConfig()
@@ -63,10 +61,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_subcdags_per_statement"):
             AnalysisConfig(max_subcdags_per_statement=0)
 
-    def test_zero_jobs(self):
-        with pytest.raises(ValueError, match="n_jobs"):
-            AnalysisConfig(n_jobs=0)
-
     def test_empty_strategies(self):
         with pytest.raises(ValueError, match="strategies"):
             AnalysisConfig(strategies=())
@@ -76,23 +70,22 @@ class TestValidation:
         with pytest.raises(KeyError, match="no-such-strategy"):
             Analyzer(config).analyze(get_kernel("gemm").program)
 
-    def test_eight_fields(self):
+    def test_five_fields(self):
+        """Only what changes the derived bound: the executor, its worker
+        count and the store are chosen at the call, not in the config."""
         assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
             "instance",
             "gamma",
             "max_depth",
             "max_subcdags_per_statement",
             "strategies",
-            "executor",
-            "n_jobs",
-            "cache_dir",
         ]
 
 
 class TestRoundTripAndSignature:
     def test_dict_round_trip(self):
         config = AnalysisConfig(
-            instance={"Ni": 12}, gamma=0.5, max_depth=2, n_jobs=3, cache_dir="/tmp/x"
+            instance={"Ni": 12}, gamma=0.5, max_depth=2, strategies=["kpartition"]
         )
         assert AnalysisConfig.from_dict(config.to_dict()) == config
 
@@ -105,16 +98,31 @@ class TestRoundTripAndSignature:
             {"wavefront_validation": "concrete"},
             {"validate_wavefront": False},
             {"wavefront_validation_instance": {"N": 4}},
+            # How a derivation runs is chosen at the call, never here.
+            {"executor": "thread"},
+            {"n_jobs": 0},
+            {"n_jobs": 2},
+            {"cache_dir": "/tmp/x"},
         ],
     )
     def test_from_dict_rejects_unknown_fields(self, data):
         with pytest.raises(ValueError, match="unknown"):
             AnalysisConfig.from_dict(data)
 
-    def test_signature_ignores_execution_fields(self):
-        base = AnalysisConfig()
-        assert base.signature() == AnalysisConfig(n_jobs=4, cache_dir="/tmp/c").signature()
-        assert base.signature() != AnalysisConfig(gamma=0.5).signature()
+    def test_signature_tuple_is_pinned(self):
+        """The signature is folded into every result and task key: its shape
+        must not move, or every existing store goes cold."""
+        assert AnalysisConfig().signature() == (
+            None, 0.25, 1, 1, ("kpartition", "wavefront")
+        )
+        config = AnalysisConfig(
+            instance={"S": 32, "Ni": 7}, gamma=0.5, max_depth=2,
+            max_subcdags_per_statement=3, strategies=["kpartition"],
+        )
+        assert config.signature() == (
+            (("Ni", 7), ("S", 32)), 0.5, 2, 3, ("kpartition",)
+        )
+        assert AnalysisConfig().signature() != AnalysisConfig(gamma=0.5).signature()
 
     def test_replace(self):
         config = AnalysisConfig().replace(max_depth=3)

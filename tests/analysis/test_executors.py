@@ -29,7 +29,6 @@ from repro.analysis import (
     resolve_executor,
     task_derivation_count,
 )
-from repro.analysis.executor import EXECUTOR_ENV
 from repro.analysis.strategies import get_strategy
 from repro.ir import DFG
 from repro.polybench import get_kernel
@@ -73,10 +72,10 @@ class TestByteIdenticalAcrossExecutors:
         config = AnalysisConfig(max_depth=1)
         serial = result_bytes(Analyzer(config).analyze(program))
         thread = result_bytes(
-            Analyzer(config.replace(executor="thread", n_jobs=4)).analyze(program)
+            Analyzer(config).analyze(program, executor="thread", n_jobs=4)
         )
         process = result_bytes(
-            Analyzer(config.replace(executor="process", n_jobs=2)).analyze(program)
+            Analyzer(config).analyze(program, executor="process", n_jobs=2)
         )
         assert thread == serial
         assert process == serial
@@ -99,9 +98,7 @@ class TestByteIdenticalAcrossExecutors:
         programs = [get_kernel(name).program for name in KERNELS]
         config = AnalysisConfig(max_depth=1)
         individual = [Analyzer(config).analyze(p) for p in programs]
-        batched = Analyzer(config.replace(executor="thread", n_jobs=4)).analyze_many(
-            programs
-        )
+        batched = Analyzer(config).analyze_many(programs, executor="thread", n_jobs=4)
         for single, batch in zip(individual, batched):
             assert result_bytes(single) == result_bytes(batch)
 
@@ -164,7 +161,7 @@ class TestCounters:
         """Hammer the shared counters from parallel analyzer threads: with
         the lock in place, no increment may be lost."""
         programs = [get_kernel(name).program for name in KERNELS]
-        config = AnalysisConfig(max_depth=1, executor="thread", n_jobs=2)
+        config = AnalysisConfig(max_depth=1)
         expected_tasks = sum(
             len(plan_program(program, config).tasks) for program in programs
         )
@@ -172,7 +169,8 @@ class TestCounters:
         reset_task_derivation_count()
         with concurrent.futures.ThreadPoolExecutor(max_workers=len(programs)) as pool:
             futures = [
-                pool.submit(Analyzer(config).analyze, program) for program in programs
+                pool.submit(Analyzer(config).analyze, program, "thread", 2)
+                for program in programs
             ]
             for future in futures:
                 future.result()
@@ -194,21 +192,21 @@ class TestSelection:
         assert isinstance(resolve_executor(None, 1), SerialExecutor)
         assert isinstance(resolve_executor(None, 4), ProcessExecutor)
 
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "thread")
-        executor = resolve_executor(None, 4)
-        assert isinstance(executor, ThreadExecutor)
-        assert executor.n_jobs == 4
+    @pytest.mark.parametrize("executor", [None, "serial", "thread", "process"])
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_fewer_than_one_job_rejected(self, executor, n_jobs):
+        """No silent clamp: a worker count below one is a user error on
+        every executor, the serial one included."""
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            resolve_executor(executor, n_jobs)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             resolve_executor("fibers")
-        with pytest.raises(ValueError, match="executor"):
-            AnalysisConfig(executor="fibers")
 
-    def test_config_executor_drives_analyze(self, monkeypatch):
-        """analyze with no explicit executor runs on the config's, and the
-        bound matches the serial one."""
+    def test_call_executor_drives_analyze(self, monkeypatch):
+        """analyze runs on the executor named at the call, and the bound
+        matches the serial one."""
         from repro.analysis import scheduler
 
         resolved = []
@@ -220,10 +218,11 @@ class TestSelection:
 
         monkeypatch.setattr(scheduler, "resolve_executor", spy)
         program = get_kernel("gemm").program
-        config = AnalysisConfig(max_depth=0, executor="thread", n_jobs=2)
-        threaded = Analyzer(config).analyze(program)
+        config = AnalysisConfig(max_depth=0)
+        threaded = Analyzer(config).analyze(program, executor="thread", n_jobs=2)
         assert [type(e) for e in resolved] == [ThreadExecutor]
-        serial = Analyzer(config.replace(executor="serial", n_jobs=1)).analyze(program)
+        assert resolved[0].n_jobs == 2
+        serial = Analyzer(config).analyze(program, executor="serial")
         assert result_bytes(threaded) == result_bytes(serial)
 
 

@@ -78,14 +78,6 @@ class TestTaskKeys:
             else:
                 assert old_key == new_key
 
-    def test_executor_and_jobs_do_not_touch_task_keys(self):
-        program = get_kernel("gemm").program
-        serial = plan_program(program, AnalysisConfig(max_depth=1))
-        parallel = plan_program(
-            program, AnalysisConfig(max_depth=1, executor="thread", n_jobs=4)
-        )
-        assert serial.task_keys() == parallel.task_keys()
-
     def test_raising_max_depth_reuses_finished_depths(self, tmp_path):
         """A store populated at max_depth=1 serves its tasks to a max_depth=2
         run: only the genuinely new depth-2 tasks execute."""

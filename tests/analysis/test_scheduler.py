@@ -50,10 +50,12 @@ def result_bytes(result) -> bytes:
     return json.dumps(result.to_dict(), sort_keys=True).encode()
 
 
-def stream_by_name(programs, config, executor=None, store=None):
+def stream_by_name(programs, config, executor=None, store=None, n_jobs=1):
     """``(program_name, result)`` pairs of one-config jobs, completion order."""
     jobs = [(program, config) for program in programs]
-    for index, result in stream_analyses(jobs, executor=executor, store=store):
+    for index, result in stream_analyses(
+        jobs, executor=executor, n_jobs=n_jobs, store=store
+    ):
         yield programs[index].name, result
 
 
@@ -215,9 +217,9 @@ class TestStreamEqualsBarrier:
 
     def test_byte_equality_threaded_batch(self):
         programs = [get_kernel(name).program for name in [BIG] + SMALL]
-        config = AnalysisConfig(max_depth=1, executor="thread", n_jobs=4)
-        streamed = dict(stream_by_name(programs, config))
-        barrier = Analyzer(config).analyze_many(programs)
+        config = AnalysisConfig(max_depth=1)
+        streamed = dict(stream_by_name(programs, config, executor="thread", n_jobs=4))
+        barrier = Analyzer(config).analyze_many(programs, executor="thread", n_jobs=4)
         for program, expected in zip(programs, barrier):
             assert result_bytes(streamed[program.name]) == result_bytes(expected)
 
@@ -236,6 +238,31 @@ class TestStreamEqualsBarrier:
 
 
 class TestEventLoopExecutors:
+    def test_batch_runs_on_the_call_executor_whatever_the_store_holds(
+        self, tmp_path, monkeypatch
+    ):
+        """The executor and its worker count come from the call, once per
+        batch: which job happens to miss the store first cannot change
+        them."""
+        from repro.analysis import scheduler
+
+        resolved = []
+        real = scheduler.resolve_executor
+
+        def spy(executor=None, n_jobs=1):
+            resolved.append(real(executor, n_jobs))
+            return resolved[-1]
+
+        monkeypatch.setattr(scheduler, "resolve_executor", spy)
+        store = BoundStore(tmp_path)
+        config = AnalysisConfig(max_depth=0)
+        atax, bicg = get_kernel("atax").program, get_kernel("bicg").program
+        Analyzer(config, store=store).analyze(atax)  # atax is warm, bicg cold
+        resolved.clear()
+        jobs = [(atax, config), (bicg, config)]
+        assert len(list(stream_analyses(jobs, executor="thread", n_jobs=2, store=store))) == 2
+        assert [(type(e), e.n_jobs) for e in resolved] == [(ThreadExecutor, 2)]
+
     def test_thread_pool_event_loop_streams_results(self):
         """The submit-based event loop (bounded in-flight set, priority
         refill) produces the same bytes as serial for a mixed batch."""

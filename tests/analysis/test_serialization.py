@@ -18,6 +18,7 @@ from repro.analysis import (
     BoundStore,
     load_results,
     program_fingerprint,
+    result_key,
     results_from_document,
     results_to_document,
     save_results,
@@ -128,22 +129,22 @@ class TestFingerprintAndCache:
 
     def test_disk_cache_hit_returns_equal_bound(self, tmp_path):
         spec = get_kernel("gemm")
-        analyzer = Analyzer(AnalysisConfig(max_depth=0, cache_dir=tmp_path))
+        analyzer = Analyzer(AnalysisConfig(max_depth=0), store=tmp_path)
         first = analyzer.analyze(spec.program)
         assert list(tmp_path.glob("objects/*/*.json"))
         second = analyzer.analyze(spec.program)
         assert second.smooth == first.smooth
         assert second.asymptotic == first.asymptotic
 
-    def test_cache_key_depends_on_config(self, tmp_path):
-        spec = get_kernel("gemm")
-        a = Analyzer(AnalysisConfig(max_depth=0, cache_dir=tmp_path))
-        b = Analyzer(AnalysisConfig(max_depth=0, gamma=0.5, cache_dir=tmp_path))
-        assert a.cache_key(spec.program) != b.cache_key(spec.program)
+    def test_cache_key_depends_on_config(self):
+        program = get_kernel("gemm").program
+        a = result_key(program, AnalysisConfig(max_depth=0))
+        b = result_key(program, AnalysisConfig(max_depth=0, gamma=0.5))
+        assert a != b
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
         spec = get_kernel("gemm")
-        analyzer = Analyzer(AnalysisConfig(max_depth=0, cache_dir=tmp_path))
+        analyzer = Analyzer(AnalysisConfig(max_depth=0), store=tmp_path)
         fresh = analyzer.analyze(spec.program)
         (entry,) = (
             p for p in tmp_path.glob("objects/*/*.json") if not p.stem.endswith("-task")
@@ -314,7 +315,7 @@ class TestHostileEntries:
         store = BoundStore(tmp_path)
         analyzer = Analyzer(AnalysisConfig(max_depth=0), store=store)
         analyzer.analyze(spec.program)
-        key = analyzer.cache_key(spec.program)
+        key = result_key(spec.program, analyzer.config)
         path = store.path_for(key)
         entry = json.loads(path.read_text())
         entry["result"]["asymptotic"] = text

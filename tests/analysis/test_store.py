@@ -14,6 +14,7 @@ import concurrent.futures
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 import sympy
@@ -26,6 +27,7 @@ from repro.analysis import (
     derivation_count,
     parse_size,
     reset_derivation_count,
+    result_key,
 )
 from repro.analysis.store import STORE_SCHEMA, default_store_root
 from repro.core.bounds import IOBoundResult
@@ -328,10 +330,10 @@ class TestAnalyzerIntegration:
         from repro.polybench import get_kernel
 
         program = get_kernel("gemm").program
-        analyzer = Analyzer(AnalysisConfig(max_depth=0))
-        before = analyzer.cache_key(program)
+        config = AnalysisConfig(max_depth=0)
+        before = result_key(program, config)
         monkeypatch.setattr(analyzer_module, "DERIVATION_VERSION", 999)
-        after = analyzer.cache_key(program)
+        after = result_key(program, config)
         # Changed semantics -> changed key: stale warm results are unreachable.
         assert before != after
 
@@ -354,7 +356,7 @@ class TestAnalyzerIntegration:
             patch.setattr(
                 analyzer_module, "DERIVATION_VERSION", DERIVATION_VERSION - 1
             )
-            stale_key = Analyzer(config, store=store).cache_key(program)
+            stale_key = result_key(program, config)
             store.put(stale_key, make_result("gemm", value=123))
 
         reset_derivation_count()
@@ -363,14 +365,15 @@ class TestAnalyzerIntegration:
         assert result.log, "a fresh derivation carries its log"
         # Both generations coexist on disk under distinct keys.
         assert store.contains(stale_key)
-        assert store.contains(Analyzer(config, store=store).cache_key(program))
+        assert store.contains(result_key(program, config))
 
-    def test_explicit_store_beats_cache_dir_alias(self, tmp_path):
-        config = AnalysisConfig(cache_dir=tmp_path / "alias")
-        analyzer = Analyzer(config, store=BoundStore(tmp_path / "explicit"))
-        assert analyzer.store.root == tmp_path / "explicit"
-        alias_only = Analyzer(config)
-        assert alias_only.store.root == tmp_path / "alias"
+    def test_store_path_becomes_a_bound_store(self, tmp_path):
+        explicit = BoundStore(tmp_path / "explicit")
+        assert Analyzer(store=explicit).store is explicit
+        for root in (tmp_path / "path", str(tmp_path / "text")):
+            store = Analyzer(store=root).store
+            assert isinstance(store, BoundStore)
+            assert store.root == tmp_path / Path(root).name
         assert Analyzer(AnalysisConfig()).store is None
 
 

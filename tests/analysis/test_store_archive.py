@@ -15,7 +15,7 @@ import tarfile
 
 import pytest
 
-from repro.analysis import AnalysisConfig, Analyzer, BoundStore
+from repro.analysis import AnalysisConfig, Analyzer, BoundStore, result_key
 from repro.analysis.store import STORE_SCHEMA
 from repro.polybench import get_kernel
 
@@ -33,8 +33,7 @@ def populated_store(tmp_path):
 
 def result_keys(analyzer_config=None):
     config = analyzer_config or AnalysisConfig(max_depth=0)
-    analyzer = Analyzer(config)
-    return {name: analyzer.cache_key(get_kernel(name).program) for name in KERNELS}
+    return {name: result_key(get_kernel(name).program, config) for name in KERNELS}
 
 
 class TestRoundTrip:

@@ -147,8 +147,9 @@ class TestAnalyzeMany:
         """Acceptance: analyze_many over >= 5 PolyBench kernels with n_jobs=2
         matches the sequential results."""
         programs = [get_kernel(name).program for name in self.KERNELS]
-        sequential = Analyzer(AnalysisConfig(max_depth=0)).analyze_many(programs)
-        parallel = Analyzer(AnalysisConfig(max_depth=0, n_jobs=2)).analyze_many(programs)
+        analyzer = Analyzer(AnalysisConfig(max_depth=0))
+        sequential = analyzer.analyze_many(programs)
+        parallel = analyzer.analyze_many(programs, n_jobs=2)
         assert [r.program_name for r in parallel] == [r.program_name for r in sequential]
         for seq, par in zip(sequential, parallel):
             assert sympy.simplify(seq.smooth - par.smooth) == 0
@@ -160,14 +161,14 @@ class TestAnalyzeMany:
         results = Analyzer(AnalysisConfig(max_depth=0)).analyze_many(programs)
         assert [r.program_name for r in results] == names
 
-    def test_suite_honours_n_jobs_on_config(self):
-        """analyze_suite must not silently reset parallelism requested via
-        the config object (regression: the n_jobs parameter clobbered it)."""
+    def test_suite_honours_n_jobs_with_config(self):
+        """analyze_suite runs an explicit config on the n_jobs given at the
+        call and matches the serial per-kernel defaults."""
         from repro.analysis import AnalysisConfig
         from repro.polybench import analyze_suite
 
         analyses = analyze_suite(
-            self.KERNELS[:3], config=AnalysisConfig(max_depth=0, n_jobs=2)
+            self.KERNELS[:3], config=AnalysisConfig(max_depth=0), n_jobs=2
         )
         assert [a.spec.name for a in analyses] == self.KERNELS[:3]
         reference = analyze_suite(self.KERNELS[:3], max_depth=0)
@@ -176,7 +177,7 @@ class TestAnalyzeMany:
 
     def test_batch_uses_disk_cache(self, tmp_path):
         programs = [get_kernel(name).program for name in self.KERNELS[:3]]
-        analyzer = Analyzer(AnalysisConfig(max_depth=0, cache_dir=tmp_path))
+        analyzer = Analyzer(AnalysisConfig(max_depth=0), store=tmp_path)
         first = analyzer.analyze_many(programs)
         entries = list(tmp_path.glob("objects/*/*.json"))
         results = [p for p in entries if not p.stem.endswith("-task")]

@@ -122,7 +122,7 @@ class TestServeArgs:
         args = build_parser().parse_args(["serve"])
         assert args.port is None
         assert args.host == "127.0.0.1"
-        assert args.executor is None and args.jobs is None
+        assert args.executor is None and args.jobs == 1
 
     def test_serve_rejects_unknown_executor(self):
         from repro.__main__ import build_parser
@@ -146,3 +146,23 @@ class TestRemovedWavefrontFlags:
             main([*argv, "--no-cache"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestJobsBelowOne:
+    """A worker count below one is a user error (exit code 2) on every
+    command that takes ``--jobs``, never a silent clamp to one worker."""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "--kernels", "gemm", "--max-depth", "0", "--no-cache"],
+            ["analyze", "gemm", "--max-depth", "0", "--no-cache"],
+            ["report", "gemm", "--no-cache"],
+            ["fuzz", "--seeds", "1", "--oracle", "store"],
+        ],
+        ids=["suite", "analyze", "report", "fuzz"],
+    )
+    def test_jobs_below_one_exits_two(self, argv, jobs, capsys):
+        assert main([*argv, "--jobs", jobs]) == 2
+        assert "n_jobs must be >= 1" in capsys.readouterr().err

@@ -110,36 +110,47 @@ class TestErrors:
             (request_line(kernels="gemm"), "list of kernel names"),
             (request_line(bogus=1), "unknown request keys"),
             (request_line(kernels=["gemm"], config={"bogus": 1}), "unknown config fields"),
-            # The removed wavefront-validation knobs are unknown fields now.
+            # The removed wavefront-validation knobs are unknown fields now,
+            # and so are the execution fields: the server fixes its executor,
+            # worker count and store at startup (protocol 2).
             *(
                 (request_line(kernels=["gemm"], config={field: value}), "unknown config fields")
                 for field, value in (
                     ("wavefront_validation", "concrete"),
                     ("validate_wavefront", False),
                     ("wavefront_validation_instance", {"N": 4}),
+                    ("executor", "serial"),
+                    ("n_jobs", 2),
+                    ("cache_dir", "/tmp/x"),
                 )
             ),
-            # cache_dir is a real AnalysisConfig field, so it earns the
-            # documented purposeful rejection, not the unknown-field error.
+            # The one-line request that used to fork a 12-process pool.
             (
-                request_line(kernels=["gemm"], config={"cache_dir": "/tmp/x"}),
-                "server-side state",
+                request_line(kernels=["gemm"], config={"executor": "process", "n_jobs": 12}),
+                "unknown config fields",
             ),
             # Stats requests take no other keys and demand a literal true.
             (request_line(stats=True, kernels=["gemm"]), "stats request takes only"),
             (request_line(stats="yes"), "must be the JSON value true"),
             (request_line(kernels=["gemm"], config=[1]), "must be a JSON object"),
             (request_line(kernels=["gemm"], config={"gamma": 7}), "invalid config"),
-            (
-                request_line(kernels=["gemm"], config={"executor": "fibers"}),
-                "invalid config",
-            ),
         ],
     )
-    def test_bad_requests_yield_one_error_event(self, service, line, fragment):
+    def test_bad_requests_yield_one_error_event(self, service, monkeypatch, line, fragment):
+        import repro.service
+
+        resolved = []
+        real = repro.service.resolve_executor
+
+        def spy(executor=None, n_jobs=1):
+            resolved.append((executor, n_jobs))
+            return real(executor, n_jobs)
+
+        monkeypatch.setattr(repro.service, "resolve_executor", spy)
         events = events_for(service, line)
         assert [event["event"] for event in events] == ["hello", "error"]
         assert fragment in events[1]["error"]
+        assert resolved == [], "a refused request must not resolve an executor"
 
     def test_error_echoes_request_id_when_parseable(self, service):
         events = events_for(service, request_line(id=42, kernels=["nope"]))
@@ -158,8 +169,8 @@ class TestErrors:
 
 class TestExecutorSharing:
     def test_shared_pool_is_reused_across_requests_and_closed_once(self, tmp_path):
-        """Requests that do not override executor settings share one server
-        pool — no per-request pool spawn — and close() releases it."""
+        """Every request shares the one pool the server was started with —
+        no per-request pool spawn — and close() releases it."""
         service = AnalysisService(
             store=BoundStore(tmp_path / "store"), executor="thread", n_jobs=2
         )
@@ -171,47 +182,6 @@ class TestExecutorSharing:
         service.close()
         assert service._shared is None
         service.close()  # idempotent
-
-    def test_request_executor_override_does_not_touch_shared_pool(self, tmp_path):
-        service = AnalysisService(
-            store=BoundStore(tmp_path / "store"), executor="thread", n_jobs=2
-        )
-        events = events_for(
-            service,
-            request_line(kernels=["gemm"], config={"max_depth": 0, "executor": "serial"}),
-        )
-        assert [event["event"] for event in events] == ["hello", "result", "done"]
-        assert service._shared is None, (
-            "an overriding request must not instantiate the shared pool"
-        )
-        service.close()
-
-    def test_n_jobs_override_inherits_server_executor_kind(self, tmp_path, monkeypatch):
-        """A request overriding only n_jobs resizes the pool but keeps the
-        server's executor choice — it must not fall through to the
-        process-when-n_jobs>1 auto-selection."""
-        from repro.analysis import executor as executor_module
-
-        resolved = []
-        original = executor_module.resolve_executor
-
-        def spying_resolve(executor=None, n_jobs=1):
-            instance = original(executor, n_jobs)
-            resolved.append(type(instance).__name__)
-            return instance
-
-        monkeypatch.setattr(
-            "repro.analysis.scheduler.resolve_executor", spying_resolve
-        )
-        service = AnalysisService(
-            store=BoundStore(tmp_path / "store"), executor="thread"
-        )
-        events = events_for(
-            service, request_line(kernels=["gemm"], config={"max_depth": 0, "n_jobs": 2})
-        )
-        assert [event["event"] for event in events] == ["hello", "result", "done"]
-        assert resolved == ["ThreadExecutor"]
-        service.close()
 
     def test_live_executor_instance_stays_callers(self, tmp_path):
         from repro.analysis import ThreadExecutor
