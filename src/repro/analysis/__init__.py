@@ -15,7 +15,8 @@ This package is the public entry point for deriving I/O lower bounds
   :mod:`~repro.analysis.scheduler` — the plan -> schedule -> combine
   pipeline: every derivation is an explicit list of independent
   :class:`DerivationTask` units scheduled over a pluggable
-  :class:`Executor` (:class:`SerialExecutor`, :class:`ThreadExecutor`,
+  :class:`Executor` (``submit`` one task, get a future back:
+  :class:`SerialExecutor`, :class:`ThreadExecutor`,
   :class:`ProcessExecutor`; chosen at the call with ``executor=`` and
   ``n_jobs=``, never by the config) by an event-driven scheduler
   (:func:`schedule_plans`: one ready queue per batch, fewest-remaining

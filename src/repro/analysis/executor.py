@@ -11,20 +11,16 @@ A plan (:mod:`repro.analysis.plan`) is a list of independent tasks; an
   (true parallelism; tasks, programs and configs are pickled to the
   workers).
 
-Executors expose :meth:`Executor.map`, which yields ``(index, result)``
-pairs **in completion order**.  Consumers that need determinism (all of
-them) must re-order by index — the scheduler
-(:func:`repro.analysis.scheduler.schedule_work`) lists each group's results
-in item order, which is what makes the final bound independent of
-scheduling.  Pool executors
-additionally expose :meth:`_PoolExecutor.submit` (one task, returning a
-:class:`~concurrent.futures.Future`): the hook the event-driven scheduler
-(:mod:`repro.analysis.scheduler`) uses to keep a bounded number of tasks in
-flight and refill in priority order as completions arrive.  ``submit`` is
-optional in the protocol — map-only executors still work everywhere, they
-just receive their work queue up front.
+Every executor runs work one way: :meth:`Executor.submit` takes one task and
+returns a :class:`~concurrent.futures.Future`.  The scheduler
+(:func:`repro.analysis.scheduler.schedule_work`) keeps at most ``n_jobs``
+futures in flight, refills in priority order as they complete, and lists
+each group's results in item order — which is what makes the final bound
+independent of completion order.  :class:`SerialExecutor` runs the task
+in-line and hands back an already-finished future, so sequential execution
+is the ``n_jobs == 1`` case of the same event loop.
 
-Pools are created lazily on first use and kept open across ``map`` calls, so
+Pools are created lazily on the first ``submit`` and kept open, so
 a whole suite batch (every kernel's tasks) flows through **one** work queue
 instead of paying a pool startup per program; close an executor explicitly
 (or use it as a context manager) when done.  ``close`` **cancels anything
@@ -48,24 +44,22 @@ from __future__ import annotations
 
 import concurrent.futures
 import threading
-from typing import Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol
 
 #: Names accepted by :func:`resolve_executor`.
 EXECUTOR_NAMES = ("serial", "thread", "process")
 
 
-@runtime_checkable
 class Executor(Protocol):
-    """Runs independent task payloads, yielding results as they complete."""
+    """Runs independent task payloads, one future per task."""
 
     #: Registry name (``"serial"``, ``"thread"``, ``"process"``, ...).
     name: str
+    #: How many tasks the scheduler keeps in flight at once.
+    n_jobs: int
 
-    def map(
-        self, fn: Callable[[Any], Any], items: Iterable[Any]
-    ) -> Iterator[tuple[int, Any]]:
-        """Apply ``fn`` to every item, yielding ``(input_index, result)``
-        pairs in completion order (NOT input order)."""
+    def submit(self, fn: Callable[[Any], Any], item: Any) -> concurrent.futures.Future:
+        """Schedule ``fn(item)``, returning its future."""
         ...
 
     def close(self) -> None:
@@ -84,8 +78,7 @@ class _ExecutorBase:
         self.close()
 
     def __repr__(self) -> str:
-        jobs = getattr(self, "n_jobs", 1)
-        return f"{type(self).__name__}(n_jobs={jobs})"
+        return f"{type(self).__name__}(n_jobs={self.n_jobs})"
 
 
 class SerialExecutor(_ExecutorBase):
@@ -98,9 +91,16 @@ class SerialExecutor(_ExecutorBase):
         # Accepts (and ignores) n_jobs so every executor constructs uniformly.
         pass
 
-    def map(self, fn, items):
-        for index, item in enumerate(items):
-            yield index, fn(item)
+    def submit(self, fn, item) -> concurrent.futures.Future:
+        """Run ``fn(item)`` now and return it as a finished future.
+
+        An exception raised by ``fn`` propagates out of ``submit`` itself;
+        the scheduler's failure path handles that the same way as a
+        failed future.
+        """
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        future.set_result(fn(item))
+        return future
 
 
 class _PoolExecutor(_ExecutorBase):
@@ -124,27 +124,8 @@ class _PoolExecutor(_ExecutorBase):
                 self._pool = type(self)._pool_factory(max_workers=self.n_jobs)
             return self._pool
 
-    def map(self, fn, items):
-        items = list(items)
-        if len(items) <= 1:
-            # A single task gains nothing from a pool round-trip.  n_jobs=1
-            # still uses a real (one-worker) pool for longer maps: naming a
-            # pool executor means "run my tasks on workers".
-            for index, item in enumerate(items):
-                yield index, fn(item)
-            return
-        pool = self._ensure_pool()
-        futures = {pool.submit(fn, item): index for index, item in enumerate(items)}
-        for future in concurrent.futures.as_completed(futures):
-            yield futures[future], future.result()
-
     def submit(self, fn, item) -> concurrent.futures.Future:
-        """Schedule one task on the pool, returning its future.
-
-        This is the event-driven entry point: where ``map`` commits a whole
-        work list at once, ``submit`` lets a scheduler decide the next task
-        only when a worker actually frees up.
-        """
+        """Schedule one task on the pool (created on first use)."""
         return self._ensure_pool().submit(fn, item)
 
     def close(self) -> None:

@@ -22,20 +22,17 @@ and every scheduling (the CI-enforced invariant of PR 4).  The only thing
 that varies across schedulers is the order *between* plans — completion
 order by construction — which never reaches a bound's content.
 
-Executors participate in one of three ways:
-
-* executors with a ``submit`` method (the thread/process pools) run a true
-  event loop: at most ``n_jobs`` tasks in flight, refilled in priority order
-  as completions arrive (:func:`concurrent.futures.wait`);
-* map-only executors (:class:`~repro.analysis.executor.SerialExecutor`,
-  third-party plug-ins) receive every pending task up front, sorted by the
-  same priority rule, and completions stream back through their ``map`` —
-  still firing each plan's combine as its last task lands;
-* a ``store`` short-circuits both: tasks already present are reloaded during
-  enqueue, plans that become complete without executing anything are yielded
-  immediately (this is what gives a warm service request sub-millisecond
-  turnaround), and freshly executed tasks are persisted one by one as they
-  complete, so an interrupted run resumes from every finished task.
+Every executor takes part the same way, through ``submit``: at most
+``n_jobs`` tasks are in flight, refilled in priority order as completions
+arrive (:func:`concurrent.futures.wait`).  The serial executor finishes each
+future inside ``submit``, so with ``n_jobs == 1`` the loop runs the tasks one
+at a time in priority order and fires each plan's combine as its last task
+lands.  A ``store`` short-circuits the loop: tasks already present are
+reloaded during enqueue, plans that become complete without executing
+anything are yielded immediately (this is what gives a warm service request
+sub-millisecond turnaround), and freshly executed tasks are persisted one by
+one as they complete, so an interrupted run resumes from every finished
+task.
 
 On any failure — a task raising, or the consumer abandoning the stream —
 not-yet-started futures are cancelled and owned executors are closed
@@ -63,23 +60,19 @@ from .strategies import get_strategy
 
 # -- derivation counters ------------------------------------------------------
 #
-# Two granularities, one lock.  The *program* counter backs the warm-store
-# invariant (a warm suite run performs zero derivations); the *task* counter
-# backs resume tests (a half-finished run re-executes only the missing
-# tasks).  Both are counted on the requester side — also for tasks that ran
-# in a worker process — so the numbers mean the same thing on every executor.
+# Two granularities.  The *program* counter backs the warm-store invariant
+# (a warm suite run performs zero derivations); the *task* counter backs
+# resume tests (a half-finished run re-executes only the missing tasks).
+# Both are counted on the requester side — also for tasks that ran in a
+# worker process — so the numbers mean the same thing on every executor.
 #
-# Both module counters are PROCESS-GLOBAL: under a concurrent front-end
-# (the threaded ``repro serve``) two overlapping streams each read the
-# combined total, so "how much work did *this* stream do" must come from a
+# ``_PROCESS_COUNTERS`` is PROCESS-GLOBAL: under a concurrent front-end (the
+# threaded ``repro serve``) two overlapping streams each read the combined
+# total, so "how much work did *this* stream do" must come from a
 # per-stream :class:`StreamCounters` threaded through the call chain
 # instead (``schedule_plans(counters=...)`` → ``stream_analyses`` →
-# ``analyze_suite_stream``).  The globals keep backing the single-stream
-# CLI/test invariants.
-
-_count_lock = threading.Lock()
-_derivations = 0
-_task_derivations = 0
+# ``analyze_suite_stream``).  The global instance keeps backing the
+# single-stream CLI/test invariants.
 
 
 class StreamCounters:
@@ -117,6 +110,21 @@ class StreamCounters:
         with self._lock:
             self._task_derivations += count
 
+    def reset_derivations(self) -> int:
+        """Zero the program counter; returns its prior value."""
+        with self._lock:
+            previous, self._derivations = self._derivations, 0
+        return previous
+
+    def reset_task_derivations(self) -> int:
+        """Zero the task counter; returns its prior value."""
+        with self._lock:
+            previous, self._task_derivations = self._task_derivations, 0
+        return previous
+
+
+_PROCESS_COUNTERS = StreamCounters()
+
 
 def derivation_count() -> int:
     """Number of full program derivations run since the last reset.
@@ -125,16 +133,12 @@ def derivation_count() -> int:
     the result-level store (task-level store hits inside a run do not make
     it free: the plan and combination still execute).
     """
-    return _derivations
+    return _PROCESS_COUNTERS.derivations
 
 
 def reset_derivation_count() -> int:
     """Reset the process-wide derivation counter; returns the prior count."""
-    global _derivations
-    with _count_lock:
-        previous = _derivations
-        _derivations = 0
-    return previous
+    return _PROCESS_COUNTERS.reset_derivations()
 
 
 def task_derivation_count() -> int:
@@ -144,30 +148,22 @@ def task_derivation_count() -> int:
     processes do (they are accounted on the requester side as their results
     arrive, so the granularity is identical across executors).
     """
-    return _task_derivations
+    return _PROCESS_COUNTERS.task_derivations
 
 
 def reset_task_derivation_count() -> int:
     """Reset the process-wide task counter; returns the prior count."""
-    global _task_derivations
-    with _count_lock:
-        previous = _task_derivations
-        _task_derivations = 0
-    return previous
+    return _PROCESS_COUNTERS.reset_task_derivations()
 
 
 def _count_program_derivation(counters: "StreamCounters | None" = None) -> None:
-    global _derivations
-    with _count_lock:
-        _derivations += 1
+    _PROCESS_COUNTERS.count_derivation()
     if counters is not None:
         counters.count_derivation()
 
 
 def _count_task_derivations(count: int, counters: "StreamCounters | None" = None) -> None:
-    global _task_derivations
-    with _count_lock:
-        _task_derivations += count
+    _PROCESS_COUNTERS.count_task_derivations(count)
     if counters is not None:
         counters.count_task_derivations(count)
 
@@ -318,29 +314,15 @@ def _run_event_loop(
         remaining[group_index] -= 1
         return remaining[group_index] == 0
 
-    submit = getattr(executor, "submit", None)
-    if submit is None:
-        # Map-only executor (serial, or a third-party plug-in): commit the
-        # whole queue up front in priority order and stream its completions.
-        order: list[tuple[int, int]] = []
-        while pending:
-            order.append(pick())
-        payloads = [groups[g][i].payload for g, i in order]
-        for index, result in executor.map(run, payloads):
-            group_index, item_index = order[index]
-            if complete(group_index, item_index, result):
-                yield group_index, list(results[group_index])
-        return
-
-    # True event loop: keep at most n_jobs tasks in flight, refilling in
-    # (dynamic) priority order as completions arrive.
-    max_in_flight = max(1, int(getattr(executor, "n_jobs", 1)))
+    # Keep at most n_jobs tasks in flight, refilling in (dynamic) priority
+    # order as completions arrive.  A serial executor finishes each future
+    # inside submit, so it runs one task per turn of the same loop.
     in_flight: dict[concurrent.futures.Future, tuple[int, int]] = {}
     try:
         while pending or in_flight:
-            while pending and len(in_flight) < max_in_flight:
+            while pending and len(in_flight) < executor.n_jobs:
                 group_index, item_index = pick()
-                future = submit(run, groups[group_index][item_index].payload)
+                future = executor.submit(run, groups[group_index][item_index].payload)
                 in_flight[future] = (group_index, item_index)
             done, _ = concurrent.futures.wait(
                 in_flight, return_when=concurrent.futures.FIRST_COMPLETED

@@ -276,7 +276,7 @@ class BoundStore:
         payload = _read_json(path)
         if (
             payload is None
-            or _entry_schema(payload) > STORE_SCHEMA
+            or _entry_schema(payload) != STORE_SCHEMA
             or payload.get("kind") != kind
         ):
             self._count_miss()
@@ -439,10 +439,11 @@ class BoundStore:
         with a strictly *older* envelope version — an existing entry of the
         same or newer ``store_schema`` is **never overwritten**, so a
         replica import can only add knowledge, not roll it back.  Entries
-        exported by a *newer* library version (``store_schema`` above this
-        library's) are skipped too: this library could neither read them nor
-        ever replace them (``put`` refuses to overwrite newer entries), so
-        accepting them would permanently poison the slot.  Members that are
+        without the current ``store_schema`` are skipped too: an
+        envelope-less one is a miss on every read, and one exported by a
+        *newer* library version could never be replaced either (``put``
+        refuses to overwrite newer entries), so accepting it would
+        permanently poison the slot.  Members that are
         not well-formed store entries (bad names, path traversal, unparsable
         JSON) are skipped.  Returns ``(imported, skipped)``.
         """
@@ -469,7 +470,7 @@ class BoundStore:
                 if not isinstance(payload, dict):
                     skipped += 1
                     continue
-                if _entry_schema(payload) > STORE_SCHEMA:
+                if _entry_schema(payload) != STORE_SCHEMA:
                     skipped += 1
                     continue
                 existing = _read_json(self.path_for(key))

@@ -57,9 +57,10 @@ connection**: a warm request on one connection turns around while a cold
 stream are still served sequentially (JSON-lines has no framing for
 interleaved responses on a single byte stream) — clients that want
 concurrent requests open concurrent connections.  All connections share ONE
-:class:`AnalysisService`: one bound store and one lazily-created executor
-pool, so every concurrent request's derivation tasks are multiplexed into
-the same scheduler ready-queue machinery and worker pool rather than each
+:class:`AnalysisService`: one bound store and one executor, resolved when
+the service starts (a pool executor starts its workers on the first task),
+so every concurrent request's derivation tasks are multiplexed into the
+same scheduler ready-queue machinery and worker pool rather than each
 request spawning its own workers.
 
 Because any number of requests can be deriving at once, per-request
@@ -114,9 +115,9 @@ class AnalysisService:
 
     One instance serves any number of requests — and, in socket mode, any
     number of **concurrent** connections: it owns the service-level shared
-    state (the bound store, the lazily-created executor pool every request
-    runs on, and the in-flight/uptime bookkeeping behind the ``stats``
-    event), all guarded for concurrent handler threads.
+    state (the bound store, the executor every request runs on, and the
+    in-flight/uptime bookkeeping behind the ``stats`` event), all guarded
+    for concurrent handler threads.
     """
 
     def __init__(
@@ -126,42 +127,28 @@ class AnalysisService:
         n_jobs: int = 1,
     ):
         self.store = store
-        self.executor = executor
-        self.n_jobs = n_jobs
-        # The shared pool behind every request: resolved lazily on first
-        # use, reused across requests (a per-request pool would pay worker
-        # spawn + imports on every request), closed by close().  A live
-        # instance passed in stays the caller's to close.
-        self._owns_shared = executor is None or isinstance(executor, str)
-        self._shared: Executor | None = None
-        # One lock covers the shared-pool lifecycle and the request
-        # bookkeeping: both are touched from every connection's handler
-        # thread.  Unguarded, two cold connections arriving together both
-        # observe `_shared is None` and resolve two pools — one leaks.
+        # The one executor behind every request, resolved here so a bad
+        # worker count fails at startup.  A pool executor creates its pool
+        # on first use; a live instance passed in stays the caller's to close.
+        self._owns_executor = executor is None or isinstance(executor, str)
+        self.executor = resolve_executor(executor, n_jobs)
+        # Request bookkeeping is touched from every connection's handler
+        # thread.
         self._lock = threading.Lock()
         self._started = time.monotonic()
         self._in_flight = 0
         self._requests_served = 0
 
-    def _default_executor(self) -> "Executor | None":
-        if not self._owns_shared:
-            return self.executor  # a live instance the caller owns
-        with self._lock:
-            if self._shared is None:
-                self._shared = resolve_executor(self.executor, self.n_jobs)
-            return self._shared
-
     def close(self) -> None:
-        """Release the shared executor pool (idempotent, thread-safe).
+        """Release the executor's pool if this service resolved it.
 
-        Concurrent callers race on the swap under the lock, so exactly one
-        of them closes the pool — the shutdown path calls this after the
-        TCP server has drained its handler threads.
+        Idempotent and thread-safe: executor ``close`` swaps the pool out
+        under its own lock, so racing callers shut it down exactly once —
+        the shutdown path calls this after the TCP server has drained its
+        handler threads.
         """
-        with self._lock:
-            shared, self._shared = self._shared, None
-        if self._owns_shared and shared is not None:
-            shared.close()
+        if self._owns_executor:
+            self.executor.close()
 
     def __enter__(self) -> "AnalysisService":
         return self
@@ -247,7 +234,7 @@ class AnalysisService:
                 for analysis in analyze_suite_stream(
                     names,
                     store=self.store,
-                    executor=self._default_executor(),
+                    executor=self.executor,
                     counters=counters,
                     **overrides,
                 ):

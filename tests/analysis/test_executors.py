@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import random
 
 import pytest
 
@@ -33,36 +32,14 @@ from repro.analysis.strategies import get_strategy
 from repro.ir import DFG
 from repro.polybench import get_kernel
 
+from .adversaries import shuffled_executor
+
 #: Multi-statement kernels: several independent tasks per derivation.
 KERNELS = ["durbin", "bicg", "mvt"]
 
 
 def result_bytes(result) -> bytes:
     return json.dumps(result.to_dict(), sort_keys=True).encode()
-
-
-class ShuffledExecutor:
-    """Executes and completes tasks in a (seeded) random order, in-process.
-
-    Models the adversarial scheduling a pool could exhibit: the pipeline
-    must combine results in plan order no matter what order the executor
-    yields them in.
-    """
-
-    name = "shuffled"
-
-    def __init__(self, seed: int):
-        self.seed = seed
-
-    def map(self, fn, items):
-        items = list(items)
-        order = list(range(len(items)))
-        random.Random(self.seed).shuffle(order)
-        for index in order:
-            yield index, fn(items[index])
-
-    def close(self) -> None:
-        pass
 
 
 class TestByteIdenticalAcrossExecutors:
@@ -87,7 +64,8 @@ class TestByteIdenticalAcrossExecutors:
         program = get_kernel("durbin").program
         config = AnalysisConfig(max_depth=1)
         baseline = Analyzer(config).analyze(program)
-        shuffled = Analyzer(config).analyze(program, executor=ShuffledExecutor(seed))
+        adversary = shuffled_executor(len(plan_program(program, config).tasks), seed)
+        shuffled = Analyzer(config).analyze(program, executor=adversary)
         assert result_bytes(shuffled) == result_bytes(baseline)
         assert shuffled.log == baseline.log
         assert [b.to_dict() for b in shuffled.sub_bounds] == [
@@ -227,31 +205,33 @@ class TestSelection:
 
 
 class TestPoolLifecycle:
-    def test_pool_is_reused_across_maps_and_closed_once(self):
+    def test_pool_is_reused_across_submits_and_closed_once(self):
         executor = ThreadExecutor(n_jobs=2)
-        first = list(executor.map(lambda x: x * 2, [1, 2, 3]))
+        first = [executor.submit(lambda x: x * 2, x) for x in [1, 2, 3]]
         pool = executor._pool
-        second = list(executor.map(lambda x: x + 1, [1, 2, 3]))
-        assert executor._pool is pool, "map must reuse the lazily-created pool"
-        assert sorted(first) == [(0, 2), (1, 4), (2, 6)]
-        assert sorted(second) == [(0, 2), (1, 3), (2, 4)]
+        second = [executor.submit(lambda x: x + 1, x) for x in [1, 2, 3]]
+        assert executor._pool is pool, "submit must reuse the lazily-created pool"
+        assert [future.result() for future in first] == [2, 4, 6]
+        assert [future.result() for future in second] == [2, 3, 4]
         executor.close()
         assert executor._pool is None
         executor.close()  # idempotent
 
-    def test_single_item_map_skips_the_pool(self):
-        executor = ProcessExecutor(n_jobs=4)
-        assert list(executor.map(abs, [-3])) == [(0, 3)]
-        assert executor._pool is None
-        executor.close()
+    def test_serial_submit_runs_in_line(self):
+        future = SerialExecutor().submit(abs, -3)
+        assert future.done() and future.result() == 3
+        with pytest.raises(TypeError):
+            SerialExecutor().submit(abs, "not a number")
 
-    def test_map_propagates_worker_exceptions(self):
+    def test_submit_propagates_worker_exceptions(self):
         def boom(x):
             raise RuntimeError(f"task {x} failed")
 
         executor = ThreadExecutor(n_jobs=2)
         try:
-            with pytest.raises(RuntimeError, match="task"):
-                list(executor.map(boom, [1, 2, 3]))
+            futures = [executor.submit(boom, x) for x in [1, 2, 3]]
+            for future in futures:
+                with pytest.raises(RuntimeError, match="task"):
+                    future.result()
         finally:
             executor.close()

@@ -28,6 +28,7 @@ from repro.analysis import (
     AnalysisConfig,
     Analyzer,
     BoundStore,
+    SerialExecutor,
     StreamCounters,
     ThreadExecutor,
     derivation_count,
@@ -39,6 +40,8 @@ from repro.analysis import (
 )
 from repro.analysis.scheduler import _execute_payload
 from repro.polybench import analyze_suite, analyze_suite_stream, get_kernel
+
+from .adversaries import reversed_executor
 
 #: A deliberately lopsided batch: durbin's plan has several tasks, the
 #: BLAS kernels' plans are small — the material for priority/streaming tests.
@@ -59,56 +62,34 @@ def stream_by_name(programs, config, executor=None, store=None, n_jobs=1):
         yield programs[index].name, result
 
 
-class ReversedExecutor:
-    """Completion-order adversary: completes tasks in *reverse* submission
-    order, so the scheduler's lowest-priority work lands first — the
-    worst case for "slowest program was submitted first" streaming."""
-
-    name = "reversed"
-
-    def map(self, fn, items):
-        items = list(items)
-        for index in reversed(range(len(items))):
-            yield index, fn(items[index])
-
-    def close(self) -> None:
-        pass
+def batch_task_count(programs, config) -> int:
+    return sum(len(plan_program(program, config).tasks) for program in programs)
 
 
-class RecordingExecutor:
-    """Map-only executor that records the order tasks were handed over in."""
-
-    name = "recording"
+class RecordingExecutor(SerialExecutor):
+    """Serial executor that records the order tasks were submitted in."""
 
     def __init__(self):
         self.seen: list[tuple] = []
 
-    def map(self, fn, items):
-        for index, item in enumerate(items):
-            self.seen.append((item[0].name, item[2].task_id))
-            yield index, fn(item)
-
-    def close(self) -> None:
-        pass
+    def submit(self, fn, item):
+        self.seen.append((item[0].name, item[2].task_id))
+        return super().submit(fn, item)
 
 
-class InterruptingExecutor:
+class InterruptingExecutor(SerialExecutor):
     """Simulates Ctrl-C: completes ``after`` tasks, then raises
-    KeyboardInterrupt out of the scheduling loop."""
-
-    name = "interrupting"
+    KeyboardInterrupt out of the next ``submit``."""
 
     def __init__(self, after: int):
         self.after = after
+        self.submitted = 0
 
-    def map(self, fn, items):
-        for index, item in enumerate(list(items)):
-            if index >= self.after:
-                raise KeyboardInterrupt
-            yield index, fn(item)
-
-    def close(self) -> None:
-        pass
+    def submit(self, fn, item):
+        if self.submitted >= self.after:
+            raise KeyboardInterrupt
+        self.submitted += 1
+        return super().submit(fn, item)
 
 
 class TestStreamingSemantics:
@@ -118,7 +99,7 @@ class TestStreamingSemantics:
         kernel's tasks are still outstanding."""
         programs = [get_kernel(name).program for name in [BIG] + SMALL]
         config = AnalysisConfig(max_depth=1)
-        total_tasks = sum(len(plan_program(p, config).tasks) for p in programs)
+        total_tasks = batch_task_count(programs, config)
 
         reset_task_derivation_count()
         stream = stream_by_name(programs, config)
@@ -157,9 +138,8 @@ class TestStreamingSemantics:
         to analyze_many's."""
         programs = [get_kernel(name).program for name in [BIG] + SMALL]
         config = AnalysisConfig(max_depth=1)
-        streamed = list(
-            stream_by_name(programs, config, executor=ReversedExecutor())
-        )
+        adversary = reversed_executor(batch_task_count(programs, config))
+        streamed = list(stream_by_name(programs, config, executor=adversary))
         # Under reversed completions the big lead kernel lands first and the
         # highest-priority small kernel last — a completion order that
         # differs from the input order end to end.
@@ -188,8 +168,9 @@ class TestStreamingSemantics:
         plans = [
             plan_program(get_kernel(name).program, config) for name in [BIG] + SMALL
         ]
+        adversary = reversed_executor(sum(len(plan.tasks) for plan in plans))
         seen = {}
-        for plan_index, task_results in schedule_plans(plans, executor=ReversedExecutor()):
+        for plan_index, task_results in schedule_plans(plans, executor=adversary):
             seen[plan_index] = task_results
         assert sorted(seen) == [0, 1, 2]
         for plan_index, plan in enumerate(plans):

@@ -11,8 +11,10 @@ subcommands (``python -m repro cache {stats,gc,clear}``).
 from __future__ import annotations
 
 import concurrent.futures
+import io
 import json
 import os
+import tarfile
 import time
 from pathlib import Path
 
@@ -119,6 +121,39 @@ class TestSchemaNegotiation:
         path.write_text(json.dumps(make_result("bare", 7).to_dict()))
         assert store.get(KEY) is None
         assert store.misses == 1
+
+    @pytest.mark.parametrize(
+        "kind, body_field, getter",
+        [
+            ("result", "result", "get"),
+            ("task", "task_result", "get_task"),
+            ("simulation", "simulation", "get_simulation"),
+        ],
+    )
+    def test_every_entry_kind_needs_the_current_schema(
+        self, tmp_path, kind, body_field, getter
+    ):
+        """One envelope rule for every kind: an entry without the current
+        store_schema is a miss on read and is skipped on archive import."""
+        body = make_result().to_dict() if kind == "result" else {"x": 1}
+        entry = {"kind": kind, "key": KEY, body_field: body}
+        store = BoundStore(tmp_path / "store")
+        path = store.path_for(KEY)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(entry))
+        assert getattr(store, getter)(KEY) is None
+        path.write_text(json.dumps({"store_schema": STORE_SCHEMA, **entry}))
+        assert getattr(store, getter)(KEY) is not None  # control: otherwise valid
+
+        archive = tmp_path / "legacy.tar.gz"
+        data = json.dumps(entry).encode()
+        with tarfile.open(archive, "w:gz") as tar:
+            member = tarfile.TarInfo(f"objects/{KEY[:2]}/{KEY}.json")
+            member.size = len(data)
+            tar.addfile(member, io.BytesIO(data))
+        replica = BoundStore(tmp_path / "replica")
+        assert replica.import_archive(archive) == (0, 1)
+        assert not replica.path_for(KEY).exists()
 
     def test_root_level_flat_file_is_not_an_entry(self, tmp_path):
         (tmp_path / f"{KEY}.json").write_text(json.dumps(make_result("flat", 7).to_dict()))

@@ -160,8 +160,9 @@ class TestJobsBelowOne:
             ["analyze", "gemm", "--max-depth", "0", "--no-cache"],
             ["report", "gemm", "--no-cache"],
             ["fuzz", "--seeds", "1", "--oracle", "store"],
+            ["serve", "--no-cache"],
         ],
-        ids=["suite", "analyze", "report", "fuzz"],
+        ids=["suite", "analyze", "report", "fuzz", "serve"],
     )
     def test_jobs_below_one_exits_two(self, argv, jobs, capsys):
         assert main([*argv, "--jobs", jobs]) == 2

@@ -9,6 +9,7 @@ round-trip through :class:`~repro.service.ServiceServer`.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import socket
 import threading
@@ -174,13 +175,14 @@ class TestExecutorSharing:
         service = AnalysisService(
             store=BoundStore(tmp_path / "store"), executor="thread", n_jobs=2
         )
+        assert service.executor.name == "thread"
         events_for(service, request_line(kernels=["gemm"], config={"max_depth": 0}))
-        shared = service._default_executor()
-        assert shared is not None and shared.name == "thread"
+        pool = service.executor._pool
+        assert pool is not None
         events_for(service, request_line(kernels=["atax"], config={"max_depth": 0}))
-        assert service._default_executor() is shared, "pool must be reused"
+        assert service.executor._pool is pool, "pool must be reused"
         service.close()
-        assert service._shared is None
+        assert service.executor._pool is None
         service.close()  # idempotent
 
     def test_live_executor_instance_stays_callers(self, tmp_path):
@@ -191,9 +193,12 @@ class TestExecutorSharing:
             service = AnalysisService(
                 store=BoundStore(tmp_path / "store"), executor=executor
             )
+            assert service.executor is executor
             events_for(service, request_line(kernels=["gemm"], config={"max_depth": 0}))
+            pool = executor._pool
             service.close()  # must NOT close the caller's executor
-            assert list(executor.map(lambda x: x + 1, [1, 2])) is not None
+            assert executor._pool is pool is not None
+            assert executor.submit(lambda x: x + 1, 1).result() == 2
         finally:
             executor.close()
 
@@ -563,45 +568,46 @@ class TestConcurrentTCP:
 
 class TestSharedStateRaces:
     def test_lazy_pool_init_race_resolves_exactly_one_pool(self, monkeypatch):
-        """Two concurrent first requests must not both observe `_shared is
-        None` and leak a pool: widen the resolve window and hammer it."""
-        import repro.service as service_module
-        from repro.analysis.executor import resolve_executor as real_resolve
+        """Racing first submits on one shared executor must not each create
+        a pool and leak all but one: widen the creation window and hammer
+        it."""
+        from repro.analysis import ThreadExecutor
 
         created = []
 
-        def slow_resolve(executor=None, n_jobs=1):
+        def slow_pool(max_workers):
             time.sleep(0.05)  # widen the race window
-            instance = real_resolve(executor, n_jobs)
-            created.append(instance)
-            return instance
+            pool = concurrent.futures.ThreadPoolExecutor(max_workers=max_workers)
+            created.append(pool)
+            return pool
 
-        monkeypatch.setattr(service_module, "resolve_executor", slow_resolve)
-        service = AnalysisService(executor="thread", n_jobs=2)
-        seen: list[object] = []
+        monkeypatch.setattr(ThreadExecutor, "_pool_factory", staticmethod(slow_pool))
+        executor = ThreadExecutor(n_jobs=2)
+        results: list[int] = []
         barrier = threading.Barrier(8)
 
-        def grab() -> None:
+        def first_submit(value: int) -> None:
             barrier.wait(timeout=30)
-            seen.append(service._default_executor())
+            results.append(executor.submit(abs, -value).result())
 
-        threads = [threading.Thread(target=grab) for _ in range(8)]
+        threads = [threading.Thread(target=first_submit, args=(n,)) for n in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        assert len(created) == 1, "racing first requests leaked executor pools"
-        assert len({id(instance) for instance in seen}) == 1
-        service.close()
+        assert len(created) == 1, "racing first submits leaked executor pools"
+        assert sorted(results) == list(range(8))
+        executor.close()
 
     def test_racing_closers_close_the_shared_pool_exactly_once(self, tmp_path):
         service = AnalysisService(
             store=BoundStore(tmp_path / "store"), executor="thread", n_jobs=2
         )
-        shared = service._default_executor()
-        closes: list[int] = []
-        original_close = shared.close
-        shared.close = lambda: (closes.append(1), original_close())  # type: ignore[method-assign]
+        events_for(service, request_line(kernels=["gemm"], config={"max_depth": 0}))
+        pool = service.executor._pool
+        shutdowns: list[int] = []
+        original_shutdown = pool.shutdown
+        pool.shutdown = lambda **kwargs: (shutdowns.append(1), original_shutdown(**kwargs))  # type: ignore[method-assign]
         barrier = threading.Barrier(6)
 
         def racer() -> None:
@@ -613,5 +619,5 @@ class TestSharedStateRaces:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        assert len(closes) == 1, "concurrent close() callers double-closed the pool"
-        assert service._shared is None
+        assert len(shutdowns) == 1, "concurrent close() callers double-closed the pool"
+        assert service.executor._pool is None
