@@ -82,8 +82,7 @@ from .analysis import (
     AnalysisConfig,
     Analyzer,
     BoundStore,
-    derivation_count,
-    reset_derivation_count,
+    StreamCounters,
     save_results,
 )
 from .analysis.executor import EXECUTOR_NAMES
@@ -122,6 +121,11 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "--instance", nargs="*", default=(), metavar="NAME=VALUE",
         help="heuristic ranking instance overrides (e.g. Ni=1000 S=512)",
     )
+
+
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """How a command runs: its executor, worker count and bound store."""
+    group = parser.add_argument_group("execution")
     group.add_argument(
         "--executor", choices=EXECUTOR_NAMES, default=None,
         help="task executor: serial (default), thread (one shared thread "
@@ -131,8 +135,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="parallel workers for the task executor (threads or processes, "
-             "depending on --executor); every (statement x strategy x depth) "
-             "derivation task is scheduled independently",
+             "depending on --executor)",
     )
     group.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -144,9 +147,18 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _kernels_or_exit(requested: Sequence[str] | None) -> list[str]:
+    """The requested kernels (default: the whole suite); an unknown name exits."""
+    names = list(requested) if requested else kernel_names()
+    unknown = sorted(set(names) - set(kernel_names()))
+    if unknown:
+        raise SystemExit(f"unknown kernels: {unknown}; see `python -m repro kernels`")
+    return names
+
+
 def _store_for(args: argparse.Namespace) -> BoundStore | None:
     """The bound store a CLI run memoises through (None with ``--no-cache``)."""
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
     return BoundStore(args.cache_dir)  # None root -> $REPRO_STORE / ~/.cache/repro
 
@@ -164,10 +176,7 @@ def _config_for(args: argparse.Namespace, spec_max_depth: int) -> AnalysisConfig
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.kernel not in kernel_names():
-        raise SystemExit(
-            f"unknown kernel {args.kernel!r}; see `python -m repro kernels`"
-        )
+    _kernels_or_exit([args.kernel])
     spec = get_kernel(args.kernel)
     config = _config_for(args, spec.max_depth)
     result = Analyzer(config, store=_store_for(args)).analyze(
@@ -199,10 +208,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    names = args.kernels if args.kernels else kernel_names()
-    unknown = sorted(set(names) - set(kernel_names()))
-    if unknown:
-        raise SystemExit(f"unknown kernels: {unknown}; see `python -m repro kernels`")
+    names = _kernels_or_exit(args.kernels)
 
     overrides: dict = {
         "instance": _parse_instance(args.instance),
@@ -215,7 +221,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         overrides["strategies"] = tuple(args.strategies)
 
     store = _store_for(args)
-    reset_derivation_count()
+    # This run's own work, not a delta of the process-wide counters.
+    counters = StreamCounters()
 
     # Rows stream in completion order: the scheduler fires each kernel's
     # combine as its last task lands, so early bounds print while later
@@ -224,7 +231,12 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     print("-" * 72)
     analyses = {}
     for analysis in analyze_suite_stream(
-        names, n_jobs=args.jobs, executor=args.executor, store=store, **overrides
+        names,
+        n_jobs=args.jobs,
+        executor=args.executor,
+        store=store,
+        counters=counters,
+        **overrides,
     ):
         analyses[analysis.spec.name] = analysis
         result = analysis.result
@@ -234,7 +246,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    derived = derivation_count()
+    derived = counters.derivations
     if store is not None:
         # Session counters only — stats() would scan the whole store on disk.
         print(f"derivations: {derived} (store hits: {store.hits}, root: {store.root})")
@@ -259,10 +271,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .sets.backend import get_backend
     from .sets.counting import count_backend
 
-    names = args.kernels if args.kernels else kernel_names()
-    unknown = sorted(set(names) - set(kernel_names()))
-    if unknown:
-        raise SystemExit(f"unknown kernels: {unknown}; see `python -m repro kernels`")
+    names = _kernels_or_exit(args.kernels)
 
     # A cold, serial, in-process run: no persistent store, no worker
     # processes (process-pool workers keep their own counters, which would
@@ -303,10 +312,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    names = args.kernels if args.kernels else kernel_names()
-    unknown = sorted(set(names) - set(kernel_names()))
-    if unknown:
-        raise SystemExit(f"unknown kernels: {unknown}; see `python -m repro kernels`")
+    names = _kernels_or_exit(args.kernels)
 
     store = _store_for(args)
     report = tightness_report(
@@ -537,6 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the result as JSON to FILE ('-' for stdout)")
     analyze.add_argument("--verbose", action="store_true", help="print the derivation log")
     _add_config_arguments(analyze)
+    _add_run_arguments(analyze)
     analyze.set_defaults(handler=_cmd_analyze)
 
     suite = commands.add_parser("suite", help="analyze many kernels, persist as JSON")
@@ -545,6 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--json", default=None, metavar="FILE",
                        help="write all results as one JSON document")
     _add_config_arguments(suite)
+    _add_run_arguments(suite)
     suite.set_defaults(handler=_cmd_suite)
 
     report = commands.add_parser(
@@ -576,21 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--json", action="store_true",
                         help="emit the report as a JSON document on stdout")
-    report.add_argument(
-        "--executor", choices=EXECUTOR_NAMES, default=None,
-        help="executor for derivations and simulations (default: serial; "
-             "unset picks process when --jobs > 1)",
-    )
-    report.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers for the executor")
-    report.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="bound store root (default: $REPRO_STORE or ~/.cache/repro)",
-    )
-    report.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent bound store for this run",
-    )
+    _add_run_arguments(report)
     report.set_defaults(handler=_cmd_report)
 
     profile = commands.add_parser(
@@ -628,23 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", metavar="HOST",
         help="bind address for --port (default: 127.0.0.1)",
     )
-    serve.add_argument(
-        "--executor", choices=EXECUTOR_NAMES, default=None,
-        help="task executor shared by every request (default: serial; "
-             "unset picks process when --jobs > 1)",
-    )
-    serve.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker count of the shared executor",
-    )
-    serve.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="bound store root (default: $REPRO_STORE or ~/.cache/repro)",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true",
-        help="serve without the persistent bound store (every request derives)",
-    )
+    _add_run_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     from .fuzz import PROFILES, oracle_names

@@ -18,8 +18,9 @@ This package is the public entry point for deriving I/O lower bounds
   :class:`Executor` (``submit`` one task, get a future back:
   :class:`SerialExecutor`, :class:`ThreadExecutor`,
   :class:`ProcessExecutor`; chosen at the call with ``executor=`` and
-  ``n_jobs=``, never by the config) by an event-driven scheduler
-  (:func:`schedule_plans`: one ready queue per batch, fewest-remaining
+  ``n_jobs=``, never by the config; :func:`lease_executor` is the one
+  rule for who closes it) by an event-driven scheduler
+  (:func:`schedule_work`: one ready queue per batch, fewest-remaining
   priority, combine-on-last-task), with results combined in plan order so
   every executor and scheduling produces byte-identical bounds;
 * :func:`stream_analyses` — the one derivation driver: plan every job,
@@ -57,7 +58,7 @@ from .analyzer import (
     stream_analyses,
     task_derivation_count,
 )
-from .scheduler import StreamCounters, WorkItem, schedule_plans, schedule_work
+from .scheduler import StreamCounters, WorkItem, schedule_work
 from .config import (
     DEFAULT_CACHE_SIZE,
     DEFAULT_GAMMA,
@@ -72,6 +73,7 @@ from .executor import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
+    lease_executor,
     resolve_executor,
 )
 from .plan import (
@@ -138,6 +140,7 @@ __all__ = [
     "default_store_root",
     "derivation_count",
     "get_strategy",
+    "lease_executor",
     "load_results",
     "parse_size",
     "plan_program",
@@ -151,7 +154,6 @@ __all__ = [
     "results_from_document",
     "results_to_document",
     "save_results",
-    "schedule_plans",
     "schedule_work",
     "stream_analyses",
     "task_derivation_count",

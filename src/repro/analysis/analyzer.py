@@ -7,12 +7,13 @@ executed.  A derivation is an explicit three-stage pipeline:
 1. **plan** — :func:`repro.analysis.plan.plan_program` asks every configured
    strategy for its independent :class:`~repro.analysis.plan.DerivationTask`
    units (one per statement x strategy x depth);
-2. **schedule** — :func:`repro.analysis.scheduler.schedule_plans` runs the
-   whole batch's tasks through one event loop over a pluggable
-   :class:`~repro.analysis.executor.Executor` (serial, thread pool or
-   process pool, chosen by the caller with ``executor=``/``n_jobs=``),
-   memoising each finished task in the
+2. **schedule** — :func:`repro.analysis.scheduler.schedule_work` runs the
+   whole batch's tasks, one work group per program, through one event loop
+   over a pluggable :class:`~repro.analysis.executor.Executor` (serial,
+   thread pool or process pool, chosen by the caller with
+   ``executor=``/``n_jobs=``), memoising each finished task in the
    :class:`~repro.analysis.store.BoundStore` keyed by its task fingerprint
+   (the store read decodes it, so an entry that does not decode is a miss)
    and handing each program's task set back the moment its last task lands;
 3. **combine** — :func:`combine_plan` merges the task results **in plan
    order** (never completion order) through the decomposition lemma, so the
@@ -32,6 +33,7 @@ every kernel's tasks in one work queue instead of paying a pool per program.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -45,19 +47,22 @@ from .executor import Executor
 from .plan import (
     DerivationPlan,
     TaskResult,
+    dfg_for,
     plan_program,
     program_fingerprint,
 )
 from .scheduler import (
     StreamCounters,
-    _count_program_derivation,
+    WorkItem,
+    count_work,
     derivation_count,
     reset_derivation_count,
     reset_task_derivation_count,
-    schedule_plans,
+    schedule_work,
     task_derivation_count,
 )
 from .store import DERIVATION_VERSION, BoundStore
+from .strategies import get_strategy
 
 __all__ = [
     "Analyzer",
@@ -130,6 +135,20 @@ def result_key(program: AffineProgram, config: AnalysisConfig) -> str:
     return f"{program_fingerprint(program)}-{config_digest[:16]}"
 
 
+def _execute_payload(payload: tuple) -> TaskResult:
+    """Module-level task entry point (must be picklable for process pools).
+
+    The DFG comes from the per-process cache shared with the planner
+    (:func:`repro.analysis.plan.dfg_for`): in-process executors reuse the
+    plan-time DFG, a pool worker builds it once per program.  The plan's
+    fingerprint rides along so the cache lookup never re-hashes the program.
+    """
+    program, config, task, fingerprint = payload
+    dfg = dfg_for(program, fingerprint)
+    instance = config.heuristic_instance(program.params)
+    return get_strategy(task.strategy).run_task(dfg, config, instance, task)
+
+
 def stream_analyses(
     jobs: Sequence[tuple[AffineProgram, AnalysisConfig]],
     executor: Executor | str | None = None,
@@ -141,16 +160,18 @@ def stream_analyses(
 
     The engine under :class:`Analyzer` (one config, many programs) and
     :func:`repro.polybench.analyze_suite_stream` (per-kernel configs): every
-    job's tasks enter one :func:`~repro.analysis.scheduler.schedule_plans`
-    ready queue, and a job's bound is combined and yielded the moment its
-    last task lands — while other jobs' tasks are still running.  A per-stream
+    job is planned, its tasks become one work group of one
+    :func:`~repro.analysis.scheduler.schedule_work` ready queue, and a job's
+    bound is combined and yielded the moment its last task lands — while
+    other jobs' tasks are still running.  A per-stream
     :class:`~repro.analysis.scheduler.StreamCounters` counts only *this*
-    stream's derivations — the process-global :func:`derivation_count`
-    aggregates over every stream running concurrently in the process, so a
-    concurrent front-end must account per stream, never by global deltas.
+    stream's derivations and tasks — the process-global
+    :func:`derivation_count` aggregates over every stream running
+    concurrently in the process, so a concurrent front-end must account per
+    stream, never by global deltas.
 
     ``executor``/``n_jobs`` choose how the whole batch runs (see
-    :func:`~repro.analysis.executor.resolve_executor`); the configs only say
+    :func:`~repro.analysis.executor.lease_executor`); the configs only say
     what each job derives.
 
     Ordering: store-satisfied jobs first (in job order — a warm job never
@@ -182,10 +203,30 @@ def stream_analyses(
     groups = list(by_key.values())
 
     plans = [plan_program(*jobs[indices[0]]) for indices in groups]
-    for plan_index, task_results in schedule_plans(
-        plans, executor=executor, n_jobs=n_jobs, store=store, counters=counters
+    work = [
+        [
+            WorkItem(
+                (plan.program, plan.config, task, plan.fingerprint),
+                plan.task_key(task) if store is not None else None,
+            )
+            for task in plan.tasks
+        ]
+        for plan in plans
+    ]
+    for plan_index, task_results in schedule_work(
+        work,
+        _execute_payload,
+        executor=executor,
+        n_jobs=n_jobs,
+        store_get=None if store is None else partial(
+            store.get_task, decode=TaskResult.from_dict
+        ),
+        store_put=None if store is None else (
+            lambda key, task_result: store.put_task(key, task_result.to_dict())
+        ),
+        on_executed=partial(count_work, "task_derivations", counters),
     ):
-        _count_program_derivation(counters)
+        count_work("derivations", counters)
         result = combine_plan(plans[plan_index], task_results)
         indices = groups[plan_index]
         _program, config = jobs[indices[0]]
@@ -249,10 +290,6 @@ class Analyzer:
             [(program, self.config)], executor=executor, n_jobs=n_jobs, store=self.store
         )
         return result
-
-    def plan(self, program: AffineProgram) -> DerivationPlan:
-        """The derivation plan this analyzer would execute for ``program``."""
-        return plan_program(program, self.config)
 
     # -- batch entry points ---------------------------------------------------
 

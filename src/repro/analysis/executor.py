@@ -38,6 +38,11 @@ Selection: :func:`resolve_executor` takes an explicit instance or name,
 otherwise ``"process"`` when ``n_jobs > 1`` and ``"serial"`` otherwise.
 The caller chooses at the call (``analyze(program, executor=..., n_jobs=...)``);
 the :class:`~repro.analysis.AnalysisConfig` never does.
+
+Lifetime: :func:`lease_executor` is the one ownership rule every entry point
+(the scheduler, the tiling search, the tightness report, the service) goes
+through — a name or ``None`` is resolved there and its release closes it; a
+live instance stays the caller's, and its release does nothing.
 """
 
 from __future__ import annotations
@@ -185,3 +190,18 @@ def resolve_executor(
             f"unknown executor {name!r}; expected one of {EXECUTOR_NAMES}"
         ) from None
     return cls(n_jobs=n_jobs)
+
+
+def lease_executor(
+    executor: "Executor | str | None" = None, n_jobs: int = 1
+) -> tuple[Executor, Callable[[], None]]:
+    """Resolve ``executor`` and return it with the callable that releases it.
+
+    A name or ``None`` is resolved here, and the release closes the pool it
+    gets (cancelling anything still queued); a live instance stays the
+    caller's to close, and its release does nothing.
+    """
+    resolved = resolve_executor(executor, n_jobs)
+    if executor is None or isinstance(executor, str):
+        return resolved, resolved.close
+    return resolved, lambda: None

@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..core.bounds import SubBound
 from ..ir import AffineProgram, DFG
@@ -73,11 +74,41 @@ def program_fingerprint(program: AffineProgram) -> str:
     return digest.hexdigest()
 
 
-# -- per-process DFG cache ----------------------------------------------------
+# -- per-process program caches ----------------------------------------------
 
-_DFG_CACHE_LIMIT = 8
-_dfg_cache_lock = threading.Lock()
-_dfg_cache: dict[str, DFG] = {}
+
+class ProgramCache:
+    """A bounded, thread-safe, per-process LRU of objects built from a program.
+
+    Keyed by the program fingerprint plus any extra hashable key parts, which
+    ``build(program, *extra)`` receives too.  Callers that already hold the
+    fingerprint pass it along so a lookup never re-hashes the program.  Two
+    threads missing the same key may both build it; the last one wins.
+    """
+
+    def __init__(self, build: Callable[..., Any], limit: int = 8):
+        self._build = build
+        self._limit = limit
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, Any] = OrderedDict()
+
+    def get(self, program: AffineProgram, fingerprint: str | None = None, *extra) -> Any:
+        if fingerprint is None:
+            fingerprint = program_fingerprint(program)
+        key = (fingerprint, *extra)
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]
+        value = self._build(program, *extra)
+        with self._lock:
+            self._entries[key] = value
+            while len(self._entries) > self._limit:
+                self._entries.popitem(last=False)
+        return value
+
+
+_DFGS = ProgramCache(DFG.from_program)
 
 
 def dfg_for(program: AffineProgram, fingerprint: str | None = None) -> DFG:
@@ -89,17 +120,7 @@ def dfg_for(program: AffineProgram, fingerprint: str | None = None) -> DFG:
     serially, or serving a worker pool.  Bounded so a long-lived service
     cannot leak programs.
     """
-    key = fingerprint if fingerprint is not None else program_fingerprint(program)
-    with _dfg_cache_lock:
-        cached = _dfg_cache.get(key)
-    if cached is not None:
-        return cached
-    dfg = DFG.from_program(program)
-    with _dfg_cache_lock:
-        while len(_dfg_cache) >= _DFG_CACHE_LIMIT:
-            _dfg_cache.pop(next(iter(_dfg_cache)))
-        _dfg_cache[key] = dfg
-    return dfg
+    return _DFGS.get(program, fingerprint)
 
 
 @dataclass(frozen=True)
@@ -150,19 +171,9 @@ class TaskResult:
         }
 
     @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], task: DerivationTask | None = None
-    ) -> "TaskResult":
-        """Rebuild a result; ``task`` (when given) overrides the stored one.
-
-        Store lookups pass the *planned* task: the store key already binds
-        the coordinates, and the planned object keeps ``is`` identity with
-        the plan.
-        """
-        if task is None:
-            task = DerivationTask.from_dict(data["task"])
+    def from_dict(cls, data: Mapping[str, Any]) -> "TaskResult":
         return cls(
-            task=task,
+            task=DerivationTask.from_dict(data["task"]),
             sub_bounds=[SubBound.from_dict(entry) for entry in data.get("sub_bounds", [])],
             log=list(data.get("log", [])),
         )

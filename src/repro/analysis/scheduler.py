@@ -1,129 +1,108 @@
-"""Event-driven streaming scheduler: the *when* of the derivation pipeline.
+"""Event-driven streaming scheduler: the *when* of every batch of work.
 
-:mod:`repro.analysis.plan` makes a derivation an explicit list of independent
-tasks and :mod:`repro.analysis.executor` decides where they run; this module
-decides **when** — and, crucially, when each program's *combine* step fires.
-:func:`schedule_plans` runs one event loop over the union of every plan's
-tasks, so no program waits for the whole batch before combining:
+:func:`schedule_work` is the one engine behind derivation tasks
+(:func:`repro.analysis.analyzer.stream_analyses`), the cache simulations of
+the tiling search (:mod:`repro.upper.search`) and fuzz cases
+(:mod:`repro.fuzz.runner`).  It schedules groups of :class:`WorkItem`\\ s —
+a picklable payload plus an optional store key — through one event loop:
 
-* all tasks of all plans enter a single **ready queue**;
-* workers pull tasks in **priority order** — fewest-remaining-tasks-per-program
-  first (ties broken by plan position, then task position, so scheduling is
-  reproducible) — which drains small programs early instead of striping
-  round-robin across the batch;
-* each plan's results are collected as its tasks land, and the moment a
-  plan's **last task** completes the plan is yielded to the caller — so
-  program 1's bound streams out while program 30's tasks are still running.
-
-Determinism is inherited from the plan layer, not re-derived here: a plan's
-task results are yielded **in plan order** whatever order they completed in,
-so combining a yielded plan produces byte-identical bounds on every executor
-and every scheduling (the CI-enforced invariant of PR 4).  The only thing
-that varies across schedulers is the order *between* plans — completion
-order by construction — which never reaches a bound's content.
+* every group's items enter a single **ready queue**;
+* items are handed out in **priority order** — fewest unfinished items per
+  group first (ties broken by group position, then item position, so
+  scheduling is reproducible) — which drains small groups early instead of
+  striping round-robin across the batch;
+* a group is yielded the moment its **last item** lands, with its results
+  listed **in item order** — so program 1's bound streams out while program
+  30's tasks are still running, and the downstream combine is
+  byte-identical on every executor and every scheduling.  Only the order
+  *between* groups depends on completion order, and it never reaches a
+  bound's content.
 
 Every executor takes part the same way, through ``submit``: at most
-``n_jobs`` tasks are in flight, refilled in priority order as completions
+``n_jobs`` items are in flight, refilled in priority order as completions
 arrive (:func:`concurrent.futures.wait`).  The serial executor finishes each
-future inside ``submit``, so with ``n_jobs == 1`` the loop runs the tasks one
-at a time in priority order and fires each plan's combine as its last task
-lands.  A ``store`` short-circuits the loop: tasks already present are
-reloaded during enqueue, plans that become complete without executing
-anything are yielded immediately (this is what gives a warm service request
-sub-millisecond turnaround), and freshly executed tasks are persisted one by
-one as they complete, so an interrupted run resumes from every finished
-task.
+future inside ``submit``, so with ``n_jobs == 1`` the loop runs the items
+one at a time in priority order.
 
-On any failure — a task raising, or the consumer abandoning the stream —
-not-yet-started futures are cancelled and owned executors are closed
-(:meth:`~repro.analysis.executor._PoolExecutor.close` also cancels anything
-still queued in the pool), so a Ctrl-C'd run leaves no orphan workers.
+Memoisation: ``store_get(key)`` is looked up for every keyed item during
+enqueue and returns the *decoded* value or ``None`` — decoding happens in the
+:class:`~repro.analysis.store.BoundStore` read, which counts a hit only when
+the entry decodes.  Groups fully satisfied by the store are yielded before
+anything executes (this is what gives a warm service request
+sub-millisecond turnaround), and freshly executed items are persisted one
+by one through ``store_put`` as they complete, so an interrupted run resumes
+from every finished item.
 
-The event loop itself is generic: :func:`schedule_work` schedules groups of
-:class:`WorkItem`\\ s — any picklable payload plus an optional store key —
-and :func:`schedule_plans` is its derivation adapter.  The tiling search of
-:mod:`repro.upper.search` reuses the same engine for cache simulations, so
-upper-bound searches parallelise, memoise and resume exactly like
-derivations do.
+On any failure — an item raising, or the consumer abandoning the stream —
+not-yet-started futures are cancelled, and an executor given by name (or
+``None``) is closed through :func:`~repro.analysis.executor.lease_executor`
+(pool ``close`` also cancels anything still queued), so a Ctrl-C'd run
+leaves no orphan workers.
+
+Work counters: :class:`StreamCounters` is the one counter object.  The
+process-wide instance backs :func:`derivation_count`,
+:func:`task_derivation_count` and :func:`repro.upper.simulation_count`; a
+caller that must report its own work — a ``serve`` request, a
+``repro suite`` run, a tightness report — passes its own instance down the
+call chain, and :func:`count_work` bumps it *in addition to* the
+process-wide one.  Counting happens on the requester side, also for work
+that ran in a worker process, so the numbers mean the same thing on every
+executor.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import threading
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .executor import Executor, resolve_executor
-from .plan import DerivationPlan, TaskResult, dfg_for
-from .store import BoundStore
-from .strategies import get_strategy
-
-# -- derivation counters ------------------------------------------------------
-#
-# Two granularities.  The *program* counter backs the warm-store invariant
-# (a warm suite run performs zero derivations); the *task* counter backs
-# resume tests (a half-finished run re-executes only the missing tasks).
-# Both are counted on the requester side — also for tasks that ran in a
-# worker process — so the numbers mean the same thing on every executor.
-#
-# ``_PROCESS_COUNTERS`` is PROCESS-GLOBAL: under a concurrent front-end (the
-# threaded ``repro serve``) two overlapping streams each read the combined
-# total, so "how much work did *this* stream do" must come from a
-# per-stream :class:`StreamCounters` threaded through the call chain
-# instead (``schedule_plans(counters=...)`` → ``stream_analyses`` →
-# ``analyze_suite_stream``).  The global instance keeps backing the
-# single-stream CLI/test invariants.
+from .executor import Executor, lease_executor
 
 
 class StreamCounters:
-    """Thread-safe work counters scoped to one analysis stream.
+    """Thread-safe counts of the work one call chain executed.
 
-    An instance passed down one ``schedule_plans``/``stream_analyses`` call
-    chain counts only that stream's derivations, however many other streams
-    are running concurrently in the process — which is what a per-request
-    ``done`` event must report.  Counting happens *in addition to* the
-    process-global counters, never instead of them.
+    ``derivations`` counts program derivations not served from the result
+    store (task-level hits do not make one free: the plan and the combine
+    still run), ``task_derivations`` the derivation tasks executed and
+    ``simulations`` the cache simulations executed.  Store hits never count.
+    An instance passed down one call chain counts only that chain's work,
+    however many others run concurrently in the process.
     """
 
-    __slots__ = ("_lock", "_derivations", "_task_derivations")
+    __slots__ = ("_lock", "derivations", "task_derivations", "simulations")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._derivations = 0
-        self._task_derivations = 0
+        self.derivations = 0
+        self.task_derivations = 0
+        self.simulations = 0
 
-    @property
-    def derivations(self) -> int:
-        """Full program derivations this stream performed (store hits excluded)."""
-        return self._derivations
-
-    @property
-    def task_derivations(self) -> int:
-        """Individual derivation tasks this stream executed (store hits excluded)."""
-        return self._task_derivations
-
-    def count_derivation(self) -> None:
+    def add(self, name: str, count: int = 1) -> None:
+        """Add ``count`` to the counter ``name``."""
         with self._lock:
-            self._derivations += 1
+            setattr(self, name, getattr(self, name) + count)
 
-    def count_task_derivations(self, count: int = 1) -> None:
+    def reset(self, name: str) -> int:
+        """Zero the counter ``name``; returns its prior value."""
         with self._lock:
-            self._task_derivations += count
-
-    def reset_derivations(self) -> int:
-        """Zero the program counter; returns its prior value."""
-        with self._lock:
-            previous, self._derivations = self._derivations, 0
-        return previous
-
-    def reset_task_derivations(self) -> int:
-        """Zero the task counter; returns its prior value."""
-        with self._lock:
-            previous, self._task_derivations = self._task_derivations, 0
+            previous = getattr(self, name)
+            setattr(self, name, 0)
         return previous
 
 
-_PROCESS_COUNTERS = StreamCounters()
+#: Every stream's work, process-wide.  Under a concurrent front-end two
+#: overlapping streams both show up here, so "how much work did *this* call
+#: do" must come from its own :class:`StreamCounters`, never from a
+#: before/after delta of this instance.
+PROCESS_COUNTERS = StreamCounters()
+
+
+def count_work(name: str, counters: StreamCounters | None = None, count: int = 1) -> None:
+    """Count work process-wide and, when given, on one call's own counters."""
+    PROCESS_COUNTERS.add(name, count)
+    if counters is not None:
+        counters.add(name, count)
 
 
 def derivation_count() -> int:
@@ -133,12 +112,12 @@ def derivation_count() -> int:
     the result-level store (task-level store hits inside a run do not make
     it free: the plan and combination still execute).
     """
-    return _PROCESS_COUNTERS.derivations
+    return PROCESS_COUNTERS.derivations
 
 
 def reset_derivation_count() -> int:
     """Reset the process-wide derivation counter; returns the prior count."""
-    return _PROCESS_COUNTERS.reset_derivations()
+    return PROCESS_COUNTERS.reset("derivations")
 
 
 def task_derivation_count() -> int:
@@ -148,59 +127,24 @@ def task_derivation_count() -> int:
     processes do (they are accounted on the requester side as their results
     arrive, so the granularity is identical across executors).
     """
-    return _PROCESS_COUNTERS.task_derivations
+    return PROCESS_COUNTERS.task_derivations
 
 
 def reset_task_derivation_count() -> int:
     """Reset the process-wide task counter; returns the prior count."""
-    return _PROCESS_COUNTERS.reset_task_derivations()
+    return PROCESS_COUNTERS.reset("task_derivations")
 
 
-def _count_program_derivation(counters: "StreamCounters | None" = None) -> None:
-    _PROCESS_COUNTERS.count_derivation()
-    if counters is not None:
-        counters.count_derivation()
-
-
-def _count_task_derivations(count: int, counters: "StreamCounters | None" = None) -> None:
-    _PROCESS_COUNTERS.count_task_derivations(count)
-    if counters is not None:
-        counters.count_task_derivations(count)
-
-
-def _execute_payload(payload: tuple) -> TaskResult:
-    """Module-level task entry point (must be picklable for process pools).
-
-    The DFG comes from the per-process cache shared with the planner
-    (:func:`repro.analysis.plan.dfg_for`): in-process executors reuse the
-    plan-time DFG, a pool worker builds it once per program.  The plan's
-    fingerprint rides along so the cache lookup never re-hashes the program.
-    """
-    program, config, task, fingerprint = payload
-    dfg = dfg_for(program, fingerprint)
-    instance = config.heuristic_instance(program.params)
-    return get_strategy(task.strategy).run_task(dfg, config, instance, task)
-
-
-# -- the generic work scheduler -----------------------------------------------
-
-
-class WorkItem:
+class WorkItem(NamedTuple):
     """One schedulable unit of work inside a :func:`schedule_work` group.
 
     ``payload`` is what the executor's ``run`` callable receives (it must be
     picklable for process pools); ``key`` is the optional store key under
-    which the item's result is memoised; ``context`` rides along for the
-    ``decode``/``encode`` hooks (e.g. the :class:`DerivationTask` a payload
-    was built from), never crossing a process boundary.
+    which the item's result is memoised.
     """
 
-    __slots__ = ("payload", "key", "context")
-
-    def __init__(self, payload: object, key: str | None = None, context: object = None):
-        self.payload = payload
-        self.key = key
-        self.context = context
+    payload: object
+    key: str | None = None
 
 
 def schedule_work(
@@ -210,45 +154,36 @@ def schedule_work(
     n_jobs: int = 1,
     store_get=None,
     store_put=None,
-    decode=None,
-    encode=None,
     on_executed=None,
 ) -> Iterator[tuple[int, list]]:
     """Stream ``(group_index, results)`` pairs in group-completion order.
 
-    The generic engine behind :func:`schedule_plans` (and the tiling search
-    in :mod:`repro.upper.search`): every group's items enter one ready
-    queue, workers pull items from the group with fewest unfinished items
-    first (ties by group position, then item order), and a group is yielded
-    the moment its last item lands with its results listed **in item
-    order** — byte-deterministic on every executor and scheduling.
+    Every group's items enter one ready queue, items are handed out from the
+    group with fewest unfinished items first (ties by group position, then
+    item order), and a group is yielded the moment its last item lands with
+    its results listed **in item order** — byte-deterministic on every
+    executor and scheduling.
 
-    Memoisation hooks: an item with a ``key`` is looked up via
-    ``store_get(key)`` during enqueue (a hit is passed through
-    ``decode(item, payload)``; decode raising ``KeyError``/``ValueError``/
-    ``TypeError`` counts as a miss and the item re-executes), groups fully
-    satisfied by the store are yielded first by ascending index without
-    executing anything, and freshly executed results are persisted one by
-    one via ``store_put(key, encode(item, result))``.  ``on_executed()``
-    fires once per actually-executed item, on the requester side, so
-    counters mean the same thing on every executor.
+    Memoisation: an item with a ``key`` is looked up via ``store_get(key)``
+    during enqueue — it returns the decoded result, or ``None`` for a miss —
+    groups fully satisfied by the store are yielded first by ascending index
+    without executing anything, and freshly executed results are persisted
+    one by one via ``store_put(key, result)``.  ``on_executed()`` fires once
+    per actually-executed item, on the requester side.
 
-    An ``executor`` given by name (or ``None``, resolved with ``n_jobs``)
-    is owned by the scheduler and closed when the stream ends, errors, or
-    is abandoned; a live instance stays the caller's to close.
+    ``executor`` and ``n_jobs`` go through
+    :func:`~repro.analysis.executor.lease_executor`: a name or ``None`` is
+    closed when the stream ends, errors, or is abandoned; a live instance
+    stays the caller's to close.
     """
-    material = [list(group) for group in groups]
-    if not material:
+    groups = [list(group) for group in groups]
+    if not groups:
         return
-    owns_executor = executor is None or isinstance(executor, str)
-    resolved = resolve_executor(executor, n_jobs)
+    executor, release = lease_executor(executor, n_jobs)
     try:
-        yield from _run_event_loop(
-            material, run, resolved, store_get, store_put, decode, encode, on_executed
-        )
+        yield from _run_event_loop(groups, run, executor, store_get, store_put, on_executed)
     finally:
-        if owns_executor:
-            resolved.close()
+        release()
 
 
 def _run_event_loop(
@@ -257,8 +192,6 @@ def _run_event_loop(
     executor: Executor,
     store_get,
     store_put,
-    decode,
-    encode,
     on_executed,
 ) -> Iterator[tuple[int, list]]:
     results: list[list] = [[None] * len(group) for group in groups]
@@ -271,15 +204,10 @@ def _run_event_loop(
         todo: list[int] = []
         for item_index, item in enumerate(group):
             if store_get is not None and item.key is not None:
-                payload = store_get(item.key)
-                if payload is not None:
-                    try:
-                        results[group_index][item_index] = (
-                            decode(item, payload) if decode is not None else payload
-                        )
-                        continue
-                    except (KeyError, ValueError, TypeError):
-                        pass  # unreadable entry: fall through and re-execute
+                stored = store_get(item.key)
+                if stored is not None:
+                    results[group_index][item_index] = stored
+                    continue
             todo.append(item_index)
         remaining[group_index] = len(todo)
         if todo:
@@ -310,7 +238,7 @@ def _run_event_loop(
         if store_put is not None and item.key is not None:
             # Persist immediately: completion order does not matter for
             # correctness, and a crash loses only in-flight items.
-            store_put(item.key, encode(item, result) if encode is not None else result)
+            store_put(item.key, result)
         remaining[group_index] -= 1
         return remaining[group_index] == 0
 
@@ -336,62 +264,7 @@ def _run_event_loop(
     except BaseException:
         # A failing item (or an abandoned consumer) must not strand queued
         # work: cancel whatever has not started.  Running tasks finish in
-        # the pool; the owning close() below reaps the workers themselves.
+        # the pool; the lease's release reaps the workers themselves.
         for future in in_flight:
             future.cancel()
         raise
-
-
-# -- the derivation adapter ---------------------------------------------------
-
-
-def schedule_plans(
-    plans: Sequence[DerivationPlan],
-    executor: "Executor | str | None" = None,
-    n_jobs: int = 1,
-    store: BoundStore | None = None,
-    counters: "StreamCounters | None" = None,
-) -> Iterator[tuple[int, list[TaskResult]]]:
-    """Stream ``(plan_index, task_results)`` pairs in plan-completion order.
-
-    Every plan's tasks enter one ready queue; a plan is yielded the moment
-    its last task lands, with its results listed **in plan order** (so the
-    downstream combine is byte-deterministic).  Plans fully satisfied by the
-    ``store`` are yielded first, by ascending plan index, without executing
-    anything.
-
-    ``executor`` and ``n_jobs`` go straight to :func:`schedule_work`: a name
-    (or ``None``) is resolved and owned there — closed, cancelling anything
-    still queued, when the stream ends, errors, or is abandoned — while a
-    live instance stays the caller's to close.
-
-    Implemented as an adapter over the generic :func:`schedule_work` engine:
-    one :class:`WorkItem` per :class:`DerivationTask`, memoised through the
-    store's ``kind="task"`` entries and counted by
-    :func:`task_derivation_count` — plus, when a per-stream
-    :class:`StreamCounters` is given, on that stream's own counters (the
-    concurrent service reports each request's work from these, since the
-    process-global counters aggregate over all concurrent requests).
-    """
-    groups = [
-        [
-            WorkItem(
-                payload=(plan.program, plan.config, task, plan.fingerprint),
-                key=plan.task_key(task) if store is not None else None,
-                context=task,
-            )
-            for task in plan.tasks
-        ]
-        for plan in plans
-    ]
-    yield from schedule_work(
-        groups,
-        _execute_payload,
-        executor=executor,
-        n_jobs=n_jobs,
-        store_get=store.get_task if store is not None else None,
-        store_put=store.put_task if store is not None else None,
-        decode=lambda item, payload: TaskResult.from_dict(payload, task=item.context),
-        encode=lambda item, task_result: task_result.to_dict(),
-        on_executed=lambda: _count_task_derivations(1, counters),
-    )

@@ -24,7 +24,12 @@ JSON cache of the first ``Analyzer`` iteration with a first-class store:
 * **concurrent-writer safety** — writes go through a temporary file in the
   destination shard followed by an atomic :func:`os.replace`; readers treat
   missing, truncated or unparseable entries as misses, so any number of
-  writers and readers can share a store without locks.
+  writers and readers can share a store without locks;
+* **one decode path** — every read (:meth:`BoundStore.get`,
+  :meth:`~BoundStore.get_task`, :meth:`~BoundStore.get_simulation`) checks
+  the envelope and decodes the body with its kind's decoder, and counts a
+  hit only when the body decodes, so the session hit/miss counters are
+  true.
 
 Maintenance is exposed programmatically (:meth:`stats`, :meth:`gc`,
 :meth:`clear`) and on the command line::
@@ -45,7 +50,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from ..core.bounds import IOBoundResult
 
@@ -88,6 +93,11 @@ _ARCHIVE_MEMBER_PATTERN = re.compile(
 #: every this many writes — a sweep walks and stats the whole store, so
 #: running it per write would make batch derivation quadratic in store size.
 GC_WRITE_INTERVAL = 8
+
+#: The envelope field holding each entry kind's body.
+_BODY_FIELDS = {"result": "result", "task": "task_result", "simulation": "simulation"}
+
+T = TypeVar("T")
 
 
 def default_store_root() -> Path:
@@ -225,18 +235,37 @@ class BoundStore:
 
     def get(self, key: str) -> IOBoundResult | None:
         """Look up a result; any unreadable or foreign entry is a miss."""
+        return self._read(key, "result", IOBoundResult.from_dict)
+
+    def _read(self, key: str, kind: str, decode: Callable[[dict], T]) -> T | None:
+        """The one read path: envelope, kind and body checks, then ``decode``.
+
+        A hit is counted only once the body decodes: an entry that is
+        missing, truncated, envelope-less, of another kind, or whose body
+        ``decode`` rejects (``KeyError``/``ValueError``/``TypeError``) is a
+        miss, and the caller recomputes it.
+        """
         path = self.path_for(key)
         payload = _read_json(path)
-        if payload is not None and payload.get("kind", "result") != "result":
-            # A task-level entry living under a colliding key is not a result.
-            payload = None
-        result = None if payload is None else _result_from_payload(payload)
-        if result is None:
+        value = None
+        if (
+            payload is not None
+            and _entry_schema(payload) == STORE_SCHEMA
+            # Result envelopes predate the kind field: no kind means "result".
+            and payload.get("kind", "result") == kind
+        ):
+            body = payload.get(_BODY_FIELDS[kind])
+            if isinstance(body, dict):
+                try:
+                    value = decode(body)
+                except (KeyError, ValueError, TypeError):
+                    value = None
+        if value is None:
             self._count_miss()
             return None
         _touch(path)  # bump atime explicitly: LRU works on noatime mounts
         self._count_hit()
-        return result
+        return value
 
     def contains(self, key: str) -> bool:
         return self.path_for(key).exists()
@@ -270,30 +299,10 @@ class BoundStore:
 
     # -- kinded sub-result entries (tasks, simulations) -----------------------
 
-    def _get_kinded(self, key: str, kind: str, body_field: str) -> dict | None:
-        """Shared read path for non-result entry kinds (task, simulation)."""
-        path = self.path_for(key)
-        payload = _read_json(path)
-        if (
-            payload is None
-            or _entry_schema(payload) != STORE_SCHEMA
-            or payload.get("kind") != kind
-        ):
-            self._count_miss()
-            return None
-        body = payload.get(body_field)
-        if not isinstance(body, dict):
-            self._count_miss()
-            return None
-        _touch(path)
-        self._count_hit()
-        return body
-
     def _put_kinded(
         self,
         key: str,
         kind: str,
-        body_field: str,
         payload: Mapping[str, object],
         metadata: Mapping[str, object] | None = None,
     ) -> Path | None:
@@ -301,24 +310,23 @@ class BoundStore:
             "store_schema": STORE_SCHEMA,
             "kind": kind,
             "key": key,
-            body_field: dict(payload),
+            _BODY_FIELDS[kind]: dict(payload),
         }
         if metadata:
             envelope["metadata"] = dict(metadata)
         return self._write_entry(key, envelope)
 
-    def get_task(self, key: str) -> dict | None:
-        """Look up a task-level entry; returns its raw payload dict.
+    def get_task(self, key: str, decode: Callable[[dict], T]) -> T | None:
+        """Look up a task-level entry and decode its body with ``decode``.
 
         Task entries memoise *sub-bound* derivations (one per
         :class:`~repro.analysis.plan.DerivationTask`, keyed by the task
         fingerprint), so a crashed or config-tweaked run resumes from every
-        task that already finished.  The payload is the dict written by
-        :meth:`put_task` (a ``TaskResult.to_dict()``); decoding it back into
-        objects is the planner's job — the store stays schema-agnostic about
-        task internals, exactly as it is about result internals.
+        task that already finished.  The body is the dict written by
+        :meth:`put_task`; the caller passes its decoder (the planner's
+        ``TaskResult.from_dict``), and a body it rejects is a miss.
         """
-        return self._get_kinded(key, "task", "task_result")
+        return self._read(key, "task", decode)
 
     def put_task(
         self,
@@ -327,17 +335,19 @@ class BoundStore:
         metadata: Mapping[str, object] | None = None,
     ) -> Path | None:
         """Write a task-level entry atomically (same guarantees as ``put``)."""
-        return self._put_kinded(key, "task", "task_result", payload, metadata)
+        return self._put_kinded(key, "task", payload, metadata)
 
-    def get_simulation(self, key: str) -> dict | None:
-        """Look up a ``kind="simulation"`` entry; returns its raw payload dict.
+    def get_simulation(self, key: str, decode: Callable[[dict], T]) -> T | None:
+        """Look up a ``kind="simulation"`` entry and decode its body.
 
         Simulation entries memoise cache-simulator runs of the tiling search
         (:mod:`repro.upper.search`), keyed by (program fingerprint x instance
         x cache size x tile x policy).  A warm tightness-report rerun costs
         zero simulations exactly as a warm suite run costs zero derivations.
+        The caller passes the decoder (``TileSimulation.from_dict``), so the
+        store never imports the upper-bound package.
         """
-        return self._get_kinded(key, "simulation", "simulation")
+        return self._read(key, "simulation", decode)
 
     def put_simulation(
         self,
@@ -346,7 +356,7 @@ class BoundStore:
         metadata: Mapping[str, object] | None = None,
     ) -> Path | None:
         """Write a simulation entry atomically (same guarantees as ``put``)."""
-        return self._put_kinded(key, "simulation", "simulation", payload, metadata)
+        return self._put_kinded(key, "simulation", payload, metadata)
 
     def _write_entry(self, key: str, envelope: dict) -> Path | None:
         path = self.path_for(key)
@@ -597,23 +607,6 @@ def _entry_schema(payload: Mapping) -> int:
     """Envelope version of an entry payload (0 when it has no envelope)."""
     schema = payload.get("store_schema", 0)
     return schema if isinstance(schema, int) else 0
-
-
-def _result_from_payload(payload: Mapping) -> IOBoundResult | None:
-    """Decode a result entry; anything but the current envelope is a miss.
-
-    An envelope-less payload (schema 0) and an unknown newer schema are both
-    misses: never guess.  The result lives under ``"result"``.
-    """
-    if _entry_schema(payload) != STORE_SCHEMA:
-        return None
-    body = payload.get("result")
-    if not isinstance(body, Mapping):
-        return None
-    try:
-        return IOBoundResult.from_dict(body)
-    except (KeyError, ValueError, TypeError):
-        return None
 
 
 def _touch(path: Path) -> None:

@@ -110,8 +110,8 @@ def analyze_suite_stream(
     every stream running in the process at once.
     """
     specs = all_kernels() if names is None else [get_kernel(n) for n in names]
-    # A name or None is resolved and owned by the scheduler, so the pool is
-    # closed even on early exit; a live instance stays the caller's to close.
+    # The scheduler leases the executor: a name or None is closed even on
+    # early exit; a live instance stays the caller's to close.
     for index, result in stream_analyses(
         [(spec.program, _kernel_config(spec, config, **kwargs)) for spec in specs],
         executor=executor,

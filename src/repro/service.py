@@ -93,7 +93,7 @@ from .analysis import (
     BoundStore,
     Executor,
     StreamCounters,
-    resolve_executor,
+    lease_executor,
 )
 from .polybench import analyze_suite_stream, kernel_names
 
@@ -127,11 +127,10 @@ class AnalysisService:
         n_jobs: int = 1,
     ):
         self.store = store
-        # The one executor behind every request, resolved here so a bad
+        # The one executor behind every request, leased here so a bad
         # worker count fails at startup.  A pool executor creates its pool
         # on first use; a live instance passed in stays the caller's to close.
-        self._owns_executor = executor is None or isinstance(executor, str)
-        self.executor = resolve_executor(executor, n_jobs)
+        self.executor, self._release_executor = lease_executor(executor, n_jobs)
         # Request bookkeeping is touched from every connection's handler
         # thread.
         self._lock = threading.Lock()
@@ -147,8 +146,7 @@ class AnalysisService:
         the shutdown path calls this after the TCP server has drained its
         handler threads.
         """
-        if self._owns_executor:
-            self.executor.close()
+        self._release_executor()
 
     def __enter__(self) -> "AnalysisService":
         return self

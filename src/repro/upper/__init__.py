@@ -28,7 +28,6 @@ from .search import (
     candidate_shapes,
     cdag_for,
     reset_simulation_count,
-    search_upper_bound,
     search_upper_bounds,
     simulation_count,
     simulation_key,
@@ -45,7 +44,6 @@ __all__ = [
     "candidate_shapes",
     "cdag_for",
     "reset_simulation_count",
-    "search_upper_bound",
     "search_upper_bounds",
     "simulation_count",
     "simulation_key",

@@ -5,10 +5,12 @@ for each kernel it derives (or loads) the parametric lower bound
 ``Q_low(S, params)``, evaluates it at a small concrete instance, runs the
 tiling search of :mod:`repro.upper.search` at the same instance and cache
 size, and prints both sides with their ratio — ``tightness = Q_up / Q_low``,
-1.0 meaning the sandwich closed.  Both sides share one executor and one
-store, so a warm report rerun performs zero derivations *and* zero
-simulations (the counters are embedded in the JSON document so CI can assert
-exactly that).
+1.0 meaning the sandwich closed.  Both sides share one executor (leased
+through :func:`~repro.analysis.executor.lease_executor`), one store and one
+per-report :class:`~repro.analysis.StreamCounters`, so a warm report rerun
+performs zero derivations *and* zero simulations, and the counts embedded in
+the JSON document are this report's own work — never a delta of the
+process-wide counters, which other concurrent work would inflate.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from typing import Iterable, Mapping
 
 import sympy
 
-from ..analysis import BoundStore, Executor, resolve_executor
-from ..analysis.scheduler import derivation_count
+from ..analysis import BoundStore, Executor, StreamCounters, lease_executor
 from ..polybench.registry import all_kernels, get_kernel
 from ..polybench.suite import _shrink, analyze_suite_stream
 from .result import TileSimulation, UpperBoundResult
-from .search import search_upper_bounds, simulation_count
+from .search import search_upper_bounds
 
 REPORT_SCHEMA = 1
 
@@ -198,14 +199,11 @@ def tightness_report(
     kernel's LARGE instance shrunk to ``target`` (overridable per parameter
     via ``instance``).  Both sides share one ``store`` and one executor, so
     warm reruns cost zero derivations and zero simulations — the report
-    records both counters.
+    records both counts, of its own work only.
     """
     specs = all_kernels() if names is None else [get_kernel(name) for name in names]
-    derivations_before = derivation_count()
-    simulations_before = simulation_count()
-
-    owns_executor = executor is None or isinstance(executor, str)
-    resolved = resolve_executor(executor, n_jobs)
+    counters = StreamCounters()
+    executor, release = lease_executor(executor, n_jobs)
     try:
         analyses = {
             analysis.spec.name: analysis
@@ -213,7 +211,8 @@ def tightness_report(
                 [spec.name for spec in specs],
                 config=config,
                 store=store,
-                executor=resolved,
+                executor=executor,
+                counters=counters,
             )
         }
         instances = []
@@ -230,12 +229,12 @@ def tightness_report(
             policies=policies,
             max_candidates=max_candidates,
             refine=refine,
-            executor=resolved,
+            executor=executor,
             store=store,
+            counters=counters,
         )
     finally:
-        if owns_executor:
-            resolved.close()
+        release()
 
     rows = []
     for spec, small, upper in zip(specs, instances, uppers):
@@ -269,6 +268,6 @@ def tightness_report(
     return TightnessReport(
         cache_words=cache_words,
         rows=rows,
-        derivations=derivation_count() - derivations_before,
-        simulations=simulation_count() - simulations_before,
+        derivations=counters.derivations,
+        simulations=counters.simulations,
     )

@@ -21,21 +21,31 @@ Simulations fan out through the generic event-driven scheduler
 derivation tasks — so a search parallelises over the configured executor and
 memoises each (program fingerprint x instance x S x tile x policy) cell as a
 ``kind="simulation"`` store entry: interrupted searches resume, and a warm
-rerun performs **zero** simulations (the invariant behind
-:func:`simulation_count`, mirroring the derivation counters).
+rerun performs **zero** simulations.  Executed simulations are counted on
+the same :class:`~repro.analysis.StreamCounters` object as derivations: the
+process-wide instance behind :func:`simulation_count`, plus the caller's
+own instance when one is passed (the tightness report passes one, so its
+counts are its own work only).  The expanded CDAGs live in the same bounded
+fingerprint-keyed LRU (:class:`~repro.analysis.plan.ProgramCache`) as the
+planner's DFGs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 import warnings
-from collections import OrderedDict
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
-from ..analysis.executor import Executor, resolve_executor
-from ..analysis.plan import program_fingerprint
-from ..analysis.scheduler import WorkItem, schedule_work
+from ..analysis.executor import Executor, lease_executor
+from ..analysis.plan import ProgramCache, program_fingerprint
+from ..analysis.scheduler import (
+    PROCESS_COUNTERS,
+    StreamCounters,
+    WorkItem,
+    count_work,
+    schedule_work,
+)
 from ..analysis.store import BoundStore
 from ..ir import CDAG, AffineProgram
 from ..pebble import TilingFallbackWarning, simulate_schedule, tiled_schedule
@@ -44,51 +54,36 @@ from .result import TileSimulation, UpperBoundResult, select_best
 #: Bump to invalidate every persisted simulation entry (key material).
 SIMULATION_VERSION = 1
 
-# -- simulation counter -------------------------------------------------------
-#
-# The upper-bound twin of the derivation counters: counted on the requester
-# side as results arrive — also for simulations that ran in worker processes —
-# so a warm report rerun asserts ``simulation_count() == 0`` on any executor.
-
-_count_lock = threading.Lock()
-_simulations = 0
-
 
 def simulation_count() -> int:
     """Number of cache simulations executed since the last reset.
 
     Store hits do not count; simulations executed in worker threads or
-    processes do (accounted on the requester side as their results arrive).
+    processes do (accounted on the requester side as their results arrive),
+    so a warm report rerun asserts ``simulation_count() == 0`` on any
+    executor.  Reads the process-wide
+    :class:`~repro.analysis.StreamCounters`.
     """
-    return _simulations
+    return PROCESS_COUNTERS.simulations
 
 
 def reset_simulation_count() -> int:
     """Reset the process-wide simulation counter; returns the prior count."""
-    global _simulations
-    with _count_lock:
-        previous = _simulations
-        _simulations = 0
-    return previous
-
-
-def _count_simulations(count: int) -> None:
-    global _simulations
-    with _count_lock:
-        _simulations += count
+    return PROCESS_COUNTERS.reset("simulations")
 
 
 # -- per-process CDAG cache ---------------------------------------------------
 #
 # The search simulates dozens of tilings of the *same* small CDAG; expanding
-# it once per simulation would dwarf the simulation cost.  Same pattern as
-# ``plan.dfg_for``: in-process executors share the requester's expansion, a
-# pool worker expands once per (program, instance) and reuses it for every
-# tile shape routed to that worker.
+# it once per simulation would dwarf the simulation cost.  In-process
+# executors share the requester's expansion, a pool worker expands once per
+# (program, instance) and reuses it for every tile shape routed to it.
 
-_CDAG_CACHE_LIMIT = 8
-_cdag_lock = threading.Lock()
-_cdag_cache: "OrderedDict[tuple, CDAG]" = OrderedDict()
+_CDAGS = ProgramCache(lambda program, items: CDAG.expand(program, dict(items)))
+
+
+def _instance_items(instance: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
+    return tuple(sorted((str(k), int(v)) for k, v in instance.items()))
 
 
 def cdag_for(
@@ -97,20 +92,7 @@ def cdag_for(
     fingerprint: str | None = None,
 ) -> CDAG:
     """Expand (or fetch the cached) explicit CDAG of one program instance."""
-    if fingerprint is None:
-        fingerprint = program_fingerprint(program)
-    key = (fingerprint, tuple(sorted((str(k), int(v)) for k, v in instance.items())))
-    with _cdag_lock:
-        cached = _cdag_cache.get(key)
-        if cached is not None:
-            _cdag_cache.move_to_end(key)
-            return cached
-    cdag = CDAG.expand(program, instance)
-    with _cdag_lock:
-        _cdag_cache[key] = cdag
-        while len(_cdag_cache) > _CDAG_CACHE_LIMIT:
-            _cdag_cache.popitem(last=False)
-    return cdag
+    return _CDAGS.get(program, fingerprint, _instance_items(instance))
 
 
 # -- keys ---------------------------------------------------------------------
@@ -132,7 +114,7 @@ def simulation_key(
     material = repr((
         SIMULATION_VERSION,
         fingerprint,
-        tuple(sorted((str(k), int(v)) for k, v in instance.items())),
+        _instance_items(instance),
         int(cache_words),
         tuple(int(s) for s in shape),
         str(policy),
@@ -293,6 +275,7 @@ def search_upper_bounds(
     executor: "Executor | str | None" = None,
     n_jobs: int = 1,
     store: BoundStore | None = None,
+    counters: StreamCounters | None = None,
 ) -> list[UpperBoundResult | None]:
     """Search tilings for a batch of ``(program, instance)`` jobs at once.
 
@@ -304,26 +287,16 @@ def search_upper_bounds(
 
     With a ``store``, every simulation cell persists as a
     ``kind="simulation"`` entry; a warm rerun executes zero simulations.
+    Executed simulations are counted process-wide and, when given, on
+    ``counters``.
     """
-    owns_executor = executor is None or isinstance(executor, str)
-    resolved = resolve_executor(executor, n_jobs)
+    executor, release = lease_executor(executor, n_jobs)
     try:
         return _run_search(
-            jobs, cache_words, policies, max_candidates, refine, resolved, store
+            jobs, cache_words, policies, max_candidates, refine, executor, store, counters
         )
     finally:
-        if owns_executor:
-            resolved.close()
-
-
-def search_upper_bound(
-    program: AffineProgram,
-    instance: Mapping[str, int],
-    cache_words: int = 64,
-    **kwargs,
-) -> UpperBoundResult | None:
-    """Single-program convenience wrapper over :func:`search_upper_bounds`."""
-    return search_upper_bounds([(program, instance)], cache_words=cache_words, **kwargs)[0]
+        release()
 
 
 def _run_search(
@@ -334,6 +307,7 @@ def _run_search(
     refine: bool,
     executor: Executor,
     store: BoundStore | None,
+    counters: StreamCounters | None,
 ) -> list[UpperBoundResult | None]:
     prepared: list[dict | None] = []
     for program, instance in jobs:
@@ -384,11 +358,13 @@ def _run_search(
             groups,
             _simulate_payload,
             executor=executor,
-            store_get=store.get_simulation if store is not None else None,
-            store_put=store.put_simulation if store is not None else None,
-            decode=lambda item, payload: TileSimulation.from_dict(payload),
-            encode=lambda item, sim: sim.to_dict(),
-            on_executed=lambda: _count_simulations(1),
+            store_get=None if store is None else partial(
+                store.get_simulation, decode=TileSimulation.from_dict
+            ),
+            store_put=None if store is None else (
+                lambda key, simulation: store.put_simulation(key, simulation.to_dict())
+            ),
+            on_executed=partial(count_work, "simulations", counters),
         ):
             prepared[group_jobs[group_index]]["simulations"].extend(results)
 

@@ -22,6 +22,7 @@ from repro.analysis import (
     SerialExecutor,
     ThreadExecutor,
     derivation_count,
+    lease_executor,
     plan_program,
     reset_derivation_count,
     reset_task_derivation_count,
@@ -178,6 +179,22 @@ class TestSelection:
         with pytest.raises(ValueError, match="n_jobs must be >= 1"):
             resolve_executor(executor, n_jobs)
 
+    def test_lease_closes_only_what_it_resolved(self):
+        leased, release = lease_executor("thread", 2)
+        leased.submit(abs, -1).result()
+        release()
+        assert leased._pool is None, "a leased name is closed on release"
+
+        live = ThreadExecutor(n_jobs=2)
+        try:
+            leased, release = lease_executor(live, 8)
+            assert leased is live
+            live.submit(abs, -1).result()
+            release()
+            assert live._pool is not None, "a live instance stays the caller's"
+        finally:
+            live.close()
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             resolve_executor("fibers")
@@ -185,16 +202,16 @@ class TestSelection:
     def test_call_executor_drives_analyze(self, monkeypatch):
         """analyze runs on the executor named at the call, and the bound
         matches the serial one."""
-        from repro.analysis import scheduler
+        from repro.analysis import executor as executor_module
 
         resolved = []
-        real = scheduler.resolve_executor
+        real = executor_module.resolve_executor
 
         def spy(executor, n_jobs=1):
             resolved.append(real(executor, n_jobs))
             return resolved[-1]
 
-        monkeypatch.setattr(scheduler, "resolve_executor", spy)
+        monkeypatch.setattr(executor_module, "resolve_executor", spy)
         program = get_kernel("gemm").program
         config = AnalysisConfig(max_depth=0)
         threaded = Analyzer(config).analyze(program, executor="thread", n_jobs=2)

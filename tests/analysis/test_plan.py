@@ -16,7 +16,7 @@ from repro.analysis import (
     reset_task_derivation_count,
     task_derivation_count,
 )
-from repro.analysis.plan import DerivationTask, TaskResult
+from repro.analysis.plan import DerivationTask, ProgramCache, TaskResult
 from repro.ir import DFG
 from repro.polybench import get_kernel
 
@@ -112,3 +112,25 @@ class TestTaskResultSerialization:
         assert [b.to_dict() for b in restored.sub_bounds] == [
             b.to_dict() for b in result.sub_bounds
         ]
+
+
+class TestProgramCache:
+    def test_bounded_lru_keyed_by_fingerprint_and_extra_parts(self):
+        built = []
+
+        def build(program, *extra):
+            built.append((program.name, *extra))
+            return object()
+
+        cache = ProgramCache(build, limit=2)
+        gemm, atax, bicg = (get_kernel(name).program for name in ("gemm", "atax", "bicg"))
+        first = cache.get(gemm)
+        assert cache.get(gemm) is first
+        assert cache.get(gemm, None, 4) is not first  # extra key parts key too
+        cache.get(gemm)  # refresh: the (gemm, 4) entry is now least recent
+        cache.get(atax)  # evicts (gemm, 4)
+        assert cache.get(gemm) is first
+        cache.get(gemm, None, 4)
+        assert built == [("gemm",), ("gemm", 4), ("atax",), ("gemm", 4)]
+        cache.get(bicg)
+        assert len(built) == 5

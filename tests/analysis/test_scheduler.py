@@ -32,13 +32,14 @@ from repro.analysis import (
     StreamCounters,
     ThreadExecutor,
     derivation_count,
+    WorkItem,
     plan_program,
     reset_task_derivation_count,
-    schedule_plans,
+    schedule_work,
     stream_analyses,
     task_derivation_count,
 )
-from repro.analysis.scheduler import _execute_payload
+from repro.analysis.analyzer import _execute_payload
 from repro.polybench import analyze_suite, analyze_suite_stream, get_kernel
 
 from .adversaries import reversed_executor
@@ -163,14 +164,20 @@ class TestStreamingSemantics:
         for (_, warm_result), cold_result in zip(warm, cold):
             assert result_bytes(warm_result) == result_bytes(cold_result)
 
-    def test_schedule_plans_yields_task_results_in_plan_order(self):
+    def test_schedule_work_yields_task_results_in_plan_order(self):
         config = AnalysisConfig(max_depth=1)
         plans = [
             plan_program(get_kernel(name).program, config) for name in [BIG] + SMALL
         ]
+        groups = [
+            [WorkItem((plan.program, plan.config, task, plan.fingerprint)) for task in plan.tasks]
+            for plan in plans
+        ]
         adversary = reversed_executor(sum(len(plan.tasks) for plan in plans))
         seen = {}
-        for plan_index, task_results in schedule_plans(plans, executor=adversary):
+        for plan_index, task_results in schedule_work(
+            groups, _execute_payload, executor=adversary
+        ):
             seen[plan_index] = task_results
         assert sorted(seen) == [0, 1, 2]
         for plan_index, plan in enumerate(plans):
@@ -225,16 +232,16 @@ class TestEventLoopExecutors:
         """The executor and its worker count come from the call, once per
         batch: which job happens to miss the store first cannot change
         them."""
-        from repro.analysis import scheduler
+        from repro.analysis import executor as executor_module
 
         resolved = []
-        real = scheduler.resolve_executor
+        real = executor_module.resolve_executor
 
         def spy(executor=None, n_jobs=1):
             resolved.append(real(executor, n_jobs))
             return resolved[-1]
 
-        monkeypatch.setattr(scheduler, "resolve_executor", spy)
+        monkeypatch.setattr(executor_module, "resolve_executor", spy)
         store = BoundStore(tmp_path)
         config = AnalysisConfig(max_depth=0)
         atax, bicg = get_kernel("atax").program, get_kernel("bicg").program
@@ -268,8 +275,8 @@ class TestEventLoopExecutors:
             return _execute_payload(payload)
 
         config = AnalysisConfig(max_depth=1)
-        plans = [plan_program(get_kernel(name).program, config) for name in [BIG] + SMALL]
-        total_tasks = sum(len(plan.tasks) for plan in plans)
+        jobs = [(get_kernel(name).program, config) for name in [BIG] + SMALL]
+        total_tasks = batch_task_count([program for program, _ in jobs], config)
 
         executor = ThreadExecutor(n_jobs=1)
         # Substitute the payload runner via a tiny shim executor so the
@@ -285,7 +292,7 @@ class TestEventLoopExecutors:
                 executor.close()
 
         with pytest.raises(RuntimeError, match="boom"):
-            list(schedule_plans(plans, executor=Shim()))
+            list(stream_analyses(jobs, executor=Shim()))
         assert len(calls) < total_tasks
 
 
@@ -396,10 +403,11 @@ class TestStreamCounters:
 
     def test_task_derivations_are_counted_per_stream(self):
         counters = StreamCounters()
-        plans = [plan_program(get_kernel("gemm").program, AnalysisConfig(max_depth=0))]
-        list(schedule_plans(plans, counters=counters))
-        assert counters.task_derivations == len(plans[0].tasks)
-        assert counters.derivations == 0  # schedule_plans counts tasks only
+        jobs = self._jobs(["gemm"])
+        list(stream_analyses(jobs, counters=counters))
+        assert counters.task_derivations == len(plan_program(*jobs[0]).tasks)
+        assert counters.derivations == 1
+        assert counters.simulations == 0
 
     def test_warm_stream_counts_zero(self, tmp_path):
         store = BoundStore(tmp_path / "store")
@@ -421,8 +429,9 @@ class TestStreamCounters:
         def hammer():
             barrier.wait()
             for _ in range(500):
-                counters.count_derivation()
-                counters.count_task_derivations(2)
+                counters.add("derivations")
+                counters.add("task_derivations", 2)
+                counters.add("simulations", 3)
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for thread in threads:
@@ -431,3 +440,4 @@ class TestStreamCounters:
             thread.join()
         assert counters.derivations == 2000
         assert counters.task_derivations == 4000
+        assert counters.simulations == 6000

@@ -138,12 +138,14 @@ class TestSchemaNegotiation:
         body = make_result().to_dict() if kind == "result" else {"x": 1}
         entry = {"kind": kind, "key": KEY, body_field: body}
         store = BoundStore(tmp_path / "store")
+        # Task and simulation reads take their kind's decoder.
+        decoders = () if kind == "result" else (dict,)
         path = store.path_for(KEY)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps(entry))
-        assert getattr(store, getter)(KEY) is None
+        assert getattr(store, getter)(KEY, *decoders) is None
         path.write_text(json.dumps({"store_schema": STORE_SCHEMA, **entry}))
-        assert getattr(store, getter)(KEY) is not None  # control: otherwise valid
+        assert getattr(store, getter)(KEY, *decoders) is not None  # control: otherwise valid
 
         archive = tmp_path / "legacy.tar.gz"
         data = json.dumps(entry).encode()
@@ -410,6 +412,55 @@ class TestAnalyzerIntegration:
             assert isinstance(store, BoundStore)
             assert store.root == tmp_path / Path(root).name
         assert Analyzer(AnalysisConfig()).store is None
+
+
+class TestUndecodableEntriesAreMisses:
+    """An entry whose body does not decode is a miss, never a hit: the
+    session hit counts printed by `repro suite` and reported by `serve`'s
+    stats event must match the work that was really reused."""
+
+    def test_undecodable_task_entry_is_a_miss(self, tmp_path):
+        from repro.analysis import plan_program, reset_task_derivation_count, task_derivation_count
+        from repro.polybench import get_kernel
+
+        program = get_kernel("atax").program
+        config = AnalysisConfig(max_depth=0)
+        Analyzer(config, store=BoundStore(tmp_path)).analyze(program)
+        plan = plan_program(program, config)
+        assert len(plan.tasks) == 2
+
+        store = BoundStore(tmp_path)
+        path = store.path_for(plan.task_key(plan.tasks[0]))
+        entry = json.loads(path.read_text())
+        entry["task_result"]["sub_bounds"] = [{"bogus": 1}]
+        path.write_text(json.dumps(entry))
+        store.path_for(result_key(program, config)).unlink()
+
+        reset_task_derivation_count()
+        Analyzer(config, store=store).analyze(program)
+        assert task_derivation_count() == 1
+        # The result entry and the undecodable task miss; one task hits.
+        assert (store.hits, store.misses) == (1, 2)
+
+    def test_undecodable_simulation_entry_is_a_miss(self, tmp_path):
+        from repro.polybench import get_kernel
+        from repro.upper import reset_simulation_count, search_upper_bounds, simulation_count
+
+        job = (get_kernel("gemm").program, {"Ni": 4, "Nj": 4, "Nk": 4})
+        options = dict(cache_words=16, max_candidates=4, refine=False)
+        (cold,) = search_upper_bounds([job], store=BoundStore(tmp_path), **options)
+
+        store = BoundStore(tmp_path)
+        path = sorted(tmp_path.glob("objects/*/*-sim.json"))[0]
+        entry = json.loads(path.read_text())
+        del entry["simulation"]["shape"]
+        path.write_text(json.dumps(entry))
+
+        reset_simulation_count()
+        (warm,) = search_upper_bounds([job], store=store, **options)
+        assert simulation_count() == 1
+        assert (store.hits, store.misses) == (len(cold.simulations) - 1, 1)
+        assert warm.to_dict() == cold.to_dict()
 
 
 class TestCacheCLI:

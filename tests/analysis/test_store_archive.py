@@ -93,7 +93,7 @@ class TestSimulationEntries:
         imported, skipped = replica.import_archive(archive)
         assert (imported, skipped) == (exported, 0)
 
-        assert replica.get_simulation(self.SIM_KEY) == self.SIM_PAYLOAD
+        assert replica.get_simulation(self.SIM_KEY, dict) == self.SIM_PAYLOAD
         assert replica.stats().kinds.get("simulation") == 1
 
     def test_cache_stats_cli_lists_simulation_kind(self, tmp_path, populated_store, capsys):

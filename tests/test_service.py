@@ -138,16 +138,16 @@ class TestErrors:
         ],
     )
     def test_bad_requests_yield_one_error_event(self, service, monkeypatch, line, fragment):
-        import repro.service
+        import repro.analysis.executor
 
         resolved = []
-        real = repro.service.resolve_executor
+        real = repro.analysis.executor.resolve_executor
 
         def spy(executor=None, n_jobs=1):
             resolved.append((executor, n_jobs))
             return real(executor, n_jobs)
 
-        monkeypatch.setattr(repro.service, "resolve_executor", spy)
+        monkeypatch.setattr(repro.analysis.executor, "resolve_executor", spy)
         events = events_for(service, line)
         assert [event["event"] for event in events] == ["hello", "error"]
         assert fragment in events[1]["error"]

@@ -7,8 +7,9 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.analysis import BoundStore
-from repro.upper import TightnessReport, tightness_report
+from repro.analysis import AnalysisConfig, Analyzer, BoundStore, SerialExecutor
+from repro.polybench import get_kernel
+from repro.upper import TightnessReport, search_upper_bounds, tightness_report
 
 GEMM_SMALL = ["--instance", "Ni=6", "Nj=6", "Nk=6"]
 
@@ -21,6 +22,23 @@ def small_gemm_report(store):
         store=store,
         max_candidates=8,
     )
+
+
+class SideWorkExecutor(SerialExecutor):
+    """Serial executor whose first ``submit`` also does unrelated work:
+    derives atax and searches one atax tiling, both without a store, the
+    way a concurrent request sharing the process would."""
+
+    def __init__(self):
+        self.side_work_done = False
+
+    def submit(self, fn, item):
+        if not self.side_work_done:
+            self.side_work_done = True
+            atax = get_kernel("atax").program
+            Analyzer(AnalysisConfig(max_depth=0)).analyze(atax)
+            search_upper_bounds([(atax, {"M": 4, "N": 4})], cache_words=16, max_candidates=2)
+        return super().submit(fn, item)
 
 
 class TestTightnessReport:
@@ -51,6 +69,20 @@ class TestTightnessReport:
         assert warm.derivations == 0
         assert warm.simulations == 0
         assert warm.rows[0].to_dict() == cold.rows[0].to_dict()
+
+    def test_report_counts_only_its_own_work(self):
+        executor = SideWorkExecutor()
+        report = tightness_report(
+            ["gemm"],
+            cache_words=16,
+            instance={"Ni": 6, "Nj": 6, "Nk": 6},
+            store=None,
+            executor=executor,
+            max_candidates=8,
+        )
+        assert executor.side_work_done
+        assert report.derivations == 1
+        assert report.simulations == len(report.rows[0].upper.simulations)
 
     def test_document_round_trip(self, tmp_path):
         report = small_gemm_report(BoundStore(tmp_path / "store"))

@@ -12,7 +12,6 @@ from repro.upper import (
     UpperBoundResult,
     candidate_shapes,
     reset_simulation_count,
-    search_upper_bound,
     search_upper_bounds,
     simulation_count,
     simulation_key,
@@ -102,9 +101,9 @@ class TestSimulationKey:
 class TestSearch:
     def test_gemm_search_finds_a_sound_upper_bound(self):
         spec = get_kernel("gemm")
-        result = search_upper_bound(
-            spec.program, GEMM_INSTANCE, cache_words=16, max_candidates=16
-        )
+        result = search_upper_bounds(
+            [(spec.program, GEMM_INSTANCE)], cache_words=16, max_candidates=16
+        )[0]
         assert result is not None
         assert result.best is not None and result.best.simulated
         assert not result.best.used_fallback
@@ -117,16 +116,16 @@ class TestSearch:
 
     def test_baseline_shape_always_among_candidates(self):
         spec = get_kernel("gemm")
-        result = search_upper_bound(
-            spec.program, GEMM_INSTANCE, cache_words=16, max_candidates=8
-        )
+        result = search_upper_bounds(
+            [(spec.program, GEMM_INSTANCE)], cache_words=16, max_candidates=8
+        )[0]
         assert any(all(e == 1 for e in sim.shape) for sim in result.simulations)
 
     def test_illegal_tilings_skipped_but_baseline_simulated(self):
         program = antidiagonal_program()
-        result = search_upper_bound(
-            program, {"T": 6, "N": 6}, cache_words=16, max_candidates=32
-        )
+        result = search_upper_bounds(
+            [(program, {"T": 6, "N": 6})], cache_words=16, max_candidates=32
+        )[0]
         skipped = [s for s in result.simulations if not s.simulated and s.used_fallback]
         assert skipped, "t-tilings of the anti-diagonal program must be skipped"
         for sim in skipped:
@@ -138,18 +137,18 @@ class TestSearch:
         spec = get_kernel("gemm")
         store = BoundStore(tmp_path / "store")
         reset_simulation_count()
-        cold = search_upper_bound(
-            spec.program, GEMM_INSTANCE, cache_words=16,
+        cold = search_upper_bounds(
+            [(spec.program, GEMM_INSTANCE)], cache_words=16,
             max_candidates=8, store=store,
-        )
+        )[0]
         cold_count = simulation_count()
         assert cold_count == len(cold.simulations)
 
         reset_simulation_count()
-        warm = search_upper_bound(
-            spec.program, GEMM_INSTANCE, cache_words=16,
+        warm = search_upper_bounds(
+            [(spec.program, GEMM_INSTANCE)], cache_words=16,
             max_candidates=8, store=store,
-        )
+        )[0]
         assert simulation_count() == 0
         assert warm.to_dict() == cold.to_dict()
 
@@ -166,14 +165,14 @@ class TestSearch:
 
     def test_thread_executor_matches_serial_byte_for_byte(self):
         spec = get_kernel("gemm")
-        serial = search_upper_bound(
-            spec.program, GEMM_INSTANCE, cache_words=16,
+        serial = search_upper_bounds(
+            [(spec.program, GEMM_INSTANCE)], cache_words=16,
             max_candidates=8, executor="serial",
-        )
-        threaded = search_upper_bound(
-            spec.program, GEMM_INSTANCE, cache_words=16,
+        )[0]
+        threaded = search_upper_bounds(
+            [(spec.program, GEMM_INSTANCE)], cache_words=16,
             max_candidates=8, executor="thread", n_jobs=4,
-        )
+        )[0]
         assert serial.to_dict() == threaded.to_dict()
 
     def test_unexpandable_instance_yields_none(self):
@@ -196,9 +195,9 @@ class TestResultSerialization:
 
     def test_upper_bound_result_round_trip(self):
         spec = get_kernel("gemm")
-        result = search_upper_bound(
-            spec.program, GEMM_INSTANCE, cache_words=16, max_candidates=8
-        )
+        result = search_upper_bounds(
+            [(spec.program, GEMM_INSTANCE)], cache_words=16, max_candidates=8
+        )[0]
         reloaded = UpperBoundResult.from_dict(result.to_dict())
         assert reloaded.to_dict() == result.to_dict()
         assert reloaded.best == result.best
