@@ -7,19 +7,37 @@ with either an LRU or an optimal (Belady) replacement policy and return the
 number of loads — which, divided into the operation count, gives the achieved
 operational intensity of that schedule.
 
-Every simulation is expressed as a sequence of red-white pebble game moves and
-validated by :mod:`repro.pebble.game`, so the reported cost is guaranteed to
-be the cost of a *legal* game; in particular it can never be below the IOLB
-lower bound (the property the integration tests check).
+The simulation runs on the CDAG's integer index
+(:class:`repro.ir.cdag.CDAGIndex`) and plays a red-white pebble game
+(:mod:`repro.pebble.game`) in-line: the schedule is checked up front to be a
+topological order of the compute vertices, and every load, compute and
+eviction is checked against the rules (no load of an uncomputed value, no
+double load, no recomputation, operands in fast memory, capacity, evict only
+resident values) as an O(1) test on bytearrays, raising
+:class:`~repro.pebble.PebbleGameError` on a violation.  The reported cost is
+therefore the cost of a *legal* game; in particular it can never be below the
+IOLB lower bound (the property the integration tests check).
+
+* **LRU** keeps the resident vertices in an ``OrderedDict`` from least to
+  most recently used; a victim is the first one that is not an operand of
+  the current operation.
+* **Belady** keeps a heap of ``(-next use, vertex id)`` entries, one pushed
+  per use, and drops stale ones when they surface.  It evicts the furthest
+  next use first and, among equally distant ones (values never used again
+  included), the lowest vertex id.
+
+The tests check loads and evictions against a move-by-move reference
+simulator that plays every move through :class:`~repro.pebble.GameState`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from ..ir import CDAG, Vertex
-from .game import GameState, Move
+from .game import PebbleGameError
 
 from .. import perf
 
@@ -41,60 +59,74 @@ class SimulationResult:
         return self.operations * flops_per_op / self.loads
 
 
-class _ReplacementPolicy:
-    """Interface for replacement policies over a fully-associative cache."""
+class _LRU:
+    """Resident vertex ids, least recently used first."""
 
-    def touch(self, vertex: Vertex, time: int) -> None:
-        raise NotImplementedError
-
-    def choose_victim(self, resident: set[Vertex], protected: set[Vertex], time: int) -> Vertex:
-        raise NotImplementedError
-
-
-class _LRUPolicy(_ReplacementPolicy):
     def __init__(self) -> None:
-        self.last_use: "OrderedDict[Vertex, int]" = OrderedDict()
+        self.resident: "OrderedDict[int, None]" = OrderedDict()
 
-    def touch(self, vertex: Vertex, time: int) -> None:
-        self.last_use[vertex] = time
-        self.last_use.move_to_end(vertex)
+    def reuse(self, vertex: int, time: int, slot: int) -> None:
+        self.resident.move_to_end(vertex)
 
-    def choose_victim(self, resident: set[Vertex], protected: set[Vertex], time: int) -> Vertex:
-        for vertex in self.last_use:
-            if vertex in resident and vertex not in protected:
-                return vertex
-        # Fall back to any unprotected resident value.
-        for vertex in resident:
+    def add(self, vertex: int, time: int, slot: int) -> None:
+        self.resident[vertex] = None
+
+    def victim(self, protected: tuple[int, ...]) -> int:
+        for vertex in self.resident:
             if vertex not in protected:
+                del self.resident[vertex]
                 return vertex
         raise RuntimeError("no evictable value: cache too small for one operation")
 
 
-class _BeladyPolicy(_ReplacementPolicy):
-    """Optimal (furthest-next-use) replacement, given the whole schedule."""
+class _Belady:
+    """Furthest-next-use replacement over a lazily invalidated heap.
 
-    def __init__(self, future_uses: dict[Vertex, list[int]]):
-        self.future_uses = future_uses
+    ``operand_next[t][k]`` is the next use after time ``t`` of the ``k``-th
+    operand of the vertex scheduled at ``t``; ``result_next[t]`` is the first
+    use of that vertex's own value (``slot == -1``).  A heap entry is live
+    while it equals ``key[vertex]``; evicting or touching a vertex again
+    changes the key, which retires the old entry.
+    """
 
-    def touch(self, vertex: Vertex, time: int) -> None:
-        uses = self.future_uses.get(vertex)
-        while uses and uses[0] <= time:
-            uses.pop(0)
+    def __init__(self, preds: tuple[tuple[int, ...], ...], order: list[int], size: int):
+        never = len(order)
+        upcoming = [never] * size
+        self.result_next = [never] * len(order)
+        self.operand_next: list[tuple[int, ...]] = [()] * len(order)
+        for time in range(len(order) - 1, -1, -1):
+            vertex = order[time]
+            self.result_next[time] = upcoming[vertex]
+            operands = preds[vertex]
+            self.operand_next[time] = tuple(upcoming[operand] for operand in operands)
+            for operand in operands:
+                upcoming[operand] = time
+        self.key = [1] * size  # 1 = not resident (live keys are <= 0)
+        self.heap: list[tuple[int, int]] = []
 
-    def choose_victim(self, resident: set[Vertex], protected: set[Vertex], time: int) -> Vertex:
-        best_vertex = None
-        best_next_use = -1
-        for vertex in resident:
-            if vertex in protected:
+    def reuse(self, vertex: int, time: int, slot: int) -> None:
+        key = -(self.result_next[time] if slot < 0 else self.operand_next[time][slot])
+        self.key[vertex] = key
+        heappush(self.heap, (key, vertex))
+
+    add = reuse
+
+    def victim(self, protected: tuple[int, ...]) -> int:
+        heap, keys = self.heap, self.key
+        kept = []
+        while heap:
+            entry = heappop(heap)
+            key, vertex = entry
+            if keys[vertex] != key:
                 continue
-            uses = self.future_uses.get(vertex, [])
-            next_use = uses[0] if uses else float("inf")
-            if next_use > best_next_use:
-                best_next_use = next_use
-                best_vertex = vertex
-        if best_vertex is None:
-            raise RuntimeError("no evictable value: cache too small for one operation")
-        return best_vertex
+            if vertex in protected:
+                kept.append(entry)
+                continue
+            for entry in kept:
+                heappush(heap, entry)
+            keys[vertex] = 1
+            return vertex
+        raise RuntimeError("no evictable value: cache too small for one operation")
 
 
 @perf.timed("pebble-sim")
@@ -107,55 +139,85 @@ def simulate_schedule(
     """Execute a topological schedule with the given replacement policy.
 
     Each scheduled operation loads (or reuses) its operands, computes its
-    value into fast memory, and evicts as needed.  The move sequence is
-    validated against the pebble-game rules, so the returned load count is the
-    cost of a legal S-RW game.
+    value into fast memory, and evicts as needed.  Every move is checked
+    against the pebble-game rules, so the returned load count is the cost of
+    a legal S-RW game.
     """
     if policy not in ("lru", "opt"):
         raise ValueError(f"unknown replacement policy {policy!r}")
-    if not cdag.is_valid_schedule(schedule):
+    index = cdag.index
+    order = index.schedule_ids(schedule)
+    if order is None:
         raise ValueError("schedule is not a valid topological order of the CDAG")
+    preds = index.preds
+    size = len(index.vertices)
+    cache = _LRU() if policy == "lru" else _Belady(preds, order, size)
+    reuse, add, choose_victim = cache.reuse, cache.add, cache.victim
 
-    if policy == "lru":
-        replacement: _ReplacementPolicy = _LRUPolicy()
-    else:
-        future_uses: dict[Vertex, list[int]] = defaultdict(list)
-        for time, vertex in enumerate(schedule):
-            for operand in cdag.graph.predecessors(vertex):
-                future_uses[operand].append(time)
-        replacement = _BeladyPolicy(dict(future_uses))
+    # The rule checks below are the ones GameState.apply makes, on bytearrays.
+    white = bytearray(index.is_input)  # computed (or input) values
+    red = bytearray(size)  # values in fast memory
+    held = loads = evictions = 0
 
-    state = GameState(cdag, capacity)
-    evictions = 0
+    def evict(protected: tuple[int, ...]) -> None:
+        victim = choose_victim(protected)
+        if not red[victim]:
+            raise PebbleGameError(
+                f"evicting a value not in fast memory: {index.vertices[victim]}"
+            )
+        red[victim] = 0
 
-    for time, vertex in enumerate(schedule):
-        operands = list(cdag.graph.predecessors(vertex))
+    for time, vertex in enumerate(order):
+        operands = preds[vertex]
         if len(operands) + 1 > capacity:
             raise ValueError(
-                f"cache of {capacity} words cannot hold the {len(operands)} operands of {vertex}"
+                f"cache of {capacity} words cannot hold the {len(operands)} "
+                f"operands of {index.vertices[vertex]}"
             )
-        protected = set(operands) | {vertex}
-        for operand in operands:
-            if operand in state.red:
-                replacement.touch(operand, time)
+        for slot, operand in enumerate(operands):
+            if red[operand]:
+                reuse(operand, time, slot)
                 continue
-            if len(state.red) >= capacity:
-                victim = replacement.choose_victim(state.red, protected, time)
-                state.apply(Move("evict", victim))
+            if held >= capacity:
+                evict(operands)
+                held -= 1
                 evictions += 1
-            state.apply(Move("load", operand))
-            replacement.touch(operand, time)
-        if len(state.red) >= capacity:
-            victim = replacement.choose_victim(state.red, protected, time)
-            state.apply(Move("evict", victim))
+            if not white[operand]:
+                raise PebbleGameError(
+                    f"load of a value never computed: {index.vertices[operand]}"
+                )
+            if red[operand]:
+                raise PebbleGameError(
+                    f"load of a value already in fast memory: {index.vertices[operand]}"
+                )
+            if held >= capacity:
+                raise PebbleGameError("fast memory over capacity on load")
+            red[operand] = 1
+            held += 1
+            loads += 1
+            add(operand, time, slot)
+        if held >= capacity:
+            evict(operands)
+            held -= 1
             evictions += 1
-        state.apply(Move("compute", vertex))
-        replacement.touch(vertex, time)
+        if white[vertex]:
+            raise PebbleGameError(f"recomputation is not allowed: {index.vertices[vertex]}")
+        for operand in operands:
+            if not red[operand]:
+                raise PebbleGameError(
+                    f"computing {index.vertices[vertex]} but operand "
+                    f"{index.vertices[operand]} is not in fast memory"
+                )
+        if held >= capacity:
+            raise PebbleGameError("fast memory over capacity on compute")
+        red[vertex] = white[vertex] = 1
+        held += 1
+        add(vertex, time, -1)
 
     return SimulationResult(
-        loads=state.loads,
+        loads=loads,
         evictions=evictions,
-        operations=len(schedule),
+        operations=len(order),
         capacity=capacity,
         policy=policy,
     )

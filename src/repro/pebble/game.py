@@ -8,11 +8,13 @@ memory of ``S`` words:
 * computing a vertex (rule R2) requires red pebbles on all its predecessors;
 * re-loading an already computed value (rule R1) is the unit of I/O cost.
 
-The module provides a move-by-move validator (used in tests to certify that
-the simulators below play by the rules) and a reference player that executes
-an arbitrary topological schedule with a chosen replacement policy, counting
-the number of R1 moves — i.e. the number of loads, the quantity the IOLB
-lower bounds are compared against.
+The module provides the move-by-move validator: :class:`GameState` applies
+one move at a time and checks it against the networkx graph, and
+:func:`validate_game` replays a whole game and returns its number of R1 moves
+— i.e. the number of loads, the quantity the IOLB lower bounds are compared
+against.  The cache simulators of :mod:`repro.pebble.cache` enforce the same
+rules in-line on the CDAG's integer index; the tests check them against a
+reference player that drives every move through :class:`GameState`.
 """
 
 from __future__ import annotations

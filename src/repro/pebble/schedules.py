@@ -29,7 +29,9 @@ from __future__ import annotations
 import warnings
 from typing import Mapping, Sequence
 
-from ..ir import CDAG, Vertex
+import numpy as np
+
+from ..ir import CDAG
 
 
 class TilingFallbackWarning(UserWarning):
@@ -61,17 +63,19 @@ class Schedule(list):
 
 def topological_schedule(cdag: CDAG) -> Schedule:
     """Any topological order of the compute vertices."""
-    compute = set(cdag.compute_vertices())
+    index = cdag.index
+    vertices = index.vertices
     return Schedule(
-        (v for v in cdag.topological_order() if v in compute),
-        requested="topological",
+        [vertices[i] for i in index.compute_topological], requested="topological"
     )
 
 
-def _finish(cdag: CDAG, ordered: list[Vertex], requested: str, warn: bool) -> Schedule:
-    """Validate a candidate order, falling back observably when illegal."""
-    if cdag.is_valid_schedule(ordered):
-        return Schedule(ordered, requested=requested)
+def _finish(cdag: CDAG, ordered: list[int], requested: str, warn: bool) -> Schedule:
+    """Validate a candidate order of compute ids, falling back observably when illegal."""
+    index = cdag.index
+    if index.is_valid_order(ordered):
+        vertices = index.vertices
+        return Schedule([vertices[i] for i in ordered], requested=requested)
     if warn:
         warnings.warn(
             f"{requested} order violates a dependence of {cdag.program.name!r}; "
@@ -82,6 +86,34 @@ def _finish(cdag: CDAG, ordered: list[Vertex], requested: str, warn: bool) -> Sc
         )
     fallback = topological_schedule(cdag)
     return Schedule(fallback, requested=requested, used_fallback=True)
+
+
+#: Fills that sort before / after every coordinate.
+_LOW, _HIGH = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+def _pad(columns: np.ndarray, width: int, fill: int) -> np.ndarray:
+    """``columns`` cut, or padded on the right with ``fill``, to ``width`` columns."""
+    padded = np.full((len(columns), width), fill, dtype=np.int64)
+    kept = min(width, columns.shape[1])
+    padded[:, :kept] = columns[:, :kept]
+    return padded
+
+
+def _sorted_compute(cdag: CDAG, key_rows) -> list[int]:
+    """The compute ids sorted by key rows, lexicographically, equal rows in id order.
+
+    ``key_rows(statement, points)`` returns one int row per instance point
+    of a statement, all statements' rows of one width.  A tuple key whose
+    parts vary in length sorts the same once each part is padded with
+    ``_LOW`` (a proper prefix sorts first) or cut and padded with ``_HIGH``.
+    """
+    groups = cdag.index.statements
+    if not groups:
+        return []
+    ids = np.concatenate([ids for ids, _ in groups.values()])
+    rows = np.concatenate([key_rows(name, points) for name, (_, points) in groups.items()])
+    return ids[np.lexsort((ids, *rows.T[::-1]))].tolist()
 
 
 def lexicographic_schedule(
@@ -100,12 +132,12 @@ def lexicographic_schedule(
     order = list(statement_order or cdag.program.statements.keys())
     rank = {name: index for index, name in enumerate(order)}
 
-    def key(vertex: Vertex):
-        name, point = vertex
-        return (point + (float("inf"),) * 8)[:8], rank.get(name, len(rank))
+    def key_rows(name: str, points: np.ndarray) -> np.ndarray:
+        # (point + (inf,) * 8)[:8], then the statement's rank
+        position = np.full((len(points), 1), rank.get(name, len(rank)), dtype=np.int64)
+        return np.hstack([_pad(points, 8, _HIGH), position])
 
-    ordered = sorted(cdag.compute_vertices(), key=key)
-    return _finish(cdag, ordered, "lexicographic", warn)
+    return _finish(cdag, _sorted_compute(cdag, key_rows), "lexicographic", warn)
 
 
 def tiled_schedule(
@@ -127,14 +159,19 @@ def tiled_schedule(
     order = list(statement_order or cdag.program.statements.keys())
     rank = {name: index for index, name in enumerate(order)}
 
-    def key(vertex: Vertex):
-        name, point = vertex
-        sizes = tile_sizes.get(name, (1,) * len(point))
-        tile_coord = tuple(
-            coordinate // size if size > 0 else coordinate
-            for coordinate, size in zip(point, sizes)
-        )
-        return tile_coord, rank.get(name, len(rank)), point
+    depth = max((points.shape[1] for _, points in cdag.index.statements.values()), default=0)
 
-    ordered = sorted(cdag.compute_vertices(), key=key)
-    return _finish(cdag, ordered, "tiled", warn)
+    def key_rows(name: str, points: np.ndarray) -> np.ndarray:
+        # (tile coordinates, the statement's rank, point)
+        sizes = tile_sizes.get(name)
+        if sizes is None:  # untiled: every edge 1, the tile is the point
+            tile = points
+        else:
+            # Zip semantics (the shorter of point and sizes); an edge <= 0
+            # leaves its dimension untiled, like an edge of 1.
+            edges = np.maximum(np.asarray(sizes, dtype=np.int64)[: points.shape[1]], 1)
+            tile = points[:, : len(edges)] // edges
+        position = np.full((len(points), 1), rank.get(name, len(rank)), dtype=np.int64)
+        return np.hstack([_pad(tile, depth, _LOW), position, _pad(points, depth, _LOW)])
+
+    return _finish(cdag, _sorted_compute(cdag, key_rows), "tiled", warn)

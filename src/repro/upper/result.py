@@ -9,6 +9,7 @@ and round-trip through ``cache export`` archives unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 from ..pebble import SimulationResult
@@ -65,17 +66,28 @@ class TileSimulation:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "TileSimulation":
-        return cls(
-            shape=tuple(int(s) for s in payload["shape"]),
-            policy=str(payload["policy"]),
-            capacity=int(payload["capacity"]),
-            simulated=bool(payload["simulated"]),
-            used_fallback=bool(payload.get("used_fallback", False)),
-            loads=int(payload.get("loads", 0)),
-            evictions=int(payload.get("evictions", 0)),
-            operations=int(payload.get("operations", 0)),
-            flops=int(payload.get("flops", 0)),
+        """Decode a record; equal records decode to one shared (frozen) object."""
+        return _shared_simulation(
+            tuple(int(s) for s in payload["shape"]),
+            str(payload["policy"]),
+            int(payload["capacity"]),
+            bool(payload["simulated"]),
+            bool(payload.get("used_fallback", False)),
+            int(payload.get("loads", 0)),
+            int(payload.get("evictions", 0)),
+            int(payload.get("operations", 0)),
+            int(payload.get("flops", 0)),
         )
+
+
+@lru_cache(maxsize=4096)
+def _shared_simulation(*fields) -> TileSimulation:
+    """One instance per distinct record among the recently decoded ones.
+
+    A warm report decodes every cell of its search from the store; sharing
+    the frozen records keeps repeated warm reports from holding a copy each.
+    """
+    return TileSimulation(*fields)
 
 
 @dataclass

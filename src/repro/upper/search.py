@@ -144,28 +144,6 @@ def tile_sizes_for(
     return sizes
 
 
-def _extents(cdag: CDAG) -> tuple[int, ...]:
-    """Innermost-aligned iteration-space spans across all statements."""
-    depth = max(
-        (len(statement.dims) for statement in cdag.program.statements.values()),
-        default=0,
-    )
-    lows = [None] * depth
-    highs = [None] * depth
-    for name, point in cdag.compute_vertices():
-        offset = depth - len(point)
-        for local, coordinate in enumerate(point):
-            slot = offset + local
-            if lows[slot] is None or coordinate < lows[slot]:
-                lows[slot] = coordinate
-            if highs[slot] is None or coordinate > highs[slot]:
-                highs[slot] = coordinate
-    return tuple(
-        1 if lows[slot] is None else highs[slot] - lows[slot] + 1
-        for slot in range(depth)
-    )
-
-
 def candidate_shapes(
     extents: Sequence[int], max_candidates: int = 64
 ) -> list[tuple[int, ...]]:
@@ -249,7 +227,6 @@ def _simulate_payload(payload: tuple) -> TileSimulation:
     except (ValueError, RuntimeError):
         # Cache too small for some operation's operands: not a usable bound.
         return skipped
-    flops = sum(program.statement(name).flops for name, _ in schedule)
     return TileSimulation(
         shape=tuple(shape),
         policy=policy,
@@ -259,7 +236,7 @@ def _simulate_payload(payload: tuple) -> TileSimulation:
         loads=result.loads,
         evictions=result.evictions,
         operations=result.operations,
-        flops=flops,
+        flops=cdag.flops,
     )
 
 
@@ -316,10 +293,10 @@ def _run_search(
         except Exception:
             prepared.append(None)
             continue
-        if not cdag.compute_vertices():
+        if not cdag.index.compute:
             prepared.append(None)
             continue
-        extents = _extents(cdag)
+        extents = cdag.extents
         prepared.append({
             "program": program,
             "instance": dict(cdag.params),

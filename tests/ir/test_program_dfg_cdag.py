@@ -118,6 +118,31 @@ class TestCDAG:
         bad = list(reversed(good))
         assert not cdag.is_valid_schedule(bad)
 
+    def test_schedule_repeating_a_vertex_is_invalid(self):
+        from repro.pebble import simulate_schedule, topological_schedule
+        from repro.polybench import get_kernel
+
+        cdag = CDAG.expand(get_kernel("atax").program, {"M": 3, "N": 3})
+        schedule = list(topological_schedule(cdag))
+        repeated = [schedule[0], *schedule]
+        assert len(repeated) == len(cdag.compute_vertices()) + 1 == 19
+        assert not cdag.is_valid_schedule(repeated)
+        with pytest.raises(ValueError, match="not a valid topological order"):
+            simulate_schedule(cdag, repeated, capacity=8)
+
+    def test_schedule_dropping_or_adding_vertices_is_invalid(self):
+        cdag = CDAG.expand(example1_program(), {"M": 3, "N": 2})
+        good = sorted(cdag.compute_vertices(), key=lambda v: v[1])
+        assert not cdag.is_valid_schedule(good[:-1])
+        assert not cdag.is_valid_schedule([*good, ("A", (0,))])
+        assert not cdag.is_valid_schedule([*good[:-1], ("S", (9, 9))])
+
+    def test_topological_order_matches_networkx(self):
+        import networkx as nx
+
+        cdag = CDAG.expand(example1_program(), {"M": 4, "N": 3})
+        assert cdag.topological_order() == list(nx.topological_sort(cdag.graph))
+
     def test_topological_order_is_valid(self):
         cdag = CDAG.expand(example1_program(), {"M": 4, "N": 4})
         compute = set(cdag.compute_vertices())
