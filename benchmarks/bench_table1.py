@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.polybench import analyze_kernel, analyze_suite, table1_rows
+from repro.polybench import analyze_suite, table1_rows
 
 from conftest import write_markdown_table
 
@@ -25,7 +25,7 @@ def test_table1_single_kernel_derivation(benchmark, kernel):
     """Time the raw IOLB derivation of one kernel (deliberately store-free:
     every benchmark round must run the actual derivation, not a store hit —
     warm-store latency is measured separately by perfbench/run.py)."""
-    analysis = benchmark(analyze_kernel, kernel)
+    [analysis] = benchmark(analyze_suite, [kernel])
     assert analysis.result.asymptotic is not None
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.polybench import analyze_kernel, analyze_suite, table2_rows
+from repro.polybench import analyze_suite, table2_rows
 
 from conftest import write_markdown_table
 
@@ -37,5 +37,5 @@ def test_table2_formulae(benchmark, bound_store):
 def test_table2_single_formula(benchmark, kernel):
     """Time formula extraction (derivation + simplification) per kernel —
     store-free so every round measures the derivation, not a store hit."""
-    analysis = benchmark(analyze_kernel, kernel)
+    [analysis] = benchmark(analyze_suite, [kernel])
     assert analysis.result.expression is not None

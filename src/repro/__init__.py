@@ -14,13 +14,12 @@ Typical usage::
     print(result.asymptotic)        # ~ 2*Ni*Nj*Nk/sqrt(S)
     print(result.oi_upper_bound())  # ~ sqrt(S)
 
-The legacy free function ``repro.derive_bounds`` is kept as a thin wrapper
-over the analyzer.
+``repro.polybench.analyze_suite`` runs registered kernels through the same
+engine; the ``python -m repro`` commands sit on top of it.
 """
 
 from . import analysis, core, ir, linalg, pebble, polybench, rel, sets, upper
 from .analysis import AnalysisConfig, Analyzer
-from .core import derive_bounds
 from .ir import AffineProgram, ProgramBuilder
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "ProgramBuilder",
     "analysis",
     "core",
-    "derive_bounds",
     "ir",
     "linalg",
     "pebble",

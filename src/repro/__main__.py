@@ -4,7 +4,8 @@ Subcommands
 -----------
 ``analyze <kernel>``
     Derive the I/O lower bound for one PolyBench kernel and print (or dump as
-    JSON) the resulting formulae.
+    JSON) the resulting formulae.  It runs the same suite driver as
+    ``suite``, for one kernel, so both commands give the same result.
 
 ``suite [--kernels ...] [--executor thread --jobs N] --json out.json``
     Run the derivation over the PolyBench suite through the event-driven
@@ -61,7 +62,9 @@ Subcommands
     replicate the store across machines via ``export``/``import`` tarballs
     (import negotiates schema versions and never overwrites newer entries).
 
-All derivation knobs map onto :class:`repro.analysis.AnalysisConfig` fields.
+All derivation knobs map onto :class:`repro.analysis.AnalysisConfig` fields:
+``analyze`` and ``suite`` start from each kernel's registered wavefront
+depth and apply the options given on the command line over it.
 ``analyze`` and ``suite`` memoise through the shared bound store by default,
 so a warm second run performs zero derivations; ``--no-cache`` opts out and
 ``--cache-dir`` redirects to a private store root.
@@ -78,15 +81,9 @@ from typing import Sequence
 
 import sympy
 
-from .analysis import (
-    AnalysisConfig,
-    Analyzer,
-    BoundStore,
-    StreamCounters,
-    save_results,
-)
+from .analysis import BoundStore, StreamCounters, save_results
 from .analysis.executor import EXECUTOR_NAMES
-from .polybench import all_kernels, analyze_suite, analyze_suite_stream, get_kernel, kernel_names
+from .polybench import all_kernels, analyze_suite, analyze_suite_stream, kernel_names
 from .upper import tightness_report
 
 
@@ -163,25 +160,30 @@ def _store_for(args: argparse.Namespace) -> BoundStore | None:
     return BoundStore(args.cache_dir)  # None root -> $REPRO_STORE / ~/.cache/repro
 
 
-def _config_for(args: argparse.Namespace, spec_max_depth: int) -> AnalysisConfig:
-    kwargs: dict = {
-        "max_depth": args.max_depth if args.max_depth is not None else spec_max_depth,
-        "instance": _parse_instance(args.instance),
-    }
+def _config_overrides(args: argparse.Namespace) -> dict:
+    """The :class:`~repro.analysis.AnalysisConfig` fields set on the command line.
+
+    The suite drivers apply them over each kernel's registered depth.
+    """
+    overrides: dict = {"instance": _parse_instance(args.instance)}
+    if args.max_depth is not None:
+        overrides["max_depth"] = args.max_depth
     if args.gamma is not None:
-        kwargs["gamma"] = args.gamma
+        overrides["gamma"] = args.gamma
     if args.strategies is not None:
-        kwargs["strategies"] = tuple(args.strategies)
-    return AnalysisConfig(**kwargs)
+        overrides["strategies"] = tuple(args.strategies)
+    return overrides
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    _kernels_or_exit([args.kernel])
-    spec = get_kernel(args.kernel)
-    config = _config_for(args, spec.max_depth)
-    result = Analyzer(config, store=_store_for(args)).analyze(
-        spec.program, executor=args.executor, n_jobs=args.jobs
+    [analysis] = analyze_suite(
+        _kernels_or_exit([args.kernel]),
+        store=_store_for(args),
+        executor=args.executor,
+        n_jobs=args.jobs,
+        **_config_overrides(args),
     )
+    result = analysis.result
 
     if args.json is not None:
         payload = json.dumps(result.to_dict(), indent=2) + "\n"
@@ -209,17 +211,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     names = _kernels_or_exit(args.kernels)
-
-    overrides: dict = {
-        "instance": _parse_instance(args.instance),
-    }
-    if args.max_depth is not None:
-        overrides["max_depth"] = args.max_depth
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if args.strategies is not None:
-        overrides["strategies"] = tuple(args.strategies)
-
     store = _store_for(args)
     # This run's own work, not a delta of the process-wide counters.
     counters = StreamCounters()
@@ -236,7 +227,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         executor=args.executor,
         store=store,
         counters=counters,
-        **overrides,
+        **_config_overrides(args),
     ):
         analyses[analysis.spec.name] = analysis
         result = analysis.result

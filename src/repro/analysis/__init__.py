@@ -1,8 +1,6 @@
 """repro.analysis — the configurable, pluggable, batch-capable Analyzer API.
 
-This package is the public entry point for deriving I/O lower bounds
-(:func:`repro.core.derive_bounds` is a keyword-argument alias over
-:class:`Analyzer`):
+This package is the public entry point for deriving I/O lower bounds:
 
 * :class:`AnalysisConfig` — every knob of the derivation in one frozen,
   JSON-serializable object (the wavefront hypothesis check is not a knob:
@@ -29,8 +27,8 @@ This package is the public entry point for deriving I/O lower bounds
   later programs still derive), with on-disk memoisation keyed by
   :func:`program_fingerprint` at both the result and the task level;
 * :class:`Analyzer` — ``analyze(program)`` for one program (a one-job
-  stream) and ``analyze_many(programs)`` as an input-order collector over
-  the stream;
+  stream); :func:`repro.polybench.analyze_suite` is the front for
+  registered kernels;
 * :class:`BoundStore` — the shared content-addressed persistent store behind
   that memoisation (``$REPRO_STORE`` / ``~/.cache/repro``), with schema
   negotiation, LRU eviction and ``stats``/``gc``/``clear`` maintenance;

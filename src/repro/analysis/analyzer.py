@@ -21,13 +21,13 @@ executed.  A derivation is an explicit three-stage pipeline:
    executors and schedulings.
 
 :func:`stream_analyses` is the one driver of that pipeline: it yields
-results in completion order while later programs are still deriving.
-:meth:`Analyzer.analyze_many` is a thin input-order collector over it, and
-:meth:`Analyzer.analyze` is a one-job stream.  A batch feeds its whole
-task set through one shared executor: a single ``suite --jobs 8`` schedules
-every kernel's tasks in one work queue instead of paying a pool per program.
-
-:func:`repro.core.iolb.derive_bounds` is a public alias over this class.
+results in completion order while later programs are still deriving.  It
+has two fronts: :meth:`Analyzer.analyze`, a one-job stream for one
+program, and :func:`repro.polybench.analyze_suite_stream` for registered
+kernels (the CLI and ``repro serve`` sit on the latter).  A batch feeds its
+whole task set through one shared executor: a single ``suite --jobs 8``
+schedules every kernel's tasks in one work queue instead of paying a pool
+per program.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import sympy
 
@@ -158,7 +158,7 @@ def stream_analyses(
 ) -> Iterator[tuple[int, IOBoundResult]]:
     """Stream ``(job_index, result)`` pairs in completion order.
 
-    The engine under :class:`Analyzer` (one config, many programs) and
+    The engine under :class:`Analyzer` (one program) and
     :func:`repro.polybench.analyze_suite_stream` (per-kernel configs): every
     job is planned, its tasks become one work group of one
     :func:`~repro.analysis.scheduler.schedule_work` ready queue, and a job's
@@ -248,8 +248,10 @@ class Analyzer:
         from repro.analysis import AnalysisConfig, Analyzer
 
         analyzer = Analyzer(AnalysisConfig(max_depth=1))
-        result = analyzer.analyze(program)
-        results = analyzer.analyze_many(programs, executor="process", n_jobs=4)
+        result = analyzer.analyze(program, executor="process", n_jobs=4)
+
+    For many programs in one batch, call :func:`stream_analyses` with one
+    ``(program, config)`` job each.
 
     With a :class:`~repro.analysis.store.BoundStore` attached (``store=``, a
     store or the path of its root), results are memoised on disk at two
@@ -271,8 +273,6 @@ class Analyzer:
             store = BoundStore(store)
         self.store = store
 
-    # -- single-program entry point -----------------------------------------
-
     def analyze(
         self,
         program: AffineProgram,
@@ -290,39 +290,3 @@ class Analyzer:
             [(program, self.config)], executor=executor, n_jobs=n_jobs, store=self.store
         )
         return result
-
-    # -- batch entry points ---------------------------------------------------
-
-    def analyze_many(
-        self,
-        programs: Iterable[AffineProgram],
-        executor: Executor | str | None = None,
-        n_jobs: int = 1,
-    ) -> list[IOBoundResult]:
-        """Derive bounds for a batch of programs, preserving input order.
-
-        An input-order collector over :func:`stream_analyses`: all uncached
-        derivations flow through **one** shared executor (``executor=`` and
-        ``n_jobs=`` — pass a live instance to share one pool across
-        batches), and the collected list is index-aligned with
-        ``programs``.  Every program yields exactly one result, and a
-        derivation that silently produces nothing raises
-        :class:`RuntimeError` rather than shifting later results onto
-        earlier slots.
-        """
-        batch: Sequence[AffineProgram] = list(programs)
-        jobs = [(program, self.config) for program in batch]
-        results: list[IOBoundResult | None] = [None] * len(batch)
-        for index, result in stream_analyses(
-            jobs, executor=executor, n_jobs=n_jobs, store=self.store
-        ):
-            results[index] = result
-
-        missing = [index for index, result in enumerate(results) if result is None]
-        if missing:
-            names = [batch[index].name for index in missing]
-            raise RuntimeError(
-                f"analyze_many produced no result for programs at indices {missing} "
-                f"({names}); refusing to return a misaligned batch"
-            )
-        return results

@@ -1,9 +1,9 @@
 """Analysis configuration: every knob of the derivation in one frozen object.
 
-:class:`AnalysisConfig` bundles the knobs that ``derive_bounds`` takes as
-keyword arguments — only what changes the derived bound.  How a derivation
-runs (the executor, its worker count, the bound store) is chosen by the
-caller at the call, never here.  The wavefront hypothesis check is not a
+:class:`AnalysisConfig` bundles the knobs of a derivation — only what
+changes the derived bound.  How a derivation runs (the executor, its
+worker count, the bound store) is chosen by the caller at the call, never
+here.  The wavefront hypothesis check is not a
 knob: it is always the symbolic one.  A config is immutable, so it can be
 shared between an :class:`~repro.analysis.Analyzer` and its worker
 processes, compared for equality, folded into an on-disk cache key (via the

@@ -1,9 +1,8 @@
 """Pluggable bound-derivation strategies and their registry.
 
 Algorithm 6 of the paper interleaves two families of sub-bounds: K-partition
-bounds (Alg. 2/3/4) and wavefront bounds (Alg. 5 / Cor. 6.3).  Historically
-both were inlined in ``derive_bounds``; here each family is a
-:class:`BoundStrategy` and the driver is a generic pipeline over the
+bounds (Alg. 2/3/4) and wavefront bounds (Alg. 5 / Cor. 6.3).  Each family
+is a :class:`BoundStrategy`, and the driver is a generic pipeline over the
 strategies named by :class:`~repro.analysis.config.AnalysisConfig`.
 
 A strategy participates in the plan/execute pipeline through three methods,

@@ -1,13 +1,13 @@
 """The IOLB algorithms: K-partition bounds, wavefront bounds, decomposition.
 
-Public entry point: :func:`derive_bounds`.
+These are the building blocks; :class:`repro.analysis.Analyzer` runs them
+as the derivation of Algorithm 6 and is the public entry point.
 """
 
 from .bounds import IOBoundResult, S_SYMBOL, SubBound, asymptotic_leading, evaluate
 from .brascamp_lieb import ExponentSolution, rank_constraints, solve_exponents
 from .decomposition import combine_sub_q, may_spill_interferes, remove_may_spill
 from .interference import coeff_interf, path_source_set, paths_independent
-from .iolb import derive_bounds
 from .kpartition import sub_param_q_by_partition
 from .oi import (
     Classification,
@@ -38,7 +38,6 @@ __all__ = [
     "classify",
     "coeff_interf",
     "combine_sub_q",
-    "derive_bounds",
     "evaluate",
     "genpaths",
     "may_spill_interferes",

@@ -38,9 +38,6 @@ class ExponentSolution:
     sigma: Fraction
     is_exact: bool
 
-    def as_floats(self) -> list[float]:
-        return [float(s) for s in self.exponents]
-
 
 def rank_constraints(
     kernels: list[Subspace], lattice: SubspaceLattice

@@ -15,7 +15,6 @@ the safe direction).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 import sympy
@@ -26,7 +25,7 @@ from ..sets import Constraint, CountingError, LinExpr, ParamSet, card, card_uppe
 from .bounds import S_SYMBOL, SubBound, evaluate
 from .brascamp_lieb import solve_exponents
 from .interference import coeff_interf, path_source_set
-from .paths import BROADCAST, DFGPath, genpaths
+from .paths import DFGPath, genpaths
 
 #: Cap on the number of pieces a shattered working domain may have before the
 #: same-statement decomposition gives up on further rounds.
@@ -248,10 +247,3 @@ def _node_domain_card(dfg: DFG, node: str) -> sympy.Expr:
     else:
         domain = dfg.program.array(node).domain
     return card(domain)
-
-
-def path_kind_summary(paths: list[DFGPath]) -> str:
-    """Human-readable one-liner describing a path combination."""
-    broadcasts = sum(1 for p in paths if p.kind == BROADCAST)
-    chains = len(paths) - broadcasts
-    return f"{len(paths)} paths ({broadcasts} broadcast, {chains} chain)"

@@ -45,15 +45,6 @@ class OIReport:
     machine_balance: float
     classification: Classification
 
-    def as_row(self) -> dict[str, object]:
-        return {
-            "kernel": self.kernel,
-            "OI_up": round(self.oi_upper, 3),
-            "OI_achieved": None if self.oi_achieved is None else round(self.oi_achieved, 3),
-            "MB": self.machine_balance,
-            "class": self.classification.value,
-        }
-
 
 def classify(
     oi_upper: float, oi_achieved: float | None, machine_balance: float

@@ -59,10 +59,6 @@ class DFGPath:
             return Subspace.span([direction], dim_ambient=self.function.domain_space.dim)
         return self.function.kernel()
 
-    def preimage_of_domain(self, domain: ParamSet, source_space) -> ParamSet:
-        """R_P^{-1}(D): the source instances feeding the sink sub-domain D."""
-        return self.function.image_of(domain, source_space)
-
     def describe(self) -> str:
         chain = " <- ".join([self.sink] + [e.source for e in reversed(self.edges)])
         return f"{self.kind} path {chain}"

@@ -47,7 +47,6 @@ from __future__ import annotations
 import json
 import tempfile
 import traceback
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,7 +61,7 @@ from repro.core.wavefront import (
 )
 from repro.ir.cdag import CDAG
 from repro.ir.program import AffineProgram
-from repro.pebble import TilingFallbackWarning, lexicographic_schedule, simulate_schedule
+from repro.pebble import lexicographic_schedule, simulate_schedule
 from repro.sets.counting import CountingError, card
 
 from .generator import FuzzProfile, resolve_profile
@@ -351,9 +350,7 @@ def oracle_sandwich(program: AffineProgram, ctx: OracleContext) -> OracleVerdict
     instance = ctx.profile.instance_dicts()[0]
     cdag = CDAG.expand(program, instance)
     capacity = _sandwich_capacity(cdag)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TilingFallbackWarning)
-        schedule = lexicographic_schedule(cdag, warn=False)
+    schedule = lexicographic_schedule(cdag, warn=False)
     loads = {
         policy: simulate_schedule(cdag, list(schedule), capacity, policy=policy).loads
         for policy in ("lru", "opt")

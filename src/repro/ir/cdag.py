@@ -271,9 +271,6 @@ class CDAG:
         vertices = self.index.vertices
         return [vertices[i] for i in self.index.topological]
 
-    def reachable_from(self, vertex: Vertex) -> set[Vertex]:
-        return set(nx.descendants(self.graph, vertex))
-
     def is_valid_schedule(self, schedule: Sequence[Vertex]) -> bool:
         """True when the schedule runs every compute vertex once, after its operands."""
         return self.index.schedule_ids(schedule) is not None

@@ -44,9 +44,6 @@ class DFG:
     def edges_into(self, node: str) -> list[FlowDep]:
         return [data["dep"] for _, _, data in self.graph.in_edges(node, data=True)]
 
-    def edges_from(self, node: str) -> list[FlowDep]:
-        return [data["dep"] for _, _, data in self.graph.out_edges(node, data=True)]
-
     def predecessors(self, node: str) -> list[str]:
         return list(self.graph.predecessors(node))
 

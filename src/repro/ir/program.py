@@ -28,7 +28,6 @@ from ..sets import (
     LinExpr,
     ParamSet,
     card,
-    card_upper,
     parse_function,
     parse_set,
 )
@@ -147,12 +146,6 @@ class AffineProgram:
 
     def input_arrays(self) -> list[Array]:
         return [a for a in self.arrays.values() if a.is_input]
-
-    def deps_into(self, sink: str) -> list[FlowDep]:
-        return [d for d in self.dependences if d.sink == sink]
-
-    def deps_from(self, source: str) -> list[FlowDep]:
-        return [d for d in self.dependences if d.source == source]
 
     def input_size(self) -> sympy.Expr:
         """Total number of input array elements (compulsory misses)."""

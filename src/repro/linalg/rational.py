@@ -233,13 +233,3 @@ def solve(a: Matrix, b: Sequence) -> Row | None:
 def is_integer_matrix(a: Matrix) -> bool:
     """True when every entry is an integer."""
     return all(entry.denominator == 1 for row in a for entry in row)
-
-
-def lcm_of_denominators(values: Iterable[Fraction]) -> int:
-    """Least common multiple of denominators, used to clear fractions."""
-    from math import lcm
-
-    result = 1
-    for value in values:
-        result = lcm(result, Fraction(value).denominator)
-    return result

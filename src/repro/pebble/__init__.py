@@ -1,7 +1,6 @@
 """Red-white pebble game, schedules and cache simulation on explicit CDAGs."""
 
-from .cache import SimulationResult, simulate_schedule
-from .game import GameState, Move, PebbleGameError, validate_game
+from .cache import PebbleGameError, SimulationResult, simulate_schedule
 from .schedules import (
     Schedule,
     TilingFallbackWarning,
@@ -11,8 +10,6 @@ from .schedules import (
 )
 
 __all__ = [
-    "GameState",
-    "Move",
     "PebbleGameError",
     "Schedule",
     "SimulationResult",
@@ -21,5 +18,4 @@ __all__ = [
     "simulate_schedule",
     "tiled_schedule",
     "topological_schedule",
-    "validate_game",
 ]

@@ -9,12 +9,12 @@ operational intensity of that schedule.
 
 The simulation runs on the CDAG's integer index
 (:class:`repro.ir.cdag.CDAGIndex`) and plays a red-white pebble game
-(:mod:`repro.pebble.game`) in-line: the schedule is checked up front to be a
+(Def. 3.2) in-line: the schedule is checked up front to be a
 topological order of the compute vertices, and every load, compute and
 eviction is checked against the rules (no load of an uncomputed value, no
 double load, no recomputation, operands in fast memory, capacity, evict only
 resident values) as an O(1) test on bytearrays, raising
-:class:`~repro.pebble.PebbleGameError` on a violation.  The reported cost is
+:class:`PebbleGameError` on a violation.  The reported cost is
 therefore the cost of a *legal* game; in particular it can never be below the
 IOLB lower bound (the property the integration tests check).
 
@@ -27,7 +27,7 @@ IOLB lower bound (the property the integration tests check).
   included), the lowest vertex id.
 
 The tests check loads and evictions against a move-by-move reference
-simulator that plays every move through :class:`~repro.pebble.GameState`.
+simulator that plays every move through a game-state rule checker.
 """
 
 from __future__ import annotations
@@ -37,9 +37,12 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from ..ir import CDAG, Vertex
-from .game import PebbleGameError
 
 from .. import perf
+
+
+class PebbleGameError(ValueError):
+    """Raised when a sequence of moves violates the game rules."""
 
 
 @dataclass
@@ -154,7 +157,7 @@ def simulate_schedule(
     cache = _LRU() if policy == "lru" else _Belady(preds, order, size)
     reuse, add, choose_victim = cache.reuse, cache.add, cache.victim
 
-    # The rule checks below are the ones GameState.apply makes, on bytearrays.
+    # The rule checks below are the pebble-game rules R1-R3, on bytearrays.
     white = bytearray(index.is_input)  # computed (or input) values
     red = bytearray(size)  # values in fast memory
     held = loads = evictions = 0

@@ -42,7 +42,7 @@ import threading
 from dataclasses import dataclass
 from functools import wraps
 from time import perf_counter
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 #: Canonical subsystem order for tables (anything else sorts after these).
 SUBSYSTEMS = (
@@ -195,10 +195,6 @@ class PerfSnapshot:
                 return entry
         return None
 
-    @property
-    def memo_hits(self) -> int:
-        return sum(c.hits for c in self.caches)
-
     def to_dict(self) -> dict:
         return {
             "subsystems": [
@@ -290,16 +286,3 @@ def reset() -> None:
             reset_counters()
 
 
-def merge_counts(counts: Mapping[str, Iterable[float]]) -> None:
-    """Fold externally collected ``{name: (calls, inclusive, exclusive)}`` in.
-
-    Lets a worker ship its totals back to a coordinating process (the thread
-    executor does not need this — threads share the process-wide totals).
-    """
-    with _lock:
-        for name, values in counts.items():
-            calls, inclusive, exclusive = values
-            entry = _totals.setdefault(name, [0, 0.0, 0.0])
-            entry[0] += int(calls)
-            entry[1] += float(inclusive)
-            entry[2] += float(exclusive)

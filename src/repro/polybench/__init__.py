@@ -12,7 +12,6 @@ from .registry import (
 )
 from .suite import (
     KernelAnalysis,
-    analyze_kernel,
     analyze_suite,
     analyze_suite_stream,
     figure6_rows,
@@ -30,7 +29,6 @@ __all__ = [
     "KernelAnalysis",
     "KernelSpec",
     "all_kernels",
-    "analyze_kernel",
     "analyze_suite",
     "analyze_suite_stream",
     "figure6_rows",

@@ -1,6 +1,8 @@
 """Suite-level drivers: run IOLB over PolyBench and build the paper's tables.
 
-* :func:`analyze_kernel` — run the full derivation for one kernel;
+* :func:`analyze_suite_stream` / :func:`analyze_suite` — run the derivation
+  for registered kernels, each at its registered wavefront depth unless the
+  caller overrides config fields;
 * :func:`table1_rows` — reproduce Table 1 (OI upper bound vs. the paper's
   manually derived OI, with the tightness ratio);
 * :func:`table2_rows` — reproduce Table 2 / Appendix C (complete and
@@ -13,13 +15,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import sympy
 
 from ..analysis import (
     AnalysisConfig,
-    Analyzer,
     BoundStore,
     Executor,
     StreamCounters,
@@ -31,9 +32,8 @@ from ..core import (
     PAPER_MACHINE_BALANCE,
     classify,
 )
-from ..ir import CDAG
+from ..ir import CDAG, Vertex
 from ..pebble import lexicographic_schedule, simulate_schedule, tiled_schedule
-from ..sets import sym
 from .registry import KernelSpec, all_kernels, get_kernel
 
 
@@ -48,47 +48,19 @@ class KernelAnalysis:
     def oi_upper(self) -> sympy.Expr:
         return self.result.oi_upper_bound()
 
-    def oi_ratio_to_manual(self) -> sympy.Expr:
-        """OI_up / OI_manual — the tightness ratio of Table 1 (>= 1 ideally)."""
-        manual = self.spec.paper_oi_manual_expr()
-        return sympy.simplify(self.oi_upper / manual)
 
-
-def _kernel_config(spec: KernelSpec, config: AnalysisConfig | None, **kwargs) -> AnalysisConfig:
-    """Analysis config for one kernel: spec defaults, then explicit overrides."""
-    base = config if config is not None else AnalysisConfig(max_depth=spec.max_depth)
-    if config is None and "max_depth" not in kwargs:
-        kwargs = {**kwargs, "max_depth": spec.max_depth}
-    return base.replace(**kwargs) if kwargs else base
-
-
-def analyze_kernel(
-    name: str,
-    config: AnalysisConfig | None = None,
-    store: BoundStore | None = None,
-    **kwargs,
-) -> KernelAnalysis:
-    """Run the IOLB derivation on one PolyBench kernel.
-
-    Without arguments the kernel's registered wavefront depth is used; pass
-    an :class:`~repro.analysis.AnalysisConfig` (or individual config fields
-    as keyword arguments, e.g. ``gamma=0.5``) to override.  A
-    :class:`~repro.analysis.BoundStore` makes the derivation persistent:
-    a kernel already in the store is never re-derived.
-    """
-    spec = get_kernel(name)
-    analyzer = Analyzer(_kernel_config(spec, config, **kwargs), store=store)
-    return KernelAnalysis(spec=spec, result=analyzer.analyze(spec.program))
+def _kernel_config(spec: KernelSpec, **overrides) -> AnalysisConfig:
+    """A kernel's config: the registered wavefront depth, then the overrides."""
+    return AnalysisConfig(max_depth=spec.max_depth).replace(**overrides)
 
 
 def analyze_suite_stream(
     names: Iterable[str] | None = None,
-    config: AnalysisConfig | None = None,
     n_jobs: int = 1,
     store: BoundStore | None = None,
     executor: "Executor | str | None" = None,
     counters: StreamCounters | None = None,
-    **kwargs,
+    **overrides,
 ) -> Iterator[KernelAnalysis]:
     """Stream suite results in **completion order**, one per requested kernel.
 
@@ -101,7 +73,9 @@ def analyze_suite_stream(
     derivation.  Results are byte-identical to :func:`analyze_suite`'s —
     only the iteration order differs.  ``executor`` (a name or a live
     :class:`~repro.analysis.Executor`) and ``n_jobs`` choose how the whole
-    batch runs.
+    batch runs.  Each kernel derives under its registered wavefront depth,
+    then ``overrides`` (:class:`~repro.analysis.AnalysisConfig` fields such
+    as ``gamma=0.5`` or ``max_depth=0``).
 
     ``counters`` (a :class:`~repro.analysis.StreamCounters`) receives only
     *this* stream's derivation counts — what a concurrent caller such as the
@@ -113,7 +87,7 @@ def analyze_suite_stream(
     # The scheduler leases the executor: a name or None is closed even on
     # early exit; a live instance stays the caller's to close.
     for index, result in stream_analyses(
-        [(spec.program, _kernel_config(spec, config, **kwargs)) for spec in specs],
+        [(spec.program, _kernel_config(spec, **overrides)) for spec in specs],
         executor=executor,
         n_jobs=n_jobs,
         store=store,
@@ -124,11 +98,10 @@ def analyze_suite_stream(
 
 def analyze_suite(
     names: Iterable[str] | None = None,
-    config: AnalysisConfig | None = None,
     n_jobs: int = 1,
     store: BoundStore | None = None,
     executor: "Executor | str | None" = None,
-    **kwargs,
+    **overrides,
 ) -> list[KernelAnalysis]:
     """Run the derivation over the whole suite (or a subset).
 
@@ -143,7 +116,7 @@ def analyze_suite(
     specs = all_kernels() if names is None else [get_kernel(n) for n in names]
     analyses: dict[str, KernelAnalysis] = {}
     for analysis in analyze_suite_stream(
-        names, config=config, n_jobs=n_jobs, store=store, executor=executor, **kwargs
+        names, n_jobs=n_jobs, store=store, executor=executor, **overrides
     ):
         analyses[analysis.spec.name] = analysis
     return [analyses[spec.name] for spec in specs]
@@ -218,46 +191,44 @@ def figure6_rows(
 
 
 def simulate_tiled_oi(spec: KernelSpec, instance: Mapping[str, int], cache: int) -> float | None:
-    """Achieved OI of a tiled schedule on the LRU cache simulator.
-
-    Returns None when the kernel's CDAG cannot be expanded at the requested
-    instance (e.g. parameters too small for the dependence pattern).
-    """
-    try:
-        cdag = CDAG.expand(spec.program, instance)
-    except Exception:
-        return None
-    if not cdag.compute_vertices():
-        return None
+    """Achieved OI of a tiled schedule on the LRU cache simulator."""
     tile = max(2, int(round(cache ** 0.5 / 2)))
     tile_sizes = {
         name: tuple(tile for _ in statement.dims)
         for name, statement in spec.program.statements.items()
     }
-    schedule = tiled_schedule(cdag, tile_sizes)
-    try:
-        result = simulate_schedule(cdag, schedule, cache, policy="lru")
-    except ValueError:
-        return None
-    flops = sum(
-        spec.program.statement(name).flops for name, _ in schedule
-    )
-    return flops / max(result.loads, 1)
+    return _simulated_oi(spec, instance, cache, lambda cdag: tiled_schedule(cdag, tile_sizes))
 
 
 def untiled_oi(spec: KernelSpec, instance: Mapping[str, int], cache: int) -> float | None:
     """Achieved OI of the untiled (program-order) schedule — the baseline."""
+    return _simulated_oi(spec, instance, cache, lexicographic_schedule)
+
+
+def _simulated_oi(
+    spec: KernelSpec,
+    instance: Mapping[str, int],
+    cache: int,
+    schedule_for: Callable[[CDAG], Sequence[Vertex]],
+) -> float | None:
+    """Flops over LRU loads of ``schedule_for(cdag)`` at ``instance``.
+
+    Returns None when the kernel's CDAG cannot be expanded at the requested
+    instance (e.g. parameters too small for the dependence pattern), has
+    nothing to compute, or does not fit the cache.
+    """
     try:
         cdag = CDAG.expand(spec.program, instance)
     except Exception:
         return None
-    schedule = lexicographic_schedule(cdag)
+    if not cdag.index.compute:
+        return None
     try:
-        result = simulate_schedule(cdag, schedule, cache, policy="lru")
+        result = simulate_schedule(cdag, schedule_for(cdag), cache, policy="lru")
     except ValueError:
         return None
-    flops = sum(spec.program.statement(name).flops for name, _ in schedule)
-    return flops / max(result.loads, 1)
+    # A valid schedule is a permutation of the compute vertices.
+    return cdag.flops / max(result.loads, 1)
 
 
 def _shrink(instance: Mapping[str, int], target: int = 12) -> dict[str, int]:

@@ -500,12 +500,6 @@ class AffineRelation:
             work.extend(fragments)
         return True
 
-    def is_equal(
-        self, other: "AffineRelation", context: Sequence[Constraint] = ()
-    ) -> bool:
-        """Certified equality (mutual certified inclusion)."""
-        return self.is_subset(other, context) and other.is_subset(self, context)
-
     def __repr__(self) -> str:
         flag = "exact" if self.exact else "approx"
         return (

@@ -85,9 +85,6 @@ class AffineFunction:
             expr.const for expr in self.exprs
         )
 
-    def is_identity(self) -> bool:
-        return self.is_translation() and all(c == 0 for c in self.translation_vector())
-
     # -- application -------------------------------------------------------
 
     def apply_to_point(self, point: Sequence[int], params: Mapping[str, int]) -> tuple[int, ...]:

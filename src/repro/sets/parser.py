@@ -62,11 +62,6 @@ class _ExprParser:
         self.pos += 1
         return token
 
-    def expect(self, token: str) -> None:
-        got = self.next()
-        if got != token:
-            raise ParseError(f"expected {token!r}, got {got!r}")
-
     def parse_expr(self) -> LinExpr:
         expr = self.parse_term()
         while self.peek() in ("+", "-"):

@@ -85,9 +85,6 @@ class ParamSet:
         pieces = [a.intersect(b) for a in self.pieces for b in other.pieces]
         return ParamSet(space, pieces)
 
-    def intersect_basic(self, basic: BasicSet) -> "ParamSet":
-        return self.intersect(ParamSet.from_basic(basic))
-
     @perf.timed("sets")
     def subtract(self, other: "ParamSet") -> "ParamSet":
         """Set difference ``self - other``.

@@ -31,10 +31,6 @@ class Space:
         """Number of set dimensions."""
         return len(self.dims)
 
-    def all_names(self) -> tuple[str, ...]:
-        """Dimension names followed by parameter names."""
-        return self.dims + self.params
-
     def with_params(self, extra: tuple[str, ...]) -> "Space":
         """Return a copy with additional parameters appended (ignoring duplicates)."""
         new_params = tuple(self.params) + tuple(p for p in extra if p not in self.params)

@@ -181,14 +181,11 @@ def _num(value: float | None) -> str:
 def tightness_report(
     names: Iterable[str] | None = None,
     cache_words: int = 64,
-    config=None,
     instance: Mapping[str, int] | None = None,
     store: BoundStore | None = None,
     executor: "Executor | str | None" = None,
     n_jobs: int = 1,
-    policies=("lru", "opt"),
     max_candidates: int = 64,
-    refine: bool = True,
     target: int = DEFAULT_INSTANCE_TARGET,
 ) -> TightnessReport:
     """Build the tightness report for a set of kernels (default: all).
@@ -209,7 +206,6 @@ def tightness_report(
             analysis.spec.name: analysis
             for analysis in analyze_suite_stream(
                 [spec.name for spec in specs],
-                config=config,
                 store=store,
                 executor=executor,
                 counters=counters,
@@ -226,9 +222,7 @@ def tightness_report(
         uppers = search_upper_bounds(
             [(spec.program, small) for spec, small in zip(specs, instances)],
             cache_words=cache_words,
-            policies=policies,
             max_candidates=max_candidates,
-            refine=refine,
             executor=executor,
             store=store,
             counters=counters,

@@ -33,7 +33,6 @@ planner's DFGs.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from functools import partial
 from typing import Iterable, Mapping, Sequence
 
@@ -48,11 +47,14 @@ from ..analysis.scheduler import (
 )
 from ..analysis.store import BoundStore
 from ..ir import CDAG, AffineProgram
-from ..pebble import TilingFallbackWarning, simulate_schedule, tiled_schedule
+from ..pebble import simulate_schedule, tiled_schedule
 from .result import TileSimulation, UpperBoundResult, select_best
 
 #: Bump to invalidate every persisted simulation entry (key material).
 SIMULATION_VERSION = 1
+
+#: Replacement policies every candidate shape is simulated under.
+POLICIES = ("lru", "opt")
 
 
 def simulation_count() -> int:
@@ -209,9 +211,7 @@ def _simulate_payload(payload: tuple) -> TileSimulation:
     program, instance_items, cache_words, shape, policy, fingerprint = payload
     instance = dict(instance_items)
     cdag = cdag_for(program, instance, fingerprint)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TilingFallbackWarning)
-        schedule = tiled_schedule(cdag, tile_sizes_for(program, shape), warn=False)
+    schedule = tiled_schedule(cdag, tile_sizes_for(program, shape), warn=False)
     baseline = all(edge == 1 for edge in shape)
     skipped = TileSimulation(
         shape=tuple(shape),
@@ -246,9 +246,7 @@ def _simulate_payload(payload: tuple) -> TileSimulation:
 def search_upper_bounds(
     jobs: Sequence[tuple[AffineProgram, Mapping[str, int]]],
     cache_words: int = 64,
-    policies: Sequence[str] = ("lru", "opt"),
     max_candidates: int = 64,
-    refine: bool = True,
     executor: "Executor | str | None" = None,
     n_jobs: int = 1,
     store: BoundStore | None = None,
@@ -269,9 +267,7 @@ def search_upper_bounds(
     """
     executor, release = lease_executor(executor, n_jobs)
     try:
-        return _run_search(
-            jobs, cache_words, policies, max_candidates, refine, executor, store, counters
-        )
+        return _run_search(jobs, cache_words, max_candidates, executor, store, counters)
     finally:
         release()
 
@@ -279,9 +275,7 @@ def search_upper_bounds(
 def _run_search(
     jobs: Sequence[tuple[AffineProgram, Mapping[str, int]]],
     cache_words: int,
-    policies: Sequence[str],
     max_candidates: int,
-    refine: bool,
     executor: Executor,
     store: BoundStore | None,
     counters: StreamCounters | None,
@@ -314,7 +308,7 @@ def _run_search(
                 continue
             items = []
             for shape in shapes_per_job[job_index]:
-                for policy in policies:
+                for policy in POLICIES:
                     payload = (
                         job["program"],
                         tuple(sorted(job["instance"].items())),
@@ -347,20 +341,14 @@ def _run_search(
 
     run_wave([[] if job is None else list(job["shapes"]) for job in prepared])
 
-    if refine:
-        refinements: list[list[tuple[int, ...]]] = []
-        for job in prepared:
-            if job is None:
-                refinements.append([])
-                continue
-            best = select_best(job["simulations"])
-            if best is None:
-                refinements.append([])
-                continue
-            refinements.append(
-                _refinement_shapes(best.shape, job["extents"], job["shapes"])
-            )
-        run_wave(refinements)
+    refinements: list[list[tuple[int, ...]]] = []
+    for job in prepared:
+        best = None if job is None else select_best(job["simulations"])
+        refinements.append(
+            [] if best is None
+            else _refinement_shapes(best.shape, job["extents"], job["shapes"])
+        )
+    run_wave(refinements)
 
     results: list[UpperBoundResult | None] = []
     for job in prepared:

@@ -1,9 +1,8 @@
-"""AnalysisConfig: validation, defaults, and equivalence with the legacy API."""
+"""AnalysisConfig: validation, defaults, signature and serialization."""
 
 import dataclasses
 
 import pytest
-import sympy
 
 from repro.analysis import (
     DEFAULT_CACHE_SIZE,
@@ -12,12 +11,11 @@ from repro.analysis import (
     AnalysisConfig,
     Analyzer,
 )
-from repro.core import derive_bounds
 from repro.polybench import get_kernel
 
 
 class TestDefaults:
-    def test_default_fields_match_legacy_derive_bounds_signature(self):
+    def test_default_fields(self):
         config = AnalysisConfig()
         assert config.instance is None
         assert config.gamma == DEFAULT_GAMMA
@@ -129,15 +127,3 @@ class TestRoundTripAndSignature:
         assert config.max_depth == 3
         assert config.gamma == DEFAULT_GAMMA
 
-
-class TestLegacyEquivalence:
-    @pytest.mark.parametrize("name,max_depth", [("gemm", 0), ("durbin", 1)])
-    def test_analyzer_matches_derive_bounds(self, name, max_depth):
-        """Acceptance: Analyzer and legacy derive_bounds agree on gemm and a
-        wavefront kernel (identical smooth/asymptotic expressions)."""
-        program = get_kernel(name).program
-        legacy = derive_bounds(program, max_depth=max_depth)
-        new = Analyzer(AnalysisConfig(max_depth=max_depth)).analyze(program)
-        assert sympy.simplify(legacy.smooth - new.smooth) == 0
-        assert sympy.simplify(legacy.asymptotic - new.asymptotic) == 0
-        assert legacy.log == new.log

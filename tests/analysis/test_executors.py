@@ -27,6 +27,7 @@ from repro.analysis import (
     reset_derivation_count,
     reset_task_derivation_count,
     resolve_executor,
+    stream_analyses,
     task_derivation_count,
 )
 from repro.analysis.strategies import get_strategy
@@ -73,13 +74,17 @@ class TestByteIdenticalAcrossExecutors:
             b.to_dict() for b in baseline.sub_bounds
         ]
 
-    def test_analyze_many_matches_per_program_results(self):
+    def test_batched_stream_matches_per_program_results(self):
         programs = [get_kernel(name).program for name in KERNELS]
         config = AnalysisConfig(max_depth=1)
         individual = [Analyzer(config).analyze(p) for p in programs]
-        batched = Analyzer(config).analyze_many(programs, executor="thread", n_jobs=4)
-        for single, batch in zip(individual, batched):
-            assert result_bytes(single) == result_bytes(batch)
+        batched = dict(
+            stream_analyses(
+                [(p, config) for p in programs], executor="thread", n_jobs=4
+            )
+        )
+        for index, single in enumerate(individual):
+            assert result_bytes(single) == result_bytes(batched[index])
 
 
 class TestTaskLevelResume:

@@ -8,9 +8,9 @@ The scheduler's headline guarantees:
   whole batch");
 * **priority** — workers drain the program with the fewest remaining tasks
   first, so small programs do not queue behind big ones;
-* **determinism** — collected stream output is byte-identical to the
-  barrier pipeline (`analyze_many`) on every executor and under adversarial
-  completion orders;
+* **determinism** — collected stream output is byte-identical to each
+  program derived alone and serially (`Analyzer.analyze`), on every
+  executor and under adversarial completion orders;
 * **interrupt safety** — a KeyboardInterrupt mid-batch loses only in-flight
   tasks: everything that landed is in the store, and the next run executes
   only what is missing.
@@ -61,6 +61,11 @@ def stream_by_name(programs, config, executor=None, store=None, n_jobs=1):
         jobs, executor=executor, n_jobs=n_jobs, store=store
     ):
         yield programs[index].name, result
+
+
+def solo_results(programs, config):
+    """The reference: each program derived alone, serially, in input order."""
+    return [Analyzer(config).analyze(program) for program in programs]
 
 
 def batch_task_count(programs, config) -> int:
@@ -133,10 +138,10 @@ class TestStreamingSemantics:
         assert small_positions and big_positions
         assert max(small_positions) < min(big_positions)
 
-    def test_adversarial_completion_order_streams_and_matches_barrier(self):
+    def test_adversarial_completion_order_streams_and_matches_solo(self):
         """Reverse-completion adversary: results stream in an order that
         differs from the input order, yet collected content is byte-equal
-        to analyze_many's."""
+        to each program derived alone."""
         programs = [get_kernel(name).program for name in [BIG] + SMALL]
         config = AnalysisConfig(max_depth=1)
         adversary = reversed_executor(batch_task_count(programs, config))
@@ -145,24 +150,22 @@ class TestStreamingSemantics:
         # highest-priority small kernel last — a completion order that
         # differs from the input order end to end.
         assert [name for name, _ in streamed] != [p.name for p in programs]
-        barrier = Analyzer(config).analyze_many(programs)
         by_name = dict(streamed)
-        for program, expected in zip(programs, barrier):
+        for program, expected in zip(programs, solo_results(programs, config)):
             assert result_bytes(by_name[program.name]) == result_bytes(expected)
 
     def test_warm_programs_yield_immediately_without_tasks(self, tmp_path):
         store = BoundStore(tmp_path)
         programs = [get_kernel(name).program for name in SMALL]
         config = AnalysisConfig(max_depth=1)
-        analyzer = Analyzer(config, store=store)
-        cold = analyzer.analyze_many(programs)
+        cold = dict(stream_by_name(programs, config, store=store))
 
         reset_task_derivation_count()
         warm = list(stream_by_name(programs, config, store=store))
         assert task_derivation_count() == 0
         assert [name for name, _ in warm] == [p.name for p in programs]
-        for (_, warm_result), cold_result in zip(warm, cold):
-            assert result_bytes(warm_result) == result_bytes(cold_result)
+        for name, warm_result in warm:
+            assert result_bytes(warm_result) == result_bytes(cold[name])
 
     def test_schedule_work_yields_task_results_in_plan_order(self):
         config = AnalysisConfig(max_depth=1)
@@ -183,6 +186,18 @@ class TestStreamingSemantics:
         for plan_index, plan in enumerate(plans):
             assert [r.task for r in seen[plan_index]] == list(plan.tasks)
 
+    def test_mixed_cached_and_fresh_batch_keeps_job_indices(self, tmp_path):
+        store = BoundStore(tmp_path)
+        config = AnalysisConfig(max_depth=0)
+        Analyzer(config, store=store).analyze(get_kernel("gemm").program)
+        programs = [get_kernel(name).program for name in ["atax", "gemm", "mvt"]]
+        streamed = list(stream_analyses([(p, config) for p in programs], store=store))
+        # The warm job streams first, under its own index.
+        assert streamed[0][0] == 1
+        assert sorted(index for index, _ in streamed) == [0, 1, 2]
+        for index, result in streamed:
+            assert result.program_name == programs[index].name
+
     def test_duplicate_programs_fan_out_one_derivation(self):
         program = get_kernel("gemm").program
         config = AnalysisConfig(max_depth=0)
@@ -193,22 +208,24 @@ class TestStreamingSemantics:
         assert result_bytes(streamed[0][1]) == result_bytes(streamed[1][1])
 
 
-class TestStreamEqualsBarrier:
+class TestStreamEqualsSolo:
     @pytest.mark.parametrize("kernel", [BIG] + SMALL)
-    def test_byte_equality_per_kernel_serial(self, kernel):
+    def test_byte_equality_per_kernel_reversed_tasks(self, kernel):
+        """A program's tasks landing in reverse order combine to the bytes
+        of its serial derivation: combine follows plan order."""
         program = get_kernel(kernel).program
         config = AnalysisConfig(max_depth=1)
-        ((name, streamed),) = list(stream_by_name([program], config))
-        (barrier,) = Analyzer(config).analyze_many([program])
+        adversary = reversed_executor(batch_task_count([program], config))
+        ((name, streamed),) = list(stream_by_name([program], config, executor=adversary))
+        (solo,) = solo_results([program], config)
         assert name == program.name
-        assert result_bytes(streamed) == result_bytes(barrier)
+        assert result_bytes(streamed) == result_bytes(solo)
 
     def test_byte_equality_threaded_batch(self):
         programs = [get_kernel(name).program for name in [BIG] + SMALL]
         config = AnalysisConfig(max_depth=1)
         streamed = dict(stream_by_name(programs, config, executor="thread", n_jobs=4))
-        barrier = Analyzer(config).analyze_many(programs, executor="thread", n_jobs=4)
-        for program, expected in zip(programs, barrier):
+        for program, expected in zip(programs, solo_results(programs, config)):
             assert result_bytes(streamed[program.name]) == result_bytes(expected)
 
     def test_suite_stream_collects_to_suite_results(self, tmp_path):
@@ -256,10 +273,9 @@ class TestEventLoopExecutors:
         refill) produces the same bytes as serial for a mixed batch."""
         programs = [get_kernel(name).program for name in [BIG] + SMALL]
         config = AnalysisConfig(max_depth=1)
-        serial = Analyzer(config).analyze_many(programs)
         with ThreadExecutor(n_jobs=3) as executor:
             streamed = dict(stream_by_name(programs, config, executor=executor))
-        for program, expected in zip(programs, serial):
+        for program, expected in zip(programs, solo_results(programs, config)):
             assert result_bytes(streamed[program.name]) == result_bytes(expected)
 
     def test_event_loop_failure_cancels_queued_tasks(self):

@@ -447,7 +447,7 @@ class TestUndecodableEntriesAreMisses:
         from repro.upper import reset_simulation_count, search_upper_bounds, simulation_count
 
         job = (get_kernel("gemm").program, {"Ni": 4, "Nj": 4, "Nk": 4})
-        options = dict(cache_words=16, max_candidates=4, refine=False)
+        options = dict(cache_words=16, max_candidates=4)
         (cold,) = search_upper_bounds([job], store=BoundStore(tmp_path), **options)
 
         store = BoundStore(tmp_path)

@@ -1,4 +1,4 @@
-"""Strategy registry: built-ins, custom plug-ins, and the batch entry point."""
+"""Strategy registry: built-ins, custom plug-ins, and batches of programs."""
 
 import pytest
 import sympy
@@ -6,9 +6,11 @@ import sympy
 from repro.analysis import (
     AnalysisConfig,
     Analyzer,
+    BoundStore,
     available_strategies,
     get_strategy,
     register_strategy,
+    stream_analyses,
     unregister_strategy,
 )
 from repro.analysis.plan import DerivationTask, TaskResult
@@ -140,16 +142,22 @@ class TestCustomStrategy:
         assert not any(b.method == "wavefront" for b in kpart_only.sub_bounds)
 
 
-class TestAnalyzeMany:
+def collect(programs, config, **run):
+    """Results of one ``stream_analyses`` batch, in input order."""
+    streamed = dict(stream_analyses([(p, config) for p in programs], **run))
+    return [streamed[index] for index in range(len(programs))]
+
+
+class TestBatch:
     KERNELS = ["gemm", "atax", "mvt", "trisolv", "bicg"]
 
     def test_parallel_matches_sequential(self):
-        """Acceptance: analyze_many over >= 5 PolyBench kernels with n_jobs=2
+        """Acceptance: a batch of >= 5 PolyBench kernels with n_jobs=2
         matches the sequential results."""
         programs = [get_kernel(name).program for name in self.KERNELS]
-        analyzer = Analyzer(AnalysisConfig(max_depth=0))
-        sequential = analyzer.analyze_many(programs)
-        parallel = analyzer.analyze_many(programs, n_jobs=2)
+        config = AnalysisConfig(max_depth=0)
+        sequential = collect(programs, config)
+        parallel = collect(programs, config, n_jobs=2)
         assert [r.program_name for r in parallel] == [r.program_name for r in sequential]
         for seq, par in zip(sequential, parallel):
             assert sympy.simplify(seq.smooth - par.smooth) == 0
@@ -158,18 +166,15 @@ class TestAnalyzeMany:
     def test_batch_preserves_input_order(self):
         names = list(reversed(self.KERNELS))
         programs = [get_kernel(name).program for name in names]
-        results = Analyzer(AnalysisConfig(max_depth=0)).analyze_many(programs)
+        results = collect(programs, AnalysisConfig(max_depth=0))
         assert [r.program_name for r in results] == names
 
-    def test_suite_honours_n_jobs_with_config(self):
-        """analyze_suite runs an explicit config on the n_jobs given at the
-        call and matches the serial per-kernel defaults."""
-        from repro.analysis import AnalysisConfig
+    def test_suite_honours_n_jobs_with_overrides(self):
+        """analyze_suite runs config overrides on the n_jobs given at the
+        call and matches the serial run."""
         from repro.polybench import analyze_suite
 
-        analyses = analyze_suite(
-            self.KERNELS[:3], config=AnalysisConfig(max_depth=0), n_jobs=2
-        )
+        analyses = analyze_suite(self.KERNELS[:3], max_depth=0, n_jobs=2)
         assert [a.spec.name for a in analyses] == self.KERNELS[:3]
         reference = analyze_suite(self.KERNELS[:3], max_depth=0)
         for batch, ref in zip(analyses, reference):
@@ -177,13 +182,13 @@ class TestAnalyzeMany:
 
     def test_batch_uses_disk_cache(self, tmp_path):
         programs = [get_kernel(name).program for name in self.KERNELS[:3]]
-        analyzer = Analyzer(AnalysisConfig(max_depth=0), store=tmp_path)
-        first = analyzer.analyze_many(programs)
+        config = AnalysisConfig(max_depth=0)
+        first = collect(programs, config, store=BoundStore(tmp_path))
         entries = list(tmp_path.glob("objects/*/*.json"))
         results = [p for p in entries if not p.stem.endswith("-task")]
         tasks = [p for p in entries if p.stem.endswith("-task")]
         assert len(results) == 3
         assert tasks, "task-level entries must be memoised alongside results"
-        second = analyzer.analyze_many(programs)
+        second = collect(programs, config, store=BoundStore(tmp_path))
         for a, b in zip(first, second):
             assert a.asymptotic == b.asymptotic

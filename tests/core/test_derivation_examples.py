@@ -8,12 +8,12 @@ on small explicit CDAGs.
 
 import sympy
 
+from repro.analysis import AnalysisConfig, Analyzer
 from repro.core import (
     BROADCAST,
     CHAIN,
     asymptotic_leading,
     coeff_interf,
-    derive_bounds,
     genpaths,
     paths_independent,
     sub_param_q_by_wavefront,
@@ -68,12 +68,12 @@ class TestGenpaths:
 
 class TestExample1:
     def test_partition_bound_is_mn_over_s(self, example1):
-        result = derive_bounds(example1, max_depth=0)
+        result = Analyzer(AnalysisConfig(max_depth=0)).analyze(example1)
         m, n, s = sym("M"), sym("N"), S_SYMBOL
         assert leading_ratio(result.asymptotic, m * n / s, ["M", "N"]) == 1
 
     def test_bound_below_simulated_loads(self, example1):
-        result = derive_bounds(example1, max_depth=0)
+        result = Analyzer(AnalysisConfig(max_depth=0)).analyze(example1)
         params = {"M": 8, "N": 10}
         cdag = CDAG.expand(example1, params)
         for capacity in (3, 5, 9):
@@ -86,17 +86,17 @@ class TestExample1:
 
 class TestGemm:
     def test_oi_upper_is_sqrt_s(self, gemm):
-        result = derive_bounds(gemm, max_depth=0)
+        result = Analyzer(AnalysisConfig(max_depth=0)).analyze(gemm)
         assert sympy.simplify(result.oi_upper_bound() - sympy.sqrt(S_SYMBOL)) == 0
 
     def test_asymptotic_matches_2n3_over_sqrt_s(self, gemm):
-        result = derive_bounds(gemm, max_depth=0)
+        result = Analyzer(AnalysisConfig(max_depth=0)).analyze(gemm)
         ni, nj, nk = sym("Ni"), sym("Nj"), sym("Nk")
         expected = 2 * ni * nj * nk / sympy.sqrt(S_SYMBOL)
         assert sympy.simplify(result.asymptotic / expected) == 1
 
     def test_bound_below_simulated_loads(self, gemm):
-        result = derive_bounds(gemm, max_depth=0)
+        result = Analyzer(AnalysisConfig(max_depth=0)).analyze(gemm)
         params = {"Ni": 6, "Nj": 6, "Nk": 6}
         cdag = CDAG.expand(gemm, params)
         for capacity in (8, 16):
@@ -118,12 +118,12 @@ class TestExample2Wavefront:
         assert difference == 0
 
     def test_full_derivation_dominated_by_mn(self, example2):
-        result = derive_bounds(example2, max_depth=1)
+        result = Analyzer(AnalysisConfig(max_depth=1)).analyze(example2)
         m, n = sym("M"), sym("N")
         assert leading_ratio(result.asymptotic, m * n, ["M", "N"]) == 1
 
     def test_bound_below_simulated_loads(self, example2):
-        result = derive_bounds(example2, max_depth=1)
+        result = Analyzer(AnalysisConfig(max_depth=1)).analyze(example2)
         params = {"M": 6, "N": 8}
         cdag = CDAG.expand(example2, params)
         simulated = simulate_schedule(

@@ -1,4 +1,4 @@
-"""Red-white pebble game (Def. 3.2) on explicit CDAGs.
+"""Move-by-move red-white pebble game (Def. 3.2): the oracle's rule checker.
 
 The game models a two-level memory hierarchy with an explicitly managed fast
 memory of ``S`` words:
@@ -8,13 +8,11 @@ memory of ``S`` words:
 * computing a vertex (rule R2) requires red pebbles on all its predecessors;
 * re-loading an already computed value (rule R1) is the unit of I/O cost.
 
-The module provides the move-by-move validator: :class:`GameState` applies
-one move at a time and checks it against the networkx graph, and
-:func:`validate_game` replays a whole game and returns its number of R1 moves
-— i.e. the number of loads, the quantity the IOLB lower bounds are compared
-against.  The cache simulators of :mod:`repro.pebble.cache` enforce the same
-rules in-line on the CDAG's integer index; the tests check them against a
-reference player that drives every move through :class:`GameState`.
+:class:`GameState` applies one move at a time and checks it against the
+networkx graph; :func:`validate_game` replays a whole game and returns its
+number of R1 moves.  :func:`repro.pebble.simulate_schedule` enforces the
+same rules in-line on the CDAG's integer index; :mod:`reference_cache`
+drives every move of its reference simulator through :class:`GameState`.
 """
 
 from __future__ import annotations
@@ -22,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
-from ..ir import CDAG, Vertex
+from repro.ir import CDAG, Vertex
+from repro.pebble import PebbleGameError
 
 MoveKind = Literal["load", "compute", "evict"]
 
@@ -33,10 +32,6 @@ class Move:
 
     kind: MoveKind
     vertex: Vertex
-
-
-class PebbleGameError(ValueError):
-    """Raised when a sequence of moves violates the game rules."""
 
 
 @dataclass

@@ -3,7 +3,7 @@
 This is the straightforward simulator the indexed one replaced.  It keeps
 vertices as ``(statement, point)`` tuples, asks a replacement-policy object
 for every victim, and plays every move through
-:class:`repro.pebble.GameState`, which re-checks the red-white rules against
+:class:`pebble_game.GameState`, which re-checks the red-white rules against
 the networkx graph.  It is slow (LRU rescans every vertex ever touched,
 Belady scans the whole resident set) but obviously faithful, so the
 differential tests compare loads and evictions against it.
@@ -19,7 +19,9 @@ from __future__ import annotations
 from collections import OrderedDict, defaultdict
 
 from repro.ir import CDAG, Vertex
-from repro.pebble import GameState, Move, SimulationResult
+from repro.pebble import SimulationResult
+
+from pebble_game import GameState, Move
 
 
 class _ReplacementPolicy:

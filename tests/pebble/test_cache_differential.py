@@ -19,8 +19,7 @@ from repro.pebble import (
     simulate_schedule,
     topological_schedule,
 )
-from repro.polybench import get_kernel
-from repro.polybench.suite import analyze_kernel
+from repro.polybench import analyze_suite, get_kernel
 
 
 def random_cdag(seed: int, operations: int = 40, inputs: int = 6) -> CDAG:
@@ -98,7 +97,7 @@ class TestSandwich:
     @pytest.mark.parametrize("name,instance,capacity", CASES)
     def test_simulated_loads_at_least_lower_bound(self, name, instance, capacity):
         spec = get_kernel(name)
-        analysis = analyze_kernel(name)
+        [analysis] = analyze_suite([name])
         cdag = CDAG.expand(spec.program, instance)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TilingFallbackWarning)

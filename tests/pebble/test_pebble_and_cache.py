@@ -4,14 +4,14 @@ import pytest
 
 from repro.ir import CDAG, ProgramBuilder
 from repro.pebble import (
-    GameState,
-    Move,
     PebbleGameError,
     lexicographic_schedule,
     simulate_schedule,
     tiled_schedule,
     topological_schedule,
 )
+
+from pebble_game import GameState, Move
 
 
 def chain_program(n=5):

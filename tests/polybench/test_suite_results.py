@@ -11,7 +11,7 @@ import sympy
 from repro.core.bounds import S_SYMBOL
 from repro.ir import CDAG
 from repro.pebble import lexicographic_schedule, simulate_schedule
-from repro.polybench import analyze_kernel, get_kernel
+from repro.polybench import analyze_suite, get_kernel
 from repro.sets import sym
 
 
@@ -22,34 +22,34 @@ def oi_degree_in_sqrt_s(expr) -> sympy.Expr:
 
 class TestCategory1Tileable:
     def test_gemm_oi_is_sqrt_s(self):
-        analysis = analyze_kernel("gemm")
+        [analysis] = analyze_suite(["gemm"])
         assert sympy.simplify(analysis.oi_upper - sympy.sqrt(S_SYMBOL)) == 0
 
     def test_cholesky_matches_appendix_a(self):
-        analysis = analyze_kernel("cholesky")
+        [analysis] = analyze_suite(["cholesky"])
         expected = sym("N") ** 3 / (6 * sympy.sqrt(S_SYMBOL))
         assert sympy.simplify(analysis.result.asymptotic / expected) == 1
         assert sympy.simplify(analysis.oi_upper - 2 * sympy.sqrt(S_SYMBOL)) == 0
 
     def test_lu_matches_appendix_b(self):
-        analysis = analyze_kernel("lu")
+        [analysis] = analyze_suite(["lu"])
         expected = 2 * sym("N") ** 3 / (3 * sympy.sqrt(S_SYMBOL))
         assert sympy.simplify(analysis.result.asymptotic / expected) == 1
 
     def test_covariance_oi_matches_paper(self):
-        analysis = analyze_kernel("covariance")
+        [analysis] = analyze_suite(["covariance"])
         assert sympy.simplify(analysis.oi_upper - 2 * sympy.sqrt(S_SYMBOL)) == 0
 
     @pytest.mark.parametrize("name", ["syrk", "trmm", "floyd-warshall", "2mm"])
     def test_oi_scales_like_sqrt_s(self, name):
-        analysis = analyze_kernel(name)
+        [analysis] = analyze_suite([name])
         ratio = sympy.simplify(analysis.oi_upper / sympy.sqrt(S_SYMBOL))
         # The OI upper bound must scale exactly like sqrt(S): dividing by
         # sqrt(S) removes every occurrence of the cache size.
         assert not ratio.has(S_SYMBOL)
 
     def test_jacobi_1d_oi_matches_paper_24s(self):
-        analysis = analyze_kernel("jacobi-1d")
+        [analysis] = analyze_suite(["jacobi-1d"])
         assert sympy.simplify(analysis.oi_upper - 24 * S_SYMBOL) == 0
 
 
@@ -57,27 +57,27 @@ class TestCategory2LowReuse:
     @pytest.mark.parametrize("name,expected", [("atax", 4), ("bicg", 4), ("mvt", 4),
                                                ("gesummv", 2), ("trisolv", 2)])
     def test_constant_oi(self, name, expected):
-        analysis = analyze_kernel(name)
+        [analysis] = analyze_suite([name])
         assert sympy.simplify(analysis.oi_upper - expected) == 0
 
     def test_atax_bound_is_input_size(self):
-        analysis = analyze_kernel("atax")
+        [analysis] = analyze_suite(["atax"])
         assert sympy.expand(analysis.result.asymptotic - sym("M") * sym("N")) == 0
 
 
 class TestCategory3Wavefront:
     def test_durbin_constant_oi(self):
-        analysis = analyze_kernel("durbin")
+        [analysis] = analyze_suite(["durbin"])
         assert analysis.oi_upper.is_number
         assert analysis.oi_upper <= 6  # paper reports 4
 
     def test_durbin_bound_quadratic(self):
-        analysis = analyze_kernel("durbin")
+        [analysis] = analyze_suite(["durbin"])
         expected = sym("N") ** 2 / 2
         assert sympy.simplify(analysis.result.asymptotic / expected) == 1
 
     def test_durbin_uses_wavefront_method(self):
-        analysis = analyze_kernel("durbin")
+        [analysis] = analyze_suite(["durbin"])
         assert any(b.method == "wavefront" for b in analysis.result.sub_bounds)
 
 
@@ -97,7 +97,7 @@ class TestSoundnessAgainstSimulation:
     @pytest.mark.parametrize("name,params,cache", CASES)
     def test_lower_bound_below_simulated_loads(self, name, params, cache):
         spec = get_kernel(name)
-        analysis = analyze_kernel(name)
+        [analysis] = analyze_suite([name])
         cdag = CDAG.expand(spec.program, params)
         schedule = lexicographic_schedule(cdag)
         simulated = simulate_schedule(cdag, schedule, cache, policy="opt")

@@ -128,19 +128,6 @@ def test_reset_zeroes_timers_and_cache_counters():
     assert cache.get_or_compute("k", lambda: 2) == 1
 
 
-def test_merge_counts_folds_external_totals():
-    @perf.timed("fm")
-    def work():
-        pass
-
-    work()
-    perf.merge_counts({"fm": (3, 1.5, 1.0), "sets": (1, 0.5, 0.5)})
-    snapshot = perf.snapshot()
-    assert snapshot.timing("fm").calls == 4
-    assert snapshot.timing("fm").inclusive_s >= 1.5
-    assert snapshot.timing("sets").calls == 1
-
-
 def test_format_table_lists_subsystems_and_caches():
     from repro.sets.memo import MemoCache
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.analysis import BoundStore
@@ -174,6 +176,19 @@ class TestSearch:
             max_candidates=8, executor="thread", n_jobs=4,
         )[0]
         assert serial.to_dict() == threaded.to_dict()
+
+    def test_thread_search_leaves_warning_filters_unchanged(self):
+        # The warning filter list is process-global: a worker that swaps it
+        # (warnings.catch_warnings) races its siblings and can leave an
+        # "ignore" entry behind after the search returns.
+        spec = get_kernel("jacobi-2d")
+        before = list(warnings.filters)
+        for _ in range(3):
+            search_upper_bounds(
+                [(spec.program, {"T": 4, "N": 8})], cache_words=16,
+                max_candidates=8, executor="thread", n_jobs=4,
+            )
+            assert list(warnings.filters) == before
 
     def test_unexpandable_instance_yields_none(self):
         spec = get_kernel("gemm")
