@@ -11,7 +11,7 @@ from repro.analysis import (
     AnalysisConfig,
     Analyzer,
 )
-from repro.polybench import get_kernel
+from repro.polybench import analyze_suite, get_kernel
 
 
 class TestDefaults:
@@ -127,3 +127,15 @@ class TestRoundTripAndSignature:
         assert config.max_depth == 3
         assert config.gamma == DEFAULT_GAMMA
 
+
+class TestFrontEquivalence:
+    @pytest.mark.parametrize("name,max_depth", [("gemm", 0), ("durbin", 1)])
+    def test_analyzer_matches_analyze_suite(self, name, max_depth):
+        """The program front and the suite front build the same config and
+        give the same bound on gemm and a wavefront kernel."""
+        program = get_kernel(name).program
+        direct = Analyzer(AnalysisConfig(max_depth=max_depth)).analyze(program)
+        [suite] = analyze_suite([name], max_depth=max_depth)
+        assert suite.result.smooth == direct.smooth
+        assert suite.result.asymptotic == direct.asymptotic
+        assert suite.result.log == direct.log

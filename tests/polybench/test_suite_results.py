@@ -8,10 +8,12 @@ limited — and the soundness of the bounds against simulated schedules.
 import pytest
 import sympy
 
+from repro.analysis import AnalysisConfig, derivation_count, reset_derivation_count
 from repro.core.bounds import S_SYMBOL
 from repro.ir import CDAG
 from repro.pebble import lexicographic_schedule, simulate_schedule
 from repro.polybench import analyze_suite, get_kernel
+from repro.polybench.suite import _kernel_config
 from repro.sets import sym
 
 
@@ -105,3 +107,27 @@ class TestSoundnessAgainstSimulation:
         assert bound <= simulated.loads + 1e-9, (
             f"{name}: bound {bound} exceeds simulated {simulated.loads}"
         )
+
+
+class TestSuiteDriver:
+    def test_kernel_config_is_registered_depth_then_overrides(self):
+        spec = get_kernel("durbin")
+        assert _kernel_config(spec) == AnalysisConfig(max_depth=spec.max_depth)
+        assert _kernel_config(spec, max_depth=0, gamma=0.5) == AnalysisConfig(
+            max_depth=0, gamma=0.5
+        )
+
+    def test_config_keyword_is_not_a_second_channel(self):
+        """Overrides are config fields only; a whole ``config=`` is refused
+        rather than silently ignored."""
+        with pytest.raises(TypeError):
+            analyze_suite(["atax"], config=AnalysisConfig(max_depth=0))
+
+    def test_results_align_with_requests_even_with_duplicates(self):
+        names = ["gemm", "atax", "mvt", "gemm"]
+        reset_derivation_count()
+        analyses = analyze_suite(names, max_depth=0)
+        assert [a.spec.name for a in analyses] == names
+        assert [a.result.program_name for a in analyses] == names
+        # The duplicate shares one derivation rather than re-deriving.
+        assert derivation_count() == 3

@@ -83,6 +83,22 @@ class TestSuiteStreaming:
         assert "derivations: 0" in capsys.readouterr().out
 
 
+class TestAnalyzeMatchesSuite:
+    def test_analyze_json_equals_the_suite_entry(self, tmp_path, capsys):
+        """`analyze` runs through the suite driver with the same overrides,
+        so its document is the suite document's entry for that kernel."""
+        overrides = ["--no-cache", "--max-depth", "0", "--gamma", "0.5"]
+        a_path, s_path = tmp_path / "a.json", tmp_path / "s.json"
+        assert main(["analyze", "atax", *overrides, "--json", str(a_path)]) == 0
+        assert main([
+            "suite", "--kernels", "atax", *overrides, "--json", str(s_path),
+        ]) == 0
+        capsys.readouterr()
+        analyzed = json.loads(a_path.read_text())
+        suite = json.loads(s_path.read_text())
+        assert analyzed == suite["results"]["atax"]
+
+
 class TestProfile:
     def test_table_reports_wall_time_and_subsystems(self, capsys):
         assert main(["profile", "--kernels", "gemm"]) == 0
