@@ -16,7 +16,6 @@ inverse path relation is simply the composition of the edge functions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..ir import DFG, FlowDep
@@ -28,7 +27,6 @@ CHAIN = "chain"
 
 DEFAULT_MAX_PATHS = 64
 DEFAULT_MAX_LENGTH = 4
-DEFAULT_TIMEOUT_SECONDS = 10.0
 
 
 @dataclass
@@ -80,16 +78,16 @@ def genpaths(
     restrict_domain: ParamSet | None = None,
     max_paths: int = DEFAULT_MAX_PATHS,
     max_length: int = DEFAULT_MAX_LENGTH,
-    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
 ) -> list[DFGPath]:
     """Generate broadcast paths and chain circuits ending at ``statement`` (Alg. 3).
 
     The traversal is a bounded backward DFS.  A path may only be extended past
     its current source when all its current edges are injective (the paper's
     "all edges but the first are injective" condition).  Paths whose sink-side
-    domain is empty are dropped.
+    domain is empty are dropped.  ``max_paths`` and ``max_length`` bound the
+    search; there is no wall-clock deadline, so the paths (and the bound built
+    from them) do not depend on the speed or load of the host.
     """
-    deadline = time.monotonic() + timeout_seconds
     stmt_domain = dfg.program.statement(statement).domain
     if restrict_domain is not None:
         stmt_domain = stmt_domain.intersect(restrict_domain)
@@ -107,7 +105,7 @@ def genpaths(
         stack.append(((dep,), dep.function, domain, _edge_is_injective(dep)))
 
     while stack:
-        if time.monotonic() > deadline or len(results) >= max_paths:
+        if len(results) >= max_paths:
             break
         edges, function, domain, all_injective = stack.pop()
         source = edges[-1].source

@@ -2,7 +2,8 @@
 
 This subpackage is the numerical backbone of the Brascamp-Lieb reasoning in
 :mod:`repro.core`: ranks and kernels of projection maps must be computed
-exactly, so everything is done over ``fractions.Fraction``.
+exactly, so matrices are over ``fractions.Fraction`` and subspaces are kept
+as primitive integer rows, eliminated fraction-free.
 """
 
 from .lattice import SubspaceLattice, build_lattice, subspace_closure

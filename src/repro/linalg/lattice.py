@@ -9,6 +9,12 @@ lattice is the closure under subspace sum and intersection.
 behaviour: if the closure does not converge within the budget, the *original*
 lattice is returned so the caller simply skips the new projection (a weaker
 but still valid bound).
+
+Each pair is sized before anything is built: ``Subspace.sum_dim`` gives
+dim(U + W) from products with U's cached annihilator.  A comparable pair
+(dim(U + W) = max(dim U, dim W)) has the operands as its meet and join and
+is skipped; a pair with dim U + dim W = dim(U + W) meets in {0}, and a join
+of full dimension is the whole space, so neither needs an elimination.
 """
 
 from __future__ import annotations
@@ -83,8 +89,7 @@ def subspace_closure(
     if new_kernel in lattice and len(lattice) > 0:
         return lattice, False
 
-    # Keys use Subspace.content_key() — int-pair tuples, not Fraction bases —
-    # because Fraction hashing is expensive enough to dominate cache lookups.
+    # Keys use Subspace.content_key(): the canonical integer rows.
     key = (
         lattice.dim_ambient,
         frozenset(element.content_key() for element in lattice.elements),
@@ -100,25 +105,42 @@ def subspace_closure(
 
     deadline = time.monotonic() + timeout_seconds
     updated = lattice.copy()
-    updated.elements.add(new_kernel)
+    elements = updated.elements
+    elements.add(new_kernel)
+    zero = Subspace.zero(lattice.dim_ambient)
+    full = Subspace.full(lattice.dim_ambient)
 
+    # Semi-naive: every new element is paired with every element, so the
+    # result is the least set holding the lattice and the kernel that is
+    # closed under pairs with a new member.  That set does not depend on the
+    # pairing order, and it only grows, so a call blows up exactly when the
+    # full closure has more than ``max_elements`` elements.
     worklist = [new_kernel]
     while worklist:
-        if len(updated) > max_elements:
+        if len(elements) > max_elements:
             _CLOSURE_CACHE.put(key, ((), False))
             return lattice, False
         if time.monotonic() > deadline:
             return lattice, False  # wall-clock dependent: do not cache
         current = worklist.pop()
-        for other in list(updated.elements):
-            for candidate in (current.intersection(other), current.sum(other)):
-                if candidate not in updated.elements:
-                    updated.elements.add(candidate)
+        for other in list(elements):
+            join_dim = current.sum_dim(other)
+            if join_dim == max(current.dim, other.dim):
+                continue  # comparable: the meet and the join are the operands
+            join = full if join_dim == full.dim else current.sum(other)
+            # dim(U cap W) = dim U + dim W - dim(U + W)
+            if current.dim + other.dim == join_dim:
+                meet = zero
+            else:
+                meet = current.intersection(other)
+            for candidate in (meet, join):
+                if candidate not in elements:
+                    elements.add(candidate)
                     worklist.append(candidate)
-                    if len(updated) > max_elements:
+                    if len(elements) > max_elements:
                         _CLOSURE_CACHE.put(key, ((), False))
                         return lattice, False
-    _CLOSURE_CACHE.put(key, (tuple(updated.elements), True))
+    _CLOSURE_CACHE.put(key, (tuple(elements), True))
     return updated, True
 
 

@@ -30,11 +30,10 @@ _ZERO = Fraction(0)
 _SMALL_RANGE = 128
 _SMALL_FRACTIONS = tuple(Fraction(i - _SMALL_RANGE) for i in range(2 * _SMALL_RANGE + 1))
 
-# Matrices are immutable and hashable, so RREF / nullspace results are
-# memoised under the matrix itself (see repro.sets.memo for the key
-# discipline).
+# Matrices are immutable and hashable, so RREF results are memoised under
+# the matrix itself (see repro.sets.memo for the key discipline).  Null
+# spaces, ranks and solutions are read off the memoised RREF.
 _RREF_CACHE = register(MemoCache("linalg.rref"))
-_NULLSPACE_CACHE = register(MemoCache("linalg.nullspace"))
 
 
 def to_fraction_matrix(rows: Iterable[Sequence]) -> Matrix:
@@ -182,16 +181,10 @@ def rank(a: Matrix) -> int:
 
 @perf.timed("linalg")
 def nullspace(a: Matrix) -> list[Row]:
-    """Basis of the right null space {x : a @ x = 0} over Q (memoised).
+    """Basis of the right null space {x : a @ x = 0} over Q.
 
     Returns a (possibly empty) list of basis vectors.
     """
-    return list(
-        _NULLSPACE_CACHE.get_or_compute(_matrix_key(a), lambda: tuple(_nullspace_uncached(a)))
-    )
-
-
-def _nullspace_uncached(a: Matrix) -> list[Row]:
     if not a:
         return []
     n_cols = len(a[0])

@@ -49,6 +49,22 @@ class TestGenpaths:
         kernel_dims = {p.source: p.kernel().dim for p in paths}
         assert kernel_dims["A"] == 1 and kernel_dims["B"] == 1 and kernel_dims["S"] == 1
 
+    def test_genpaths_does_not_read_the_clock(self, gemm, monkeypatch):
+        """The DFS is bounded by path count and length only: a clock that
+        jumps a minute per read (a slow or loaded host) finds the same paths."""
+        import time
+
+        dfg = DFG.from_program(gemm)
+        expected = [(p.source, p.kind, p.length) for p in genpaths(dfg, "S")]
+        now = [time.monotonic()]
+
+        def jumping_clock():
+            now[0] += 60.0
+            return now[0]
+
+        monkeypatch.setattr(time, "monotonic", jumping_clock)
+        assert [(p.source, p.kind, p.length) for p in genpaths(dfg, "S")] == expected
+
     def test_gemm_paths_pairwise_independent(self, gemm):
         dfg = DFG.from_program(gemm)
         paths = genpaths(dfg, "S")

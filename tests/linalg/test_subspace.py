@@ -1,7 +1,10 @@
 """Unit and property tests for subspaces and the subgroup lattice closure."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_lattice import reference_span
 
 from repro.linalg import Subspace, SubspaceLattice, build_lattice, subspace_closure
 
@@ -20,6 +23,26 @@ class TestSubspace:
         b = span((1, 1, 0), (1, -1, 0))
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_scaled_spans_share_one_canonical_form(self):
+        spans = [span((2, 4)), span((1, 2)), span((Fraction(1, 2), 1))]
+        assert spans[0] == spans[1] == spans[2]
+        assert len({hash(s) for s in spans}) == 1
+        assert len({s.content_key() for s in spans}) == 1
+        assert spans[0].rows == ((1, 2),)
+
+    def test_rows_are_primitive_and_basis_is_the_fraction_rref(self):
+        plane = span((0, -2, 4, 6), (3, 0, 0, Fraction(3, 2)))
+        assert plane.rows == ((2, 0, 0, 1), (0, 1, -2, -3))
+        assert plane.basis == reference_span([(0, -2, 4, 6), (3, 0, 0, Fraction(3, 2))], 4)
+        assert plane.basis == ((1, 0, 0, Fraction(1, 2)), (0, 1, -2, -3))
+        assert all(type(x) is Fraction for row in plane.basis for x in row)
+
+    def test_annihilator_is_the_orthogonal_complement(self):
+        line = span((1, 2, 3))
+        assert line.annihilator == ((3, 0, -1), (0, 3, -2))
+        assert Subspace.full(3).annihilator == ()
+        assert Subspace.zero(2).annihilator == ((1, 0), (0, 1))
 
     def test_contains_vector(self):
         plane = span((1, 0, 0), (0, 1, 0))
@@ -69,6 +92,20 @@ class TestLattice:
         dims = sorted(e.dim for e in lattice.nontrivial_elements())
         # 3 lines, 3 planes (pairwise sums), and the full space.
         assert dims == [1, 1, 1, 2, 2, 2, 3]
+
+    def test_nontrivial_elements_sort_by_dimension_then_fraction_basis(self):
+        # Integer rows order differently from the Fraction bases here
+        # ((2, 0, 1) < (3, 0, 1) but 1/2 > 1/3): the Fraction order wins.
+        lattice, _ = build_lattice(3, [span((2, 0, 1)), span((3, 0, 1)), span((0, 1, 0))])
+        ordered = lattice.nontrivial_elements()
+        assert [e.basis for e in ordered] == sorted(
+            (e.basis for e in ordered), key=lambda b: (len(b), b)
+        )
+        assert [e.basis for e in ordered[:3]] == [
+            ((0, 1, 0),),
+            ((1, 0, Fraction(1, 3)),),
+            ((1, 0, Fraction(1, 2)),),
+        ]
 
     def test_closure_is_idempotent(self):
         lattice, accepted = build_lattice(3, [span((1, 0, 0)), span((0, 1, 0))])
