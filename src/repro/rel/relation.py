@@ -105,13 +105,6 @@ def _piece_space(n_in: int, n_out: int, params: Sequence[str]) -> Space:
     return Space("__rel", _in_names(n_in) + _out_names(n_out), tuple(params))
 
 
-def _piece_signature(piece: BasicSet) -> frozenset:
-    return frozenset(
-        (c.kind, tuple(sorted(c.expr.coeffs.items())), c.expr.const)
-        for c in piece.constraints
-    )
-
-
 def _eliminate_tracked(
     constraints: Sequence[Constraint], names: Iterable[str]
 ) -> tuple[list[Constraint], bool]:
@@ -164,7 +157,7 @@ class AffineRelation:
                 )
             if piece.has_trivially_false_constraint():
                 continue
-            signature = _piece_signature(piece)
+            signature = frozenset(piece.constraints)
             if signature in seen:
                 continue
             seen.add(signature)

@@ -23,11 +23,21 @@ class LinExpr:
         cleaned: dict[str, Fraction] = {}
         if coeffs:
             for name, value in coeffs.items():
-                frac = Fraction(value)
-                if frac != 0:
-                    cleaned[name] = frac
+                if type(value) is not Fraction:
+                    value = Fraction(value)
+                if value:
+                    cleaned[name] = value
         self.coeffs: dict[str, Fraction] = cleaned
-        self.const: Fraction = Fraction(const)
+        self.const: Fraction = const if type(const) is Fraction else Fraction(const)
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[str, Fraction], const: Fraction) -> "LinExpr":
+        """Wrap ``coeffs`` and ``const`` as they are: the caller guarantees that
+        every coefficient is a non-zero ``Fraction`` and ``const`` a ``Fraction``."""
+        expr = object.__new__(cls)
+        expr.coeffs = coeffs
+        expr.const = const
+        return expr
 
     # -- constructors ------------------------------------------------------
 
@@ -65,14 +75,14 @@ class LinExpr:
         other = _as_expr(other)
         coeffs = dict(self.coeffs)
         for name, value in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + value
-        return LinExpr(coeffs, self.const + other.const)
+            _accumulate(coeffs, name, value)
+        return LinExpr._trusted(coeffs, self.const + other.const)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "LinExpr":
-        return LinExpr({k: -v for k, v in self.coeffs.items()}, -self.const)
+        return LinExpr._trusted({k: -v for k, v in self.coeffs.items()}, -self.const)
 
     def __sub__(self, other: "LinExpr | int | Fraction") -> "LinExpr":
         return self + (-_as_expr(other))
@@ -81,8 +91,12 @@ class LinExpr:
         return _as_expr(other) - self
 
     def __mul__(self, scalar: object) -> "LinExpr":
-        factor = Fraction(scalar)
-        return LinExpr({k: v * factor for k, v in self.coeffs.items()}, self.const * factor)
+        factor = scalar if type(scalar) is Fraction else Fraction(scalar)
+        if not factor:
+            return LinExpr._trusted({}, _ZERO)
+        return LinExpr._trusted(
+            {k: v * factor for k, v in self.coeffs.items()}, self.const * factor
+        )
 
     def __rmul__(self, scalar: object) -> "LinExpr":
         return self.__mul__(scalar)
@@ -94,19 +108,32 @@ class LinExpr:
         return self.coeffs == other.coeffs and self.const == other.const
 
     def __hash__(self) -> int:
+        # A constant expression equals its constant, so it must hash like it.
+        if not self.coeffs:
+            return hash(self.const)
         return hash((tuple(sorted(self.coeffs.items())), self.const))
 
     # -- substitution / evaluation ------------------------------------------
 
     def substitute(self, mapping: Mapping[str, "LinExpr | int | Fraction"]) -> "LinExpr":
-        """Replace each named variable by the given affine expression."""
-        result = LinExpr({}, self.const)
+        """Replace each named variable by the given affine expression.
+
+        One pass over one dict: a name already present is updated in place,
+        one that cancels is deleted and a new one is appended, which is the
+        coefficient order of summing the substituted terms left to right.
+        """
+        coeffs: dict[str, Fraction] = {}
+        const = self.const
         for name, coeff in self.coeffs.items():
-            if name in mapping:
-                result = result + _as_expr(mapping[name]) * coeff
-            else:
-                result = result + LinExpr({name: coeff})
-        return result
+            if name not in mapping:
+                _accumulate(coeffs, name, coeff)
+                continue
+            replacement = _as_expr(mapping[name])
+            for other, value in replacement.coeffs.items():
+                _accumulate(coeffs, other, value * coeff)
+            if replacement.const:
+                const = const + replacement.const * coeff
+        return LinExpr._trusted(coeffs, const)
 
     def evaluate(self, values: Mapping[str, object]) -> Fraction:
         """Numeric value of the expression at a point; all names must be bound."""
@@ -135,18 +162,15 @@ class LinExpr:
         Returns ``self`` (not a copy) when the expression is already in
         canonical form, so callers can cheaply detect idempotence.
         """
-        values = list(self.coeffs.values()) + [self.const]
-        denominators = 1
+        values = [*self.coeffs.values(), self.const]
+        denominator = 1
         for value in values:
-            denominators = denominators * value.denominator // gcd(denominators, value.denominator)
-        numerators = [abs(int(v * denominators)) for v in values if v != 0]
-        common = 0
-        for value in numerators:
-            common = gcd(common, value)
-        if denominators == 1 and common <= 1:
+            if value.denominator != 1:
+                denominator = denominator * value.denominator // gcd(denominator, value.denominator)
+        common = gcd(*[value.numerator * (denominator // value.denominator) for value in values])
+        if denominator == 1 and common <= 1:
             return self
-        scale = Fraction(denominators, common) if common > 1 else Fraction(denominators)
-        return self * scale
+        return self * Fraction(denominator, common)
 
     def __repr__(self) -> str:
         parts = []
@@ -161,6 +185,22 @@ class LinExpr:
         if self.const != 0 or not parts:
             parts.append(str(self.const))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+_ZERO = Fraction(0)
+
+
+def _accumulate(coeffs: dict[str, Fraction], name: str, value: Fraction) -> None:
+    """``coeffs[name] += value`` in place, deleting a coefficient that cancels."""
+    total = coeffs.get(name)
+    if total is None:
+        coeffs[name] = value
+        return
+    total += value
+    if total:
+        coeffs[name] = total
+    else:
+        del coeffs[name]
 
 
 def _as_expr(value: "LinExpr | int | Fraction") -> LinExpr:

@@ -27,15 +27,21 @@ from .space import Space
 EQ = "eq"   # expr == 0
 GE = "ge"   # expr >= 0
 
-# Interning table for canonical constraints: canonical key -> Constraint.
+# Interning table for canonical constraints (equal by canonical key).
 _intern_lock = threading.Lock()
 _intern_table: dict = {}
 _INTERN_MAX = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constraint:
-    """A single affine constraint: ``expr == 0`` (EQ) or ``expr >= 0`` (GE)."""
+    """A single affine constraint: ``expr == 0`` (EQ) or ``expr >= 0`` (GE).
+
+    Equality is equality of :meth:`key`, and the hash of the key is cached,
+    so dedup, interning and piece signatures hash each constraint's
+    ``Fraction`` coefficients once.  The cached hash depends on the
+    interpreter's string hash seed, so it is never pickled.
+    """
 
     expr: LinExpr
     kind: str = GE
@@ -55,6 +61,23 @@ class Constraint:
             cached = (self.kind, tuple(sorted(self.expr.coeffs.items())), self.expr.const)
             object.__setattr__(self, "_key", cached)
         return cached
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Constraint):
+            return NotImplemented
+        return self is other or self.key() == other.key()
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(self.key())
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        # Only the fields: the caches are rebuilt, and a worker started by
+        # ``spawn`` or ``forkserver`` hashes strings under its own seed.
+        return (Constraint, (self.expr, self.kind))
 
     def normalized(self) -> "Constraint":
         """Scale coefficients to coprime integers (direction preserved).
@@ -97,9 +120,8 @@ class Constraint:
 
 def _intern(constraint: Constraint) -> Constraint:
     """Return the one shared instance of a canonical constraint."""
-    key = constraint.key()
     with _intern_lock:
-        existing = _intern_table.get(key)
+        existing = _intern_table.get(constraint)
         if existing is not None:
             return existing
         if len(_intern_table) >= _INTERN_MAX:
@@ -107,7 +129,7 @@ def _intern(constraint: Constraint) -> Constraint:
         # A canonical constraint is its own normal form.
         if "_normalized" not in constraint.__dict__:
             object.__setattr__(constraint, "_normalized", constraint)
-        _intern_table[key] = constraint
+        _intern_table[constraint] = constraint
         return constraint
 
 
@@ -124,18 +146,12 @@ class BasicSet:
 
     def __init__(self, space: Space, constraints: Iterable[Constraint] = ()):
         self.space = space
-        normalized = []
-        seen = set()
+        unique: dict[Constraint, None] = {}
         for constraint in constraints:
             constraint = constraint.normalized()
-            if constraint.is_trivially_true():
-                continue
-            key = constraint.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            normalized.append(constraint)
-        self.constraints: tuple[Constraint, ...] = tuple(normalized)
+            if not constraint.is_trivially_true():
+                unique.setdefault(constraint)
+        self.constraints: tuple[Constraint, ...] = tuple(unique)
         self._fingerprint: str | None = None
 
     # -- constructors ------------------------------------------------------

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.plan import dfg_for
 from repro.core.wavefront import (
     _omega_range,
     _validate_reachability_concrete,
     _validate_reachability_symbolic,
     sub_param_q_by_wavefront,
 )
+from repro.fuzz.generator import random_program
 from repro.ir import DFG, expand_count, reset_expand_count
+from repro.rel import ReachabilityResult
 from repro.sets import LinExpr, parse_set
 
 
@@ -87,3 +90,20 @@ class TestSymbolicCertificate:
         dfg = DFG.from_program(example2)
         bound = sub_param_q_by_wavefront(dfg, "S2", depth=1)
         assert "symbolic validation (exact closure)" in bound.notes
+
+
+class TestWideFuzzVerdicts:
+    """The three costliest symbolic checks of the wide fuzz campaign.
+
+    They dominate the campaign's run time, so they are where a faster
+    constraint arithmetic would first move a verdict; the verdict and the
+    pivot count of each are pinned.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, statement, pivots", [(1, "S2", 4), (2, "S1", 4), (5, "S0", 3)]
+    )
+    def test_verdict_is_unchanged(self, seed, statement, pivots):
+        dfg = dfg_for(random_program(seed, "wide"))
+        result = _validate_reachability_symbolic(dfg, statement, 1)
+        assert result == ReachabilityResult(holds=False, exact=False, pivots=pivots)

@@ -1,0 +1,78 @@
+"""The ``Fraction``-rebuilding ``LinExpr`` arithmetic, kept as an oracle.
+
+:class:`repro.sets.LinExpr` keeps coefficients that are already ``Fraction``
+objects, builds the results of ``+``, ``-``, ``*`` and negation without
+re-validating them, and substitutes in one pass over a single dict.  This
+module is the arithmetic it replaced: every operation rebuilds each
+coefficient with ``Fraction(value)`` and drops zeros in the constructor, and
+``substitute`` adds one freshly built expression per term.  Values *and* the
+insertion order of ``coeffs`` must agree with it, because constraint order
+and FM pair order follow dict order.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+
+
+class ReferenceLinExpr:
+    """``sum_i c_i * name_i + const``, rebuilt from scratch by every operation."""
+
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs=None, const=0):
+        cleaned: dict[str, Fraction] = {}
+        if coeffs:
+            for name, value in coeffs.items():
+                frac = Fraction(value)
+                if frac != 0:
+                    cleaned[name] = frac
+        self.coeffs: dict[str, Fraction] = cleaned
+        self.const: Fraction = Fraction(const)
+
+    def __add__(self, other):
+        other = _as_reference(other)
+        coeffs = dict(self.coeffs)
+        for name, value in other.coeffs.items():
+            coeffs[name] = coeffs.get(name, Fraction(0)) + value
+        return ReferenceLinExpr(coeffs, self.const + other.const)
+
+    def __neg__(self):
+        return ReferenceLinExpr({k: -v for k, v in self.coeffs.items()}, -self.const)
+
+    def __sub__(self, other):
+        return self + (-_as_reference(other))
+
+    def __mul__(self, scalar):
+        factor = Fraction(scalar)
+        return ReferenceLinExpr({k: v * factor for k, v in self.coeffs.items()}, self.const * factor)
+
+    def substitute(self, mapping):
+        result = ReferenceLinExpr({}, self.const)
+        for name, coeff in self.coeffs.items():
+            if name in mapping:
+                result = result + _as_reference(mapping[name]) * coeff
+            else:
+                result = result + ReferenceLinExpr({name: coeff})
+        return result
+
+    def scaled_to_integers(self):
+        values = list(self.coeffs.values()) + [self.const]
+        denominators = 1
+        for value in values:
+            denominators = denominators * value.denominator // gcd(denominators, value.denominator)
+        numerators = [abs(int(v * denominators)) for v in values if v != 0]
+        common = 0
+        for value in numerators:
+            common = gcd(common, value)
+        if denominators == 1 and common <= 1:
+            return self
+        scale = Fraction(denominators, common) if common > 1 else Fraction(denominators)
+        return self * scale
+
+
+def _as_reference(value) -> ReferenceLinExpr:
+    if isinstance(value, ReferenceLinExpr):
+        return value
+    return ReferenceLinExpr({}, value)

@@ -56,6 +56,12 @@ class TestLinExpr:
         assert LinExpr({"x": 1}, 2) == LinExpr.var("x") + 2
         assert hash(LinExpr({"x": 1})) == hash(LinExpr.var("x"))
 
+    def test_constant_hashes_like_the_number_it_equals(self):
+        assert LinExpr.constant(3) == 3
+        assert 3 in {LinExpr.constant(3)}
+        assert LinExpr.constant(3) in {3}
+        assert Fraction(1, 2) in {LinExpr.constant(Fraction(1, 2))}
+
 
 class TestParseSet:
     def test_simple_rectangle(self):
