@@ -29,7 +29,12 @@ JSON cache of the first ``Analyzer`` iteration with a first-class store:
   :meth:`~BoundStore.get_task`, :meth:`~BoundStore.get_simulation`) checks
   the envelope and decodes the body with its kind's decoder, and counts a
   hit only when the body decodes, so the session hit/miss counters are
-  true.
+  true;
+* **shared warm results** — a store keeps the results it decoded last,
+  keyed by the bytes of their entry, and a read of an unchanged entry
+  returns the same result object instead of a fresh copy (results are
+  immutable everywhere in the library), so a caller holding many warm reads
+  holds one result per entry and a warm read skips the parse and the decode.
 
 Maintenance is exposed programmatically (:meth:`stats`, :meth:`gc`,
 :meth:`clear`) and on the command line::
@@ -41,6 +46,7 @@ Maintenance is exposed programmatically (:meth:`stats`, :meth:`gc`,
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -48,6 +54,7 @@ import re
 import tarfile
 import tempfile
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar
@@ -93,6 +100,9 @@ _ARCHIVE_MEMBER_PATTERN = re.compile(
 #: every this many writes — a sweep walks and stats the whole store, so
 #: running it per write would make batch derivation quadratic in store size.
 GC_WRITE_INTERVAL = 8
+
+#: Decoded results a store keeps for warm reads (least recently read go first).
+DECODED_RESULTS = 64
 
 #: The envelope field holding each entry kind's body.
 _BODY_FIELDS = {"result": "result", "task": "task_result", "simulation": "simulation"}
@@ -190,6 +200,9 @@ class BoundStore:
         self._writes = 0
         self._evictions = 0
         self._writes_since_gc = 0
+        # Entry digest -> the result decoded from those bytes.
+        self._decoded: OrderedDict[bytes, IOBoundResult] = OrderedDict()
+        self._decoded_lock = threading.Lock()
 
     def _count_hit(self) -> None:
         with self._counter_lock:
@@ -246,25 +259,35 @@ class BoundStore:
         miss, and the caller recomputes it.
         """
         path = self.path_for(key)
-        payload = _read_json(path)
+        raw = _read_bytes(path)
         value = None
-        if (
-            payload is not None
-            and _entry_schema(payload) == STORE_SCHEMA
-            # Result envelopes predate the kind field: no kind means "result".
-            and payload.get("kind", "result") == kind
-        ):
-            body = payload.get(_BODY_FIELDS[kind])
-            if isinstance(body, dict):
-                try:
-                    value = decode(body)
-                except (KeyError, ValueError, TypeError):
-                    value = None
+        if raw is not None:
+            if kind == "result":
+                value = self._decoded_result(raw, decode)
+            else:
+                value = _decode_entry(raw, kind, decode)
         if value is None:
             self._count_miss()
             return None
         _touch(path)  # bump atime explicitly: LRU works on noatime mounts
         self._count_hit()
+        return value
+
+    def _decoded_result(self, raw: bytes, decode: Callable[[dict], T]) -> T | None:
+        """The result in a result entry's bytes: the one decoded from the
+        same bytes before, if this store still keeps it, else a new decode."""
+        digest = hashlib.blake2b(raw, digest_size=16).digest()
+        with self._decoded_lock:
+            value = self._decoded.get(digest)
+            if value is not None:
+                self._decoded.move_to_end(digest)
+                return value
+        value = _decode_entry(raw, "result", decode)
+        if value is not None:
+            with self._decoded_lock:
+                self._decoded[digest] = value
+                if len(self._decoded) > DECODED_RESULTS:
+                    self._decoded.popitem(last=False)
         return value
 
     def contains(self, key: str) -> bool:
@@ -601,6 +624,38 @@ def _read_json(path: Path) -> dict | None:
     except (OSError, ValueError):
         return None
     return payload if isinstance(payload, dict) else None
+
+
+def _read_bytes(path: Path) -> bytes | None:
+    try:
+        with open(path, "rb") as stream:
+            return stream.read()
+    except OSError:
+        return None
+
+
+def _decode_entry(raw: bytes, kind: str, decode: Callable[[dict], T]) -> T | None:
+    """Envelope, kind and body checks on an entry's bytes, then ``decode``;
+    ``None`` for anything unparseable, foreign or rejected by ``decode``
+    (``KeyError``/``ValueError``/``TypeError``)."""
+    try:
+        payload = json.loads(raw)
+    except ValueError:
+        return None
+    if (
+        not isinstance(payload, dict)
+        or _entry_schema(payload) != STORE_SCHEMA
+        # Result envelopes predate the kind field: no kind means "result".
+        or payload.get("kind", "result") != kind
+    ):
+        return None
+    body = payload.get(_BODY_FIELDS[kind])
+    if not isinstance(body, dict):
+        return None
+    try:
+        return decode(body)
+    except (KeyError, ValueError, TypeError):
+        return None
 
 
 def _entry_schema(payload: Mapping) -> int:

@@ -16,7 +16,6 @@ the sympy plumbing:
 from __future__ import annotations
 
 import ast
-import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any, Mapping
@@ -301,16 +300,6 @@ def _pset_from_pieces(pieces: list[str]) -> ParamSet | None:
     return reduce(ParamSet.union, parsed)
 
 
-def _shared_text(value: object) -> object:
-    """The interned copy of a decoded string (anything else as it is).
-
-    Every store read decodes fresh copies of an entry's strings; interning
-    the ones a result keeps lets results decoded from one entry share them,
-    so a caller holding many warm reads holds one copy of the text.
-    """
-    return sys.intern(value) if type(value) is str else value
-
-
 class _StoredMaySpill(Mapping):
     """A decoded sub-bound's may-spill map, parsed from its pieces on first use.
 
@@ -323,12 +312,7 @@ class _StoredMaySpill(Mapping):
     __slots__ = ("_pieces", "_sets")
 
     def __init__(self, pieces: Mapping[str, list[str]]):
-        self._pieces = {
-            _shared_text(statement): (
-                [_shared_text(text) for text in texts] if isinstance(texts, list) else texts
-            )
-            for statement, texts in pieces.items()
-        }
+        self._pieces = pieces
         self._sets: dict[str, ParamSet] | None = None
 
     def _parsed(self) -> dict[str, ParamSet]:
@@ -413,10 +397,10 @@ class SubBound:
             expression=expr_from_text(data["expression"]),
             smooth=expr_from_text(data["smooth"]),
             may_spill=_StoredMaySpill(may_spill),
-            method=_shared_text(data.get("method", "kpartition")),
-            statement=_shared_text(data.get("statement", "")),
+            method=data.get("method", "kpartition"),
+            statement=data.get("statement", ""),
             depth=int(data.get("depth", 0)),
-            notes=_shared_text(data.get("notes", "")),
+            notes=data.get("notes", ""),
         )
 
 
@@ -494,15 +478,15 @@ class IOBoundResult:
                 f"(this library reads schema {SERIALIZATION_SCHEMA})"
             )
         return cls(
-            program_name=_shared_text(data["program_name"]),
-            parameters=tuple(_shared_text(name) for name in data["parameters"]),
+            program_name=data["program_name"],
+            parameters=tuple(data["parameters"]),
             expression=expr_from_text(data["expression"]),
             smooth=expr_from_text(data["smooth"]),
             asymptotic=expr_from_text(data["asymptotic"]),
             input_size=expr_from_text(data["input_size"]),
             total_flops=expr_from_text(data["total_flops"]),
             sub_bounds=[SubBound.from_dict(entry) for entry in data.get("sub_bounds", [])],
-            log=[_shared_text(line) for line in data.get("log", [])],
+            log=list(data.get("log", [])),
         )
 
     def __repr__(self) -> str:

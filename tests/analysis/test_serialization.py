@@ -336,22 +336,6 @@ class TestLazyMaySpill:
         assert reloaded.to_dict() == data
         assert calls
 
-    def test_decodes_of_one_entry_share_the_text_they_keep(self):
-        # A caller holding many warm reads of one entry holds one copy of
-        # its strings: each decode starts from freshly parsed JSON.
-        text = json.dumps(_analyze("gemm").to_dict())
-        first, second = (IOBoundResult.from_dict(json.loads(text)) for _ in range(2))
-        assert first.program_name is second.program_name
-        assert first.log and all(a is b for a, b in zip(first.log, second.log, strict=True))
-        assert first.sub_bounds
-        for a, b in zip(first.sub_bounds, second.sub_bounds, strict=True):
-            assert a.notes is b.notes and a.statement is b.statement
-            pieces_a, pieces_b = a.may_spill._pieces, b.may_spill._pieces
-            assert pieces_a and all(
-                x is y for s in pieces_a for x, y in zip(pieces_a[s], pieces_b[s], strict=True)
-            )
-        assert second.to_dict() == json.loads(text)
-
     def test_unparseable_or_empty_pieces_drop_the_statement(self):
         expression = "Symbol('N', integer=True)"
         bound = SubBound.from_dict({

@@ -14,6 +14,7 @@ import concurrent.futures
 import io
 import json
 import os
+import sys
 import tarfile
 import time
 from pathlib import Path
@@ -207,6 +208,79 @@ class TestSchemaNegotiation:
         assert store.get(KEY) is None
         store.put(KEY, make_result("fresh"))
         assert store.get(KEY).program_name == "fresh"
+
+
+class TestSharedWarmResults:
+    def test_unchanged_entry_returns_the_same_result(self, tmp_path):
+        store = BoundStore(tmp_path)
+        store.put(KEY, make_result("shared", 2))
+        first = store.get(KEY)
+        assert store.get(KEY) is first
+        # Another store over the same root decodes its own copy, equal in value.
+        other = BoundStore(tmp_path).get(KEY)
+        assert other is not first and other.to_dict() == first.to_dict()
+        assert store.hits == 2 and store.misses == 0
+
+    def test_rewritten_entry_is_decoded_again(self, tmp_path):
+        store = BoundStore(tmp_path)
+        store.put(KEY, make_result("old", 1))
+        old = store.get(KEY)
+        store.put(KEY, make_result("new", 2))
+        new = store.get(KEY)
+        assert new is not old and new.program_name == "new"
+
+    def test_kept_result_never_hides_a_corrupted_or_removed_entry(self, tmp_path):
+        store = BoundStore(tmp_path)
+        store.put(KEY, make_result())
+        assert store.get(KEY) is not None
+        path = store.path_for(KEY)
+        path.write_text("{ not json")
+        assert store.get(KEY) is None
+        path.unlink()
+        assert store.get(KEY) is None
+        assert store.hits == 1 and store.misses == 2
+
+    def test_kept_results_are_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.analysis.store.DECODED_RESULTS", 2)
+        store = BoundStore(tmp_path)
+        keys = [f"{i:02x}" + "0" * 62 for i in range(3)]
+        for i, key in enumerate(keys):
+            store.put(key, make_result(f"p{i}", i + 1))
+        first = store.get(keys[0])
+        store.get(keys[1])
+        store.get(keys[2])  # drops keys[0], the least recently read
+        assert len(store._decoded) == 2
+        again = store.get(keys[0])
+        assert again is not first and again.to_dict() == first.to_dict()
+
+    def test_threads_sharing_one_store_read_every_entry_right(self, tmp_path, monkeypatch):
+        # More readers than kept results: every read evicts or re-decodes.
+        monkeypatch.setattr("repro.analysis.store.DECODED_RESULTS", 2)
+        store = BoundStore(tmp_path)
+        keys = [f"{i:02x}" + "0" * 62 for i in range(5)]
+        expected = {}
+        for i, key in enumerate(keys):
+            store.put(key, make_result(f"p{i}", i + 1))
+            expected[key] = make_result(f"p{i}", i + 1).to_dict()
+
+        def reader(offset: int) -> int:
+            wrong = 0
+            for round_ in range(60):
+                key = keys[(offset + round_) % len(keys)]
+                wrong += store.get(key).to_dict() != expected[key]
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(reader, offset) for offset in range(8)]
+                wrong = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [0] * 8
+        assert store.hits == 8 * 60 and store.misses == 0
+        assert len(store._decoded) <= 2
 
 
 class TestReadOnlyStore:
