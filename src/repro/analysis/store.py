@@ -69,8 +69,10 @@ from ..core.bounds import IOBoundResult
 #: History: 2 — the nested-case-split counting fix in ``repro.sets``;
 #: 3 — symbolic (Algorithm 5) wavefront validation replaces the
 #: concrete-CDAG check and ``_omega_range`` takes the tightest bound per
-#: piece instead of the first.
-DERIVATION_VERSION = 3
+#: piece instead of the first; 4 — a read of a 0-dimensional array
+#: (``A[]``) has the whole iteration space as its kernel, like any other
+#: constant map, instead of {0}.
+DERIVATION_VERSION = 4
 
 #: Environment variable naming the default store root.
 STORE_ENV = "REPRO_STORE"

@@ -5,10 +5,12 @@ the lattice of subgroups generated by the projection kernels instead of on all
 subgroups of Z^d.  Working over Q, the kernels are linear subspaces and the
 lattice is the closure under subspace sum and intersection.
 
-``subspace_closure`` mirrors the paper's Algorithm 2, including the timeout
-behaviour: if the closure does not converge within the budget, the *original*
-lattice is returned so the caller simply skips the new projection (a weaker
-but still valid bound).
+``subspace_closure`` mirrors the paper's Algorithm 2 with a count-based
+budget in place of the paper's timeout: if the closure grows past
+``max_elements`` elements, the *original* lattice is returned so the caller
+simply skips the new projection (a weaker but still valid bound).  The
+budget does not depend on the host's speed or load, so neither does the
+bound.
 
 Each pair is sized before anything is built: ``Subspace.sum_dim`` gives
 dim(U + W) from products with U's cached annihilator.  A comparable pair
@@ -19,21 +21,21 @@ of full dimension is the whole space, so neither needs an elimination.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 from .. import perf
-from ..sets.memo import MISSING, MemoCache, register
+from ..sets.memo import MemoCache, register
 from .subspace import Subspace
 
+#: The paper's closure timeout.  No derivation reads it; the name stays
+#: because the benchmark's closure hook imports it.
 DEFAULT_TIMEOUT_SECONDS = 2.0
 DEFAULT_MAX_ELEMENTS = 256
 
-# Converged closures keyed on (ambient dim, lattice contents, kernel, cap).
-# Timeout returns are wall-clock dependent and are NEVER cached (memo-key
-# discipline, see repro.sets.memo); size blow-ups are count-based and
-# deterministic, so they are.  Values hold immutable Subspace tuples — a
-# fresh SubspaceLattice is rebuilt per hit because lattices are mutable.
+# Closure outcomes keyed on (ambient dim, lattice contents, kernel, cap).
+# Every outcome, a blow-up included, is a function of the key.  Values hold
+# immutable Subspace tuples — a fresh SubspaceLattice is rebuilt per hit
+# because lattices are mutable.
 _CLOSURE_CACHE = register(MemoCache("linalg.closure", maxsize=8192))
 
 
@@ -57,9 +59,6 @@ class SubspaceLattice:
     def __contains__(self, subspace: Subspace) -> bool:
         return subspace in self.elements
 
-    def copy(self) -> "SubspaceLattice":
-        return SubspaceLattice(self.dim_ambient, self.elements)
-
     def nontrivial_elements(self) -> list[Subspace]:
         """Lattice elements other than {0}, sorted by dimension for determinism."""
         elems = [e for e in self.elements if not e.is_zero()]
@@ -70,19 +69,19 @@ class SubspaceLattice:
 def subspace_closure(
     lattice: SubspaceLattice,
     new_kernel: Subspace,
-    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
+    *,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> tuple[SubspaceLattice, bool]:
     """Algorithm 2: tentatively add ``new_kernel`` and re-close the lattice.
 
-    Returns ``(lattice, changed)``.  On timeout (or size blow-up) the original
-    lattice is returned unchanged with ``changed = False``, exactly like the
-    paper's implementation drops the candidate projection.
+    Returns ``(lattice, changed)``.  When the closure has more than
+    ``max_elements`` elements, the original lattice is returned unchanged
+    with ``changed = False``, exactly like the paper's implementation drops
+    the candidate projection.
 
-    Converged closures (and deterministic size blow-ups) are memoised on the
-    lattice contents: per-path incremental lattices repeat the same closure
-    states across statements, which makes this the single most valuable
-    cache in the derivation pipeline.
+    Outcomes are memoised on the lattice contents: per-path incremental
+    lattices repeat the same closure states across statements, which makes
+    this the single most valuable cache in the derivation pipeline.
     """
     if new_kernel.dim_ambient != lattice.dim_ambient:
         raise ValueError("kernel in wrong ambient dimension")
@@ -96,16 +95,19 @@ def subspace_closure(
         new_kernel.content_key(),
         max_elements,
     )
-    cached = _CLOSURE_CACHE.lookup(key)
-    if cached is not MISSING:
-        elements, changed = cached
-        if not changed:
-            return lattice, False
-        return SubspaceLattice(lattice.dim_ambient, elements), True
+    elements = _CLOSURE_CACHE.get_or_compute(
+        key, lambda: _close(lattice, new_kernel, max_elements)
+    )
+    if elements is None:
+        return lattice, False
+    return SubspaceLattice(lattice.dim_ambient, elements), True
 
-    deadline = time.monotonic() + timeout_seconds
-    updated = lattice.copy()
-    elements = updated.elements
+
+def _close(
+    lattice: SubspaceLattice, new_kernel: Subspace, max_elements: int
+) -> tuple[Subspace, ...] | None:
+    """The closure's elements, or None when there are more than ``max_elements``."""
+    elements = set(lattice.elements)
     elements.add(new_kernel)
     zero = Subspace.zero(lattice.dim_ambient)
     full = Subspace.full(lattice.dim_ambient)
@@ -118,10 +120,7 @@ def subspace_closure(
     worklist = [new_kernel]
     while worklist:
         if len(elements) > max_elements:
-            _CLOSURE_CACHE.put(key, ((), False))
-            return lattice, False
-        if time.monotonic() > deadline:
-            return lattice, False  # wall-clock dependent: do not cache
+            return None
         current = worklist.pop()
         for other in list(elements):
             join_dim = current.sum_dim(other)
@@ -138,18 +137,14 @@ def subspace_closure(
                     elements.add(candidate)
                     worklist.append(candidate)
                     if len(elements) > max_elements:
-                        _CLOSURE_CACHE.put(key, ((), False))
-                        return lattice, False
-    _CLOSURE_CACHE.put(key, (tuple(elements), True))
-    return updated, True
+                        return None
+    return tuple(elements)
 
 
 def build_lattice(
-    dim_ambient: int,
-    kernels: Iterable[Subspace],
-    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
+    dim_ambient: int, kernels: Iterable[Subspace]
 ) -> tuple[SubspaceLattice, list[Subspace]]:
-    """Build the lattice generated by ``kernels``, skipping any that time out.
+    """Build the lattice generated by ``kernels``, skipping any that blow up the closure.
 
     Returns the lattice together with the list of kernels that were actually
     incorporated (in input order).
@@ -157,7 +152,7 @@ def build_lattice(
     lattice = SubspaceLattice(dim_ambient)
     accepted: list[Subspace] = []
     for kernel in kernels:
-        lattice, changed = subspace_closure(lattice, kernel, timeout_seconds)
+        lattice, changed = subspace_closure(lattice, kernel)
         if changed or kernel in lattice:
             accepted.append(kernel)
     return lattice, accepted

@@ -11,7 +11,9 @@ integer row with a positive pivot.  Two equal subspaces have equal rows, so
 they compare and hash identically, and sum and intersection are fraction-free
 integer eliminations (RREF is invariant under row scaling, so the scaled rows
 carry exactly the information of the ``Fraction`` RREF, which stays
-available as :attr:`Subspace.basis`).
+available as :attr:`Subspace.basis`).  This is the package's only
+elimination: the kernel of an affine map is the orthogonal complement of the
+row space of its linear part (:meth:`Subspace.complement`).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .. import perf
-from .rational import Row
 
+Row = tuple[Fraction, ...]
 IntRows = tuple[tuple[int, ...], ...]
 
 
@@ -179,6 +181,13 @@ class Subspace:
         if annihilator is None:
             annihilator = self._annihilator = _complement(self.rows, self.dim_ambient)
         return annihilator
+
+    def complement(self) -> "Subspace":
+        """The orthogonal complement {y : v . y = 0 for every v in the subspace}.
+
+        Applied to the row space of a matrix, this is the matrix's null space.
+        """
+        return Subspace._canonical(self.dim_ambient, self.annihilator, self.rows)
 
     def is_zero(self) -> bool:
         """True for the trivial subspace."""

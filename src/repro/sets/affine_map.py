@@ -5,7 +5,9 @@ instance to the unique *source* instance it reads.  We therefore represent an
 edge relation by its inverse — an affine function from the sink space to the
 source space — together with the sink sub-domain on which it applies.  This is
 exactly the information needed to classify DFG-paths as broadcast paths or
-chain circuits and to extract their projection kernels (Def. 5.1).
+chain circuits and to extract their projection kernels (Def. 5.1): a kernel
+is the orthogonal complement of the row space of the map's linear part,
+computed by the integer :class:`~repro.linalg.Subspace` elimination.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ..linalg import Subspace, to_fraction_matrix
+from ..linalg import Subspace
 from .affine import LinExpr
 from .basic_set import BasicSet, Constraint, EQ
 from .fourier_motzkin import eliminate_variables
@@ -47,19 +49,15 @@ class AffineFunction:
     def target_arity(self) -> int:
         return len(self.exprs)
 
-    def linear_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Linear part of the map, as a (target_arity x domain_dim) matrix."""
-        rows = []
-        for expr in self.exprs:
-            rows.append([expr.coeff(d) for d in self.domain_space.dims])
-        return to_fraction_matrix(rows)
-
     def kernel(self) -> Subspace:
-        """Kernel of the linear part, as a subspace of the domain space."""
-        from ..linalg import nullspace
+        """Kernel of the linear part, as a subspace of the domain space.
 
-        basis = nullspace(self.linear_matrix())
-        return Subspace(self.domain_space.dim, basis)
+        A map into a 0-dimensional space (``A[]``) has no rows, so its kernel
+        is the whole domain, as for any other constant map.
+        """
+        dims = self.domain_space.dims
+        rows = [[expr.coeff(d) for d in dims] for expr in self.exprs]
+        return Subspace(len(dims), rows).complement()
 
     def is_translation(self) -> bool:
         """True when the map sends x to x + delta within the same-arity space."""

@@ -2,7 +2,7 @@
 
 The same trick as the persistent ``BoundStore``, applied in-process: results
 of pure, deterministic queries (emptiness, projection, simplification,
-rational linear algebra) are cached under a key derived from the *content*
+the subspace-lattice closure) are cached under a key derived from the *content*
 of their inputs, so structurally-equal sets reached through different
 derivation paths share one computation.
 
@@ -13,8 +13,9 @@ Discipline for memo keys (see DESIGN.md "Set-algebra engine"):
   keys of the context constraints;
 * cached values must be immutable (tuples, frozen objects, ``bool``) so a
   shared result can never be mutated by one caller under another;
-* never cache a result that depends on wall-clock or resource budgets
-  (``subspace_closure`` timeouts are *not* cached — only converged runs).
+* never cache a result that depends on the wall clock or the host: only
+  pure functions of the key are memoised (``subspace_closure``'s budget is
+  an element count, part of its key, so its blow-ups are cached too).
 
 Every cache is process-wide and lock-guarded, keeps hit/miss counters, and
 registers itself with :mod:`repro.perf` so ``python -m repro profile``
@@ -69,24 +70,6 @@ class MemoCache:
             self._data[key] = value
         return value
 
-    def put(self, key: Hashable, value: _T) -> _T:
-        """Store without counting a miss (for caches filled conditionally)."""
-        with self._lock:
-            if len(self._data) >= self.maxsize:
-                self._data.clear()
-            self._data[key] = value
-        return value
-
-    def lookup(self, key: Hashable):
-        """Return the cached value or ``_MISSING``; counts a hit or miss."""
-        with self._lock:
-            value = self._data.get(key, _MISSING)
-            if value is _MISSING:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return value
-
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
@@ -105,8 +88,6 @@ class _Missing:
 
 
 _MISSING = _Missing()
-
-MISSING = _MISSING
 
 # -- shared caches for the set layer ----------------------------------------
 

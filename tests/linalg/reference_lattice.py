@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.linalg import nullspace, rref, to_fraction_matrix
+from reference_linalg import nullspace, rref, to_fraction_matrix
 
 Basis = tuple[tuple[Fraction, ...], ...]
 
@@ -42,7 +42,7 @@ def reference_intersection(a: Basis, b: Basis, dim_ambient: int) -> Basis:
         for i in range(dim_ambient)
     ]
     vectors = []
-    for combo in nullspace(to_fraction_matrix(columns)):
+    for combo in nullspace(columns, len(a) + len(b)):
         vector = [Fraction(0)] * dim_ambient
         for j, row in enumerate(a):
             for i in range(dim_ambient):

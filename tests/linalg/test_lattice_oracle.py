@@ -26,9 +26,6 @@ from repro.linalg import Subspace, SubspaceLattice, subspace_closure
 from repro.polybench import get_kernel, kernel_names
 from repro.sets import memo
 
-#: No closure here may end on the wall clock: the oracle has no deadline.
-NO_DEADLINE = 1e9
-
 
 def _bases(lattice: SubspaceLattice) -> frozenset:
     return frozenset(element.basis for element in lattice.elements)
@@ -39,7 +36,7 @@ def _close_both(dim, kernels, max_elements=256):
     lattice = SubspaceLattice(dim)
     expected: frozenset = frozenset()
     for kernel in kernels:
-        lattice, changed = subspace_closure(lattice, kernel, NO_DEADLINE, max_elements)
+        lattice, changed = subspace_closure(lattice, kernel, max_elements=max_elements)
         expected, expected_changed = reference_closure(dim, expected, kernel.basis, max_elements)
         assert changed == expected_changed, (dim, kernel)
         assert _bases(lattice) == expected, (dim, kernel)
@@ -89,11 +86,11 @@ def test_four_lines_in_general_position_blow_up():
     lines = [Subspace.span([v]) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     lattice = _close_both(3, lines)
     fourth = Subspace.span([(1, 1, 1)])
-    result, changed = subspace_closure(lattice, fourth, NO_DEADLINE)
+    result, changed = subspace_closure(lattice, fourth)
     assert not changed and result is lattice
     expected, expected_changed = reference_closure(3, _bases(lattice), fourth.basis)
     assert not expected_changed and expected == _bases(lattice)
-    # The verdict is memoised (it does not depend on the clock) and repeats.
+    # The verdict is memoised and repeats.
     assert subspace_closure(lattice, fourth) == (lattice, False)
 
 

@@ -1,10 +1,11 @@
-"""The fraction-free integer RREF against the textbook ``Fraction`` loop.
+"""The integer subspace elimination against the textbook ``Fraction`` loop.
 
-:func:`repro.linalg.rational.rref` reduces over integers: it clears each
-row's denominators, runs fraction-free Gauss-Jordan and divides by the pivot
-only when converting back.  RREF is unique and invariant under row scaling,
-so the result must equal plain Gauss-Jordan over ``Fraction`` exactly —
-the oracle below — entry for entry, pivots included.
+:class:`repro.linalg.Subspace` reduces over integers: it clears each row's
+denominators, runs fraction-free Gauss-Jordan and keeps primitive rows, and
+:attr:`Subspace.basis` divides each by its pivot.  RREF is unique and
+invariant under row scaling, so that basis must equal the nonzero rows of
+plain Gauss-Jordan over ``Fraction`` — the oracle in ``reference_linalg`` —
+entry for entry.
 """
 
 from __future__ import annotations
@@ -13,39 +14,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference_linalg import Matrix, rref, to_fraction_matrix
 
-from repro.linalg import rref, to_fraction_matrix
-from repro.linalg.rational import Matrix, _rref_fraction_free
+from repro.linalg import Subspace
 
 
-def rref_oracle(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Textbook Gauss-Jordan over ``Fraction``."""
-    if not a:
-        return tuple(), ()
-    rows = [list(r) for r in a]
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
-            break
-        pivot_row = None
-        for i in range(r, n_rows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot_val = rows[r][c]
-        rows[r] = [x / pivot_val for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [rows[i][j] - factor * rows[r][j] for j in range(n_cols)]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+def _oracle_basis(matrix: Matrix) -> tuple[tuple[Fraction, ...], ...]:
+    reduced, pivots = rref(matrix)
+    return reduced[: len(pivots)]
 
 
 def _entry(rng: random.Random, fractional: bool) -> Fraction:
@@ -76,11 +52,10 @@ def test_integer_rref_equals_the_oracle(fractional):
     deficient = 0
     for case in range(400):
         matrix = _random_matrix(rng, fractional)
-        reduced, pivots = _rref_fraction_free(matrix)
-        expected, expected_pivots = rref_oracle(matrix)
-        assert (reduced, pivots) == (expected, expected_pivots), f"case {case}: {matrix}"
-        assert all(type(x) is Fraction for row in reduced for x in row)
-        deficient += len(pivots) < min(len(matrix), len(matrix[0]))
+        basis = Subspace(len(matrix[0]), matrix).basis
+        assert basis == _oracle_basis(matrix), f"case {case}: {matrix}"
+        assert all(type(x) is Fraction for row in basis for x in row)
+        deficient += len(basis) < min(len(matrix), len(matrix[0]))
     assert deficient >= 50
 
 
@@ -96,10 +71,8 @@ def test_integer_rref_equals_the_oracle(fractional):
         [[10**30, 1], [1, 10**30]],
         [[300, 200], [200, 300]],
     ],
-    ids=["empty", "zero-row", "zero", "rank-1", "zero-column", "fractional", "huge", "beyond-small-table"],
+    ids=["empty", "zero-row", "zero", "rank-1", "zero-column", "fractional", "huge", "non-unit-pivot"],
 )
 def test_edge_cases_equal_the_oracle(rows):
-    matrix = to_fraction_matrix(rows)
-    assert _rref_fraction_free(matrix) == rref_oracle(matrix)
-    reduced, pivots = rref(matrix)
-    assert (reduced, tuple(pivots)) == rref_oracle(matrix)
+    dim = len(rows[0]) if rows else 3
+    assert Subspace(dim, rows).basis == _oracle_basis(rows)

@@ -1,12 +1,19 @@
 """Unit and property tests for subspaces and the subgroup lattice closure."""
 
+import json
+import pathlib
+import time
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_lattice import reference_span
 
 from repro.linalg import Subspace, SubspaceLattice, build_lattice, subspace_closure
+
+
+GOLDEN_PATH = pathlib.Path(__file__).parents[1] / "polybench" / "golden_bounds.json"
 
 
 def span(*vectors):
@@ -120,30 +127,35 @@ class TestLattice:
         assert span((0, 1, 0)) in lattice  # the intersection
         assert Subspace.full(3) in lattice  # the sum
 
-    def test_timeout_returns_original(self):
-        # A cold cache is required: a memoised converged closure is returned
-        # even under a zero budget (known answers beat the degraded fallback).
-        from repro.sets import memo
+    def test_derivation_ignores_the_wall_clock(self, monkeypatch):
+        """A host so slow that every clock read is an hour later derives the
+        golden bounds and the oracle's lattices: the closure's only budget is
+        its element count."""
+        import test_lattice_oracle
+
+        from repro.polybench import analyze_suite
+        from repro.sets import memo, sym
 
         memo.clear_all()
-        lattice = SubspaceLattice(3, [span((1, 0, 0))])
-        result, changed = subspace_closure(lattice, span((0, 1, 0)), timeout_seconds=0.0)
-        assert not changed
-        assert result is lattice
+        now = [0.0]
 
-    def test_timeout_result_is_not_cached(self):
-        from repro.sets import memo
+        def jumping_clock():
+            now[0] += 3600.0
+            return now[0]
 
-        memo.clear_all()
-        lattice = SubspaceLattice(3, [span((1, 0, 0))])
-        kernel = span((0, 1, 0))
-        _, changed = subspace_closure(lattice, kernel, timeout_seconds=0.0)
-        assert not changed
-        # The timed-out state must not have been memoised: with a real budget
-        # the same closure converges.
-        result, changed = subspace_closure(lattice, kernel)
-        assert changed
-        assert kernel in result
+        monkeypatch.setattr(time, "monotonic", jumping_clock)
+        golden = json.loads(GOLDEN_PATH.read_text())
+        for analysis in analyze_suite(["gemm", "jacobi-2d"], executor="serial"):
+            result, expected = analysis.result, golden[analysis.spec.name]
+            names = {name: sym(name) for name in [*result.parameters, "S"]}
+            names["sqrt"] = sympy.sqrt
+            for derived, text in (
+                (result.asymptotic, expected["asymptotic"]),
+                (result.oi_upper_bound(), expected["oi_upper"]),
+            ):
+                assert sympy.simplify(derived - sympy.sympify(text, locals=names)) == 0
+        for name in ("gemm", "jacobi-2d"):
+            test_lattice_oracle.test_polybench_kernel_lattices_match_the_oracle(name)
 
     def test_converged_closure_is_memoised(self):
         from repro.sets import memo

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.linalg import Subspace
 from repro.sets import LinExpr, ParseError, parse_function, parse_set
 
 
@@ -115,6 +116,15 @@ class TestParseFunction:
         assert f.target_tuple == "C"
         assert f.target_arity == 1
         assert f.kernel().dim == 1
+
+    def test_scalar_read_has_the_whole_space_as_kernel(self):
+        """A read of a 0-dimensional array is a constant map, like ``A[0]``:
+        every direction of the iteration space is in its kernel."""
+        domain = " : 0 <= i < N and 0 <= j < N }"
+        scalar, _ = parse_function("[N] -> { S[i, j] -> A[]" + domain)
+        constant, _ = parse_function("[N] -> { S[i, j] -> A[0]" + domain)
+        assert scalar.target_arity == 0
+        assert scalar.kernel() == constant.kernel() == Subspace.full(2)
 
     def test_apply_to_point(self):
         f, _ = parse_function("[N] -> { S[i, j] -> A[j, i - 1] : 0 <= i < N }")

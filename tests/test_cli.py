@@ -117,7 +117,7 @@ class TestProfile:
         assert "memo" not in document
         names = [entry["name"] for entry in document["subsystems"]]
         assert "linalg" in names
-        assert any(cache["name"] == "linalg.rref" for cache in document["caches"])
+        assert any(cache["name"] == "linalg.closure" for cache in document["caches"])
 
     def test_output_file_receives_the_table(self, tmp_path, capsys):
         report = tmp_path / "profile.txt"
