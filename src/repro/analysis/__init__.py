@@ -1,14 +1,13 @@
-"""repro.analysis — the configurable, pluggable, batch-capable Analyzer API.
+"""repro.analysis — the configurable, batch-capable Analyzer API.
 
 This package is the public entry point for deriving I/O lower bounds:
 
 * :class:`AnalysisConfig` — every knob of the derivation in one frozen,
   JSON-serializable object (the wavefront hypothesis check is not a knob:
   it is always the symbolic one of :mod:`repro.rel`);
-* :class:`BoundStrategy` / :func:`register_strategy` — the pluggable
-  sub-bound derivation families run by the Algorithm 6 driver, each
-  implementing ``plan``/``run_task``/``task_signature``
-  (:class:`KPartitionStrategy` and :class:`WavefrontStrategy` are built in);
+* :data:`STRATEGIES` — the fixed table of the two sub-bound families of
+  Algorithm 6, :class:`KPartitionStrategy` and :class:`WavefrontStrategy`,
+  each implementing ``plan``/``run_task``/``task_signature``;
 * :mod:`~repro.analysis.plan` / :mod:`~repro.analysis.executor` /
   :mod:`~repro.analysis.scheduler` — the plan -> schedule -> combine
   pipeline: every derivation is an explicit list of independent
@@ -95,23 +94,13 @@ from .store import (
     default_store_root,
     parse_size,
 )
-from .strategies import (
-    BoundStrategy,
-    KPartitionStrategy,
-    WavefrontStrategy,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-    resolve_strategies,
-    unregister_strategy,
-)
+from .strategies import STRATEGIES, KPartitionStrategy, WavefrontStrategy
 
 __all__ = [
     "AnalysisConfig",
     "Analyzer",
     "BUDGET_ENV",
     "BoundStore",
-    "BoundStrategy",
     "DEFAULT_CACHE_SIZE",
     "DEFAULT_GAMMA",
     "DEFAULT_MAX_SUBCDAGS_PER_STATEMENT",
@@ -126,6 +115,7 @@ __all__ = [
     "ProcessExecutor",
     "STORE_ENV",
     "STORE_SCHEMA",
+    "STRATEGIES",
     "SerialExecutor",
     "StoreStats",
     "StreamCounters",
@@ -133,21 +123,17 @@ __all__ = [
     "ThreadExecutor",
     "WavefrontStrategy",
     "WorkItem",
-    "available_strategies",
     "combine_plan",
     "default_store_root",
     "derivation_count",
-    "get_strategy",
     "lease_executor",
     "load_results",
     "parse_size",
     "plan_program",
     "program_fingerprint",
-    "register_strategy",
     "reset_derivation_count",
     "reset_task_derivation_count",
     "resolve_executor",
-    "resolve_strategies",
     "result_key",
     "results_from_document",
     "results_to_document",
@@ -155,5 +141,4 @@ __all__ = [
     "schedule_work",
     "stream_analyses",
     "task_derivation_count",
-    "unregister_strategy",
 ]

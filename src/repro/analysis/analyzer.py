@@ -62,7 +62,7 @@ from .scheduler import (
     task_derivation_count,
 )
 from .store import DERIVATION_VERSION, BoundStore
-from .strategies import get_strategy
+from .strategies import STRATEGIES
 
 __all__ = [
     "Analyzer",
@@ -146,7 +146,7 @@ def _execute_payload(payload: tuple) -> TaskResult:
     program, config, task, fingerprint = payload
     dfg = dfg_for(program, fingerprint)
     instance = config.heuristic_instance(program.params)
-    return get_strategy(task.strategy).run_task(dfg, config, instance, task)
+    return STRATEGIES[task.strategy].run_task(dfg, config, instance, task)
 
 
 def stream_analyses(

@@ -36,8 +36,9 @@ DEFAULT_GAMMA = 0.25
 #: same-statement decomposition.
 DEFAULT_MAX_SUBCDAGS_PER_STATEMENT = 1
 
-#: Strategies run by default, in order: K-partition bounds (Alg. 4) first,
-#: wavefront bounds (Alg. 5) second — the order of Algorithm 6.
+#: The two strategies of Algorithm 6, in its order: K-partition bounds
+#: (Alg. 4) first, wavefront bounds (Alg. 5) second.  Run by default, and the
+#: only names a config accepts (the keys of ``strategies.STRATEGIES``).
 DEFAULT_STRATEGIES = ("kpartition", "wavefront")
 
 
@@ -63,10 +64,9 @@ class AnalysisConfig:
     max_subcdags_per_statement:
         Sub-CDAG rounds searched per statement (Sec. 4.2 decomposition).
     strategies:
-        Names of the :class:`~repro.analysis.strategies.BoundStrategy`
-        implementations to run, in order.  Names are resolved against the
-        strategy registry at analysis time, so strategies registered after
-        the config was created are usable.
+        Names of the strategies to run, in order: a non-empty selection
+        from ``DEFAULT_STRATEGIES`` (``"kpartition"``, ``"wavefront"``).  Any
+        other name is rejected here, when the config is built.
     """
 
     instance: Mapping[str, int] | None = None
@@ -93,10 +93,12 @@ class AnalysisConfig:
                 f"max_subcdags_per_statement must be >= 1, got {self.max_subcdags_per_statement}"
             )
         if not self.strategies:
-            raise ValueError("strategies must name at least one registered strategy")
+            raise ValueError("strategies must name at least one strategy")
         for name in self.strategies:
-            if not isinstance(name, str) or not name:
-                raise ValueError(f"strategy names must be non-empty strings, got {name!r}")
+            if name not in DEFAULT_STRATEGIES:
+                raise ValueError(
+                    f"unknown strategy {name!r}; available: {list(DEFAULT_STRATEGIES)}"
+                )
 
     # -- derivation helpers -------------------------------------------------
 

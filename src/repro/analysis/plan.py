@@ -4,7 +4,7 @@ Algorithm 6 is embarrassingly parallel on the inside: every
 (statement x strategy x depth) sub-CDAG derivation is independent of every
 other one right up to the decomposition-lemma combination step.  This module
 makes that structure explicit.  A derivation is first *planned* — each
-registered :class:`~repro.analysis.strategies.BoundStrategy` turns the
+configured strategy (:data:`~repro.analysis.strategies.STRATEGIES`) turns the
 program's DFG into a list of :class:`DerivationTask` coordinates — and only
 then *executed*, task by task, over a pluggable
 :class:`~repro.analysis.executor.Executor` (serial, thread pool, or process
@@ -202,9 +202,9 @@ class DerivationPlan:
         ``-task`` suffix keeps the key space disjoint from result-level
         entries while sharding by the leading hex as usual.
         """
-        from .strategies import get_strategy  # local: strategies imports this module
+        from .strategies import STRATEGIES  # local: strategies imports this module
 
-        signature = get_strategy(task.strategy).task_signature(self.config)
+        signature = STRATEGIES[task.strategy].task_signature(self.config)
         text = repr((DERIVATION_VERSION, self.fingerprint, task.task_id, signature))
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return f"{digest}-task"
@@ -222,14 +222,14 @@ def plan_program(
     order and each strategy lists its tasks in a fixed (topological)
     statement order, so logs and sub-bound lists are reproducible.
     """
-    from .strategies import resolve_strategies  # local: avoids import cycle
+    from .strategies import STRATEGIES  # local: strategies imports this module
 
     fingerprint = program_fingerprint(program)
     if dfg is None:
         dfg = dfg_for(program, fingerprint)
     tasks: list[DerivationTask] = []
-    for strategy in resolve_strategies(config.strategies):
-        tasks.extend(strategy.plan(dfg, config))
+    for name in config.strategies:
+        tasks.extend(STRATEGIES[name].plan(dfg, config))
     return DerivationPlan(
         program=program,
         config=config,

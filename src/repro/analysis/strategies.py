@@ -1,12 +1,12 @@
-"""Pluggable bound-derivation strategies and their registry.
+"""The two bound-derivation strategies of Algorithm 6 and their fixed table.
 
 Algorithm 6 of the paper interleaves two families of sub-bounds: K-partition
 bounds (Alg. 2/3/4) and wavefront bounds (Alg. 5 / Cor. 6.3).  Each family
-is a :class:`BoundStrategy`, and the driver is a generic pipeline over the
-strategies named by :class:`~repro.analysis.config.AnalysisConfig`.
+is one strategy object, and :data:`STRATEGIES` maps the names that
+:class:`~repro.analysis.config.AnalysisConfig` accepts to them; the planner,
+the task keys and the task runner all look strategies up there.
 
-A strategy participates in the plan/execute pipeline through three methods,
-all required (:func:`register_strategy` rejects a strategy missing any):
+A strategy takes part in the plan/execute pipeline through three methods:
 
 * ``plan(dfg, config)`` — list the independent
   :class:`~repro.analysis.plan.DerivationTask` units it wants scheduled
@@ -20,15 +20,13 @@ all required (:func:`register_strategy` rejects a strategy missing any):
   than the full signature, so e.g. raising ``max_depth`` reuses finished
   wavefront depths from the store).
 
-Third parties can register additional strategies (e.g. an isl-backed
-derivation, or a domain-specific shortcut) with :func:`register_strategy` and
-select them via ``AnalysisConfig(strategies=(...))`` — no changes to the
-driver are needed.
+Strategies are stateless: the one instance in the table serves every
+program, from any worker thread or process.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Protocol, runtime_checkable
+from typing import Mapping
 
 from ..core.bounds import SubBound
 from ..core.kpartition import (
@@ -41,129 +39,13 @@ from .config import AnalysisConfig
 from .plan import DerivationTask, TaskResult
 
 __all__ = [
-    "BoundStrategy",
     "KPartitionStrategy",
     "MAX_WORKING_PIECES",
-    "STRATEGY_METHODS",
+    "STRATEGIES",
     "WavefrontStrategy",
-    "available_strategies",
-    "get_strategy",
-    "register_strategy",
-    "resolve_strategies",
-    "unregister_strategy",
 ]
 
 
-@runtime_checkable
-class BoundStrategy(Protocol):
-    """One family of sub-bound derivations plugged into the Alg. 6 driver.
-
-    A strategy splits its work on one program into independent tasks
-    (``plan``), runs one task at a time (``run_task``), and names the config
-    fields its task results depend on (``task_signature``); see the module
-    docstring.  Strategies must be stateless (or at least reusable): one
-    instance may be used for many programs, possibly from multiple worker
-    threads or processes.
-    """
-
-    #: Registry key, also recorded in ``SubBound.method``-style logs.
-    name: str
-
-    def plan(self, dfg: DFG, config: AnalysisConfig) -> list[DerivationTask]:
-        """The independent tasks this strategy contributes for ``dfg.program``."""
-        ...
-
-    def run_task(
-        self,
-        dfg: DFG,
-        config: AnalysisConfig,
-        instance: Mapping[str, int],
-        task: DerivationTask,
-    ) -> TaskResult:
-        """Execute one planned task (a pure function of its arguments)."""
-        ...
-
-    def task_signature(self, config: AnalysisConfig) -> tuple:
-        """The slice of ``config`` that can influence a task result."""
-        ...
-
-
-#: The methods every strategy must implement.
-STRATEGY_METHODS = ("plan", "run_task", "task_signature")
-
-
-# -- registry ---------------------------------------------------------------
-
-_REGISTRY: dict[str, Callable[[], BoundStrategy]] = {}
-
-
-def register_strategy(
-    factory: Callable[[], BoundStrategy], *, name: str | None = None, replace: bool = False
-) -> Callable[[], BoundStrategy]:
-    """Register a strategy factory (typically the strategy class itself).
-
-    ``name`` defaults to the factory's ``name`` class attribute.  Returns the
-    factory so it can be used as a decorator::
-
-        @register_strategy
-        class MyStrategy:
-            name = "mine"
-            def plan(self, dfg, config): ...
-            def run_task(self, dfg, config, instance, task): ...
-            def task_signature(self, config): ...
-
-    A factory whose strategy lacks one of :data:`STRATEGY_METHODS` is
-    rejected with :class:`ValueError` here, not in a worker at run time.
-
-    Note for parallel execution: worker processes re-import this module, so a
-    custom strategy is only visible to them if its registration runs at
-    import time of a module the workers also import (always true with the
-    ``fork`` start method used on Linux; under ``spawn`` — macOS/Windows
-    defaults — register at module top level, not inside
-    ``if __name__ == "__main__"``).
-    """
-    key = name if name is not None else getattr(factory, "name", None)
-    if not key or not isinstance(key, str):
-        raise ValueError("strategy factory must define a non-empty string `name`")
-    if key in _REGISTRY and not replace:
-        raise ValueError(f"strategy {key!r} already registered (pass replace=True to override)")
-    probe = factory if isinstance(factory, type) else factory()
-    missing = [m for m in STRATEGY_METHODS if not callable(getattr(probe, m, None))]
-    if missing:
-        raise ValueError(f"strategy {key!r} does not implement {', '.join(missing)}")
-    _REGISTRY[key] = factory
-    return factory
-
-
-def unregister_strategy(name: str) -> None:
-    """Remove a strategy from the registry (mainly for tests)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_strategy(name: str) -> BoundStrategy:
-    """Instantiate the registered strategy called ``name``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown strategy {name!r}; available: {available_strategies()}"
-        ) from None
-    return factory()
-
-
-def available_strategies() -> list[str]:
-    """Names of all registered strategies, sorted."""
-    return sorted(_REGISTRY)
-
-
-def resolve_strategies(names: Iterable[str]) -> list[BoundStrategy]:
-    """Instantiate the strategies named by a config, preserving order."""
-    return [get_strategy(name) for name in names]
-
-
-# -- built-in strategies ----------------------------------------------------
-
-@register_strategy
 class KPartitionStrategy:
     """K-partition sub-bounds (Alg. 2/3/4 + the Sec. 4.2 decomposition).
 
@@ -210,7 +92,6 @@ class KPartitionStrategy:
         )
 
 
-@register_strategy
 class WavefrontStrategy:
     """Wavefront sub-bounds (Alg. 5 / Cor. 6.3) at depths 1..max_depth.
 
@@ -261,3 +142,12 @@ class WavefrontStrategy:
         the config is re-run at ``max_depth=2``.
         """
         return (self.name,)
+
+
+#: Every strategy by name, in Algorithm 6 order.  Its keys are exactly the
+#: names ``AnalysisConfig`` accepts (``config.DEFAULT_STRATEGIES``), so a
+#: config that built can always be looked up here.
+STRATEGIES: dict[str, KPartitionStrategy | WavefrontStrategy] = {
+    "kpartition": KPartitionStrategy(),
+    "wavefront": WavefrontStrategy(),
+}

@@ -71,25 +71,12 @@ def sub_param_q_by_wavefront(dfg: DFG, statement: str, depth: int = 1) -> SubBou
     instance-independent and faithful to Algorithm 5.  Returns ``None`` when
     the structural pattern is absent or when the hypothesis is not certified.
     """
-    program = dfg.program
-    stmt = program.statement(statement)
-    dims = stmt.dims
-    if len(dims) <= depth or depth < 1:
-        return None
-    slice_dim = dims[depth - 1]
-    inner_dims = dims[depth:]
-
-    # 1. A point-wise chain circuit stepping +1 along the sliced dimension
-    #    provides the vertex-disjoint paths L_j of Corollary 6.3.
-    chain = _find_unit_chain(dfg, statement, dims, depth)
+    # 1-2. The structural pattern: a unit chain and a broadcast bottleneck.
+    chain = structural_chain(dfg, statement, depth)
     if chain is None:
         return None
-
-    # 2. A broadcast bottleneck: an edge into `statement` whose read function
-    #    ignores every inner dimension (all instances of a slice read the same
-    #    producer instance), coming from another statement.
-    if not _has_broadcast_bottleneck(dfg, statement, inner_dims):
-        return None
+    stmt = dfg.program.statement(statement)
+    slice_dim = stmt.dims[depth - 1]
 
     # 3. Validate the complete-reachability hypothesis.
     certificate = _validate_reachability_symbolic(dfg, statement, depth)
@@ -131,6 +118,30 @@ def sub_param_q_by_wavefront(dfg: DFG, statement: str, depth: int = 1) -> SubBou
         depth=depth,
         notes=notes,
     )
+
+
+def structural_chain(dfg: DFG, statement: str, depth: int):
+    """The gate in front of the (expensive) reachability check.
+
+    Returns the unit chain of ``statement`` at ``depth`` when the structural
+    wavefront pattern is present, ``None`` otherwise.  The pattern is
+
+    1. a point-wise chain circuit stepping +1 along the sliced dimension,
+       which provides the vertex-disjoint paths L_j of Corollary 6.3; and
+    2. a broadcast bottleneck: an edge into ``statement`` whose read function
+       ignores every inner dimension (all instances of a slice read the same
+       producer instance), coming from another statement.
+
+    Only statements that pass are asked about reachability, by the
+    derivation and by the fuzz ``backends`` oracle alike.
+    """
+    dims = dfg.program.statement(statement).dims
+    if len(dims) <= depth or depth < 1:
+        return None
+    chain = _find_unit_chain(dfg, statement, dims, depth)
+    if chain is None or not _has_broadcast_bottleneck(dfg, statement, dims[depth:]):
+        return None
+    return chain
 
 
 def _find_unit_chain(dfg: DFG, statement: str, dims: tuple[str, ...], depth: int):

@@ -54,10 +54,9 @@ from repro.analysis import AnalysisConfig, Analyzer, BoundStore
 from repro.analysis.plan import dfg_for
 from repro.core.bounds import evaluate
 from repro.core.wavefront import (
-    _find_unit_chain,
-    _has_broadcast_bottleneck,
     _validate_reachability_concrete,
     _validate_reachability_symbolic,
+    structural_chain,
 )
 from repro.ir.cdag import CDAG
 from repro.ir.program import AffineProgram
@@ -269,25 +268,6 @@ def oracle_store(program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
     )
 
 
-def _pipeline_queries_reachability(dfg, statement: str, depth: int) -> bool:
-    """True when the wavefront detector would ask about ``statement``.
-
-    Mirrors steps 1–2 of :func:`~repro.core.wavefront.sub_param_q_by_wavefront`:
-    the derivation pipeline only pays for the (potentially expensive) symbolic
-    closure when the structural chain + broadcast pattern is present, and the
-    backends oracle restricts itself to exactly those queries — the answers
-    the system actually relies on — to keep per-case cost proportional to a
-    derivation instead of forcing a closure per statement.
-    """
-    stmt = dfg.program.statement(statement)
-    dims = stmt.dims
-    if len(dims) <= depth or depth < 1:
-        return False
-    if _find_unit_chain(dfg, statement, dims, depth) is None:
-        return False
-    return _has_broadcast_bottleneck(dfg, statement, dims[depth:])
-
-
 @register_oracle("backends")
 def oracle_backends(program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
     """Confirm every symbolic reachability accept by concrete graph search.
@@ -300,7 +280,9 @@ def oracle_backends(program: AffineProgram, ctx: OracleContext) -> OracleVerdict
     checks = 0
     queried = 0
     for name in program.statements:
-        if not _pipeline_queries_reachability(dfg, name, 1):
+        # Only the queries the derivation itself makes: a statement without
+        # the structural pattern never pays for a symbolic closure.
+        if structural_chain(dfg, name, 1) is None:
             continue
         queried += 1
         checks += 1

@@ -245,8 +245,8 @@ class AnalysisService:
                         "result": analysis.result.to_dict(),
                     }
             except (ValueError, KeyError, TypeError) as error:
-                # Config combinations only the derivation itself can reject
-                # (e.g. an unknown strategy name) surface here: report and
+                # The request and its config were checked above, so an
+                # error here comes from the derivation itself: report it and
                 # move on to the next request rather than killing the server.
                 message = error.args[0] if error.args else str(error)
                 yield {"id": request_id, "event": "error", "error": str(message)}

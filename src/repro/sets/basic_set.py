@@ -182,8 +182,8 @@ class BasicSet:
 
         Structurally equal sets — same space, same canonical constraints in
         the same order — share a fingerprint regardless of how they were
-        built.  This is the memo key used by the emptiness / projection /
-        simplification caches.
+        built.  This is the memo key used by the emptiness and counting
+        caches.
         """
         cached = self._fingerprint
         if cached is None:
@@ -246,57 +246,6 @@ class BasicSet:
         )
         space = self.space.with_params(extra_params)
         return BasicSet(space, self.constraints + (Constraint(expr, EQ),))
-
-    def simplify(self) -> "BasicSet":
-        """Drop syntactically redundant constraints (memoised).
-
-        Removes GE constraints dominated by another GE with the same
-        coefficient vector (only the tightest constant survives) and GE
-        constraints implied by an equality over the same coefficients.
-        This is purely syntactic — the represented set is unchanged.
-        """
-        from . import memo
-
-        return memo.SIMPLIFY_CACHE.get_or_compute(
-            ("simplify", self.fingerprint()), self._simplify_uncached
-        )
-
-    def _simplify_uncached(self) -> "BasicSet":
-        equality_coeffs = {
-            tuple(sorted(c.expr.coeffs.items())) for c in self.constraints if c.kind == EQ
-        }
-        tightest: dict[tuple, Fraction] = {}
-        for constraint in self.constraints:
-            if constraint.kind != GE:
-                continue
-            coeffs = tuple(sorted(constraint.expr.coeffs.items()))
-            const = constraint.expr.const
-            best = tightest.get(coeffs)
-            if best is None or const < best:
-                tightest[coeffs] = const
-        kept = []
-        for constraint in self.constraints:
-            if constraint.kind == GE:
-                coeffs = tuple(sorted(constraint.expr.coeffs.items()))
-                if constraint.expr.const != tightest.get(coeffs):
-                    continue
-                if coeffs in equality_coeffs and not constraint.is_trivially_false():
-                    # c.x + d >= 0 with c.x + e == 0 present: implied iff d >= e
-                    # in general; only drop the exact-match redundancy (d such
-                    # that the equality forces it), keeping the conservative
-                    # syntactic rule: same coeffs as an equality -> implied
-                    # when substituting the equality makes it constant >= 0.
-                    eq_const = next(
-                        c.expr.const
-                        for c in self.constraints
-                        if c.kind == EQ and tuple(sorted(c.expr.coeffs.items())) == coeffs
-                    )
-                    if constraint.expr.const - eq_const >= 0:
-                        continue
-            kept.append(constraint)
-        if len(kept) == len(self.constraints):
-            return self
-        return BasicSet(self.space, kept)
 
     # -- enumeration (for concrete parameter values) -------------------------
 

@@ -134,17 +134,8 @@ def project_out(basic_set: BasicSet, dim_names: Sequence[str]) -> BasicSet:
     """Project a basic set onto the dimensions not in ``dim_names``.
 
     The result is the rational projection restricted to integer points — an
-    over-approximation of the exact integer projection.  Results are
-    memoised by set fingerprint; the returned ``BasicSet`` is shared and
-    must be treated as immutable (as all basic sets are).
+    over-approximation of the exact integer projection.
     """
-    key = (basic_set.fingerprint(), tuple(dim_names))
-    return memo.PROJECTION_CACHE.get_or_compute(
-        key, lambda: _project_out_uncached(basic_set, dim_names)
-    )
-
-
-def _project_out_uncached(basic_set: BasicSet, dim_names: Sequence[str]) -> BasicSet:
     remaining = tuple(d for d in basic_set.space.dims if d not in dim_names)
     constraints = eliminate_variables(basic_set.constraints, dim_names)
     from .space import Space

@@ -1,10 +1,12 @@
 """Content-hash memoisation for the set-algebra hot path.
 
 The same trick as the persistent ``BoundStore``, applied in-process: results
-of pure, deterministic queries (emptiness, projection, simplification,
-the subspace-lattice closure) are cached under a key derived from the *content*
-of their inputs, so structurally-equal sets reached through different
-derivation paths share one computation.
+of pure, deterministic queries (emptiness, cardinality, the subspace-lattice
+closure) are cached under a key derived from the *content* of their inputs,
+so structurally-equal sets reached through different derivation paths share
+one computation.  Only queries that repeat within a derivation are memoised:
+projection is not, as neither a cold suite run nor a fuzz campaign asks the
+same one twice.
 
 Discipline for memo keys (see DESIGN.md "Set-algebra engine"):
 
@@ -97,12 +99,6 @@ EMPTINESS_CACHE = MemoCache("sets.is_empty")
 #: ``is_rationally_empty`` results: (constraint keys, variables) -> bool
 RATIONAL_EMPTINESS_CACHE = MemoCache("sets.rational_empty")
 
-#: ``project_out`` results: (set fingerprint, dims) -> BasicSet
-PROJECTION_CACHE = MemoCache("sets.project_out")
-
-#: ``BasicSet.simplify`` results: fingerprint -> BasicSet
-SIMPLIFY_CACHE = MemoCache("sets.simplify")
-
 #: ``card_basic`` closed forms: set fingerprint -> sympy.Expr
 CARD_CACHE = MemoCache("counting.card_basic")
 
@@ -117,8 +113,6 @@ def clear_all() -> None:
 _ALL_CACHES: list[MemoCache] = [
     EMPTINESS_CACHE,
     RATIONAL_EMPTINESS_CACHE,
-    PROJECTION_CACHE,
-    SIMPLIFY_CACHE,
     CARD_CACHE,
 ]
 

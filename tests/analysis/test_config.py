@@ -63,10 +63,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="strategies"):
             AnalysisConfig(strategies=())
 
-    def test_unknown_strategy_fails_at_analysis_time(self):
-        config = AnalysisConfig(strategies=("no-such-strategy",))
-        with pytest.raises(KeyError, match="no-such-strategy"):
-            Analyzer(config).analyze(get_kernel("gemm").program)
+    def test_unknown_strategy_fails_when_the_config_is_built(self):
+        """A bad name fails at the config, before anything is planned."""
+        with pytest.raises(ValueError, match="unknown strategy 'no-such-strategy'"):
+            AnalysisConfig(strategies=("no-such-strategy",))
+        with pytest.raises(ValueError, match="unknown strategy 'no-such-strategy'"):
+            AnalysisConfig.from_dict({"strategies": ["kpartition", "no-such-strategy"]})
+
+    def test_replace_checks_strategies_too(self):
+        """The suite applies overrides with ``replace``; it runs the same checks."""
+        with pytest.raises(ValueError, match="unknown strategy 'isl'"):
+            AnalysisConfig().replace(strategies=("isl",))
 
     def test_five_fields(self):
         """Only what changes the derived bound: the executor, its worker

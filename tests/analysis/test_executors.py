@@ -30,7 +30,7 @@ from repro.analysis import (
     stream_analyses,
     task_derivation_count,
 )
-from repro.analysis.strategies import get_strategy
+from repro.analysis.strategies import STRATEGIES
 from repro.ir import DFG
 from repro.polybench import get_kernel
 
@@ -103,7 +103,7 @@ class TestTaskLevelResume:
         instance = config.heuristic_instance(program.params)
         finished = plan.tasks[:2]
         for task in finished:
-            result = get_strategy(task.strategy).run_task(dfg, config, instance, task)
+            result = STRATEGIES[task.strategy].run_task(dfg, config, instance, task)
             store.put_task(plan.task_key(task), result.to_dict())
 
         reset_task_derivation_count()

@@ -8,12 +8,13 @@ the task-level store entries.
 from __future__ import annotations
 
 from repro.analysis import (
+    STRATEGIES,
     AnalysisConfig,
     Analyzer,
     BoundStore,
-    get_strategy,
     plan_program,
     reset_task_derivation_count,
+    result_key,
     task_derivation_count,
 )
 from repro.analysis.plan import DerivationTask, ProgramCache, TaskResult
@@ -66,6 +67,24 @@ class TestTaskKeys:
         for key in plan.task_keys():
             assert key.endswith("-task")
 
+    def test_keys_are_pinned(self):
+        """Store keys are a contract with every store already on disk: a
+        change that moves one turns a warm store cold.  Update these only
+        together with a ``DERIVATION_VERSION`` bump."""
+        program = get_kernel("durbin").program
+        config = AnalysisConfig(max_depth=1)
+        assert result_key(program, config) == (
+            "504526c62e82412707de96938f81eab36785f9a2270c2a801a3623c3457d8dc7-2ef922f3ec037419"
+        )
+        plan = plan_program(program, config)
+        assert dict(zip((task.task_id for task in plan.tasks), plan.task_keys())) == {
+            "kpartition:ALPHA:d0": "0ef5460e230ad08262e18101d7bbc75906b8987402f3847edb4d568c66fbc5e1-task",
+            "kpartition:SUM:d0": "b65703db9da2fa3a55261450f49612c6f7a86e83085c54178f24eee48ebd750f-task",
+            "kpartition:Y:d0": "ab34c48e42a82de1a3347afdc6aecb37dc1a94c8ffda338c9e6e8d3c18ea5a05-task",
+            "wavefront:SUM:d1": "2640a716b263bbe3a7b7c16cc7a714e49cefd48f84564178c1f3e112d5d2bfb2-task",
+            "wavefront:Y:d1": "03f6ec605405e36a0736f94f68ec56d30887e9306560bd35ca8b5bc4828229ec-task",
+        }
+
     def test_gamma_invalidates_kpartition_but_not_wavefront_tasks(self):
         program = get_kernel("durbin").program
         base = plan_program(program, AnalysisConfig(max_depth=1))
@@ -103,7 +122,7 @@ class TestTaskResultSerialization:
         dfg = DFG.from_program(program)
         instance = config.heuristic_instance(program.params)
         task = DerivationTask(strategy="wavefront", statement="Y", depth=1)
-        result = get_strategy("wavefront").run_task(dfg, config, instance, task)
+        result = STRATEGIES["wavefront"].run_task(dfg, config, instance, task)
         assert result.sub_bounds, "durbin's Y must yield a wavefront bound"
 
         restored = TaskResult.from_dict(result.to_dict())

@@ -1,136 +1,56 @@
-"""Strategy registry: built-ins, custom plug-ins, and batches of programs."""
+"""The fixed strategy table: the two built-ins, the driver, and batches."""
 
 import pytest
 import sympy
 
 from repro.analysis import (
+    DEFAULT_STRATEGIES,
+    STRATEGIES,
     AnalysisConfig,
     Analyzer,
     BoundStore,
-    available_strategies,
-    get_strategy,
-    register_strategy,
+    combine_plan,
+    plan_program,
     stream_analyses,
-    unregister_strategy,
 )
-from repro.analysis.plan import DerivationTask, TaskResult
+from repro.analysis.plan import TaskResult
 from repro.polybench import get_kernel
 
 
-class OneTaskPerStatement:
-    """Task-protocol scaffolding for test strategies: one task per statement."""
+class TestTable:
+    def test_table_names_are_the_names_the_config_accepts(self):
+        assert tuple(STRATEGIES) == DEFAULT_STRATEGIES
+        for name, strategy in STRATEGIES.items():
+            assert strategy.name == name
+            AnalysisConfig(strategies=(name,))
+        with pytest.raises(ValueError, match="unknown strategy"):
+            AnalysisConfig(strategies=("kpartition", "isl"))
 
-    def plan(self, dfg, config):
-        return [
-            DerivationTask(strategy=self.name, statement=statement)
-            for statement in dfg.topological_statements()
-        ]
-
-    def task_signature(self, config):
-        return (self.name,)
-
-
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert "kpartition" in available_strategies()
-        assert "wavefront" in available_strategies()
-
-    def test_get_strategy_instantiates(self):
-        strategy = get_strategy("kpartition")
-        assert strategy.name == "kpartition"
-        assert callable(strategy.plan) and callable(strategy.run_task)
-
-    def test_unknown_strategy_lists_alternatives(self):
-        with pytest.raises(KeyError, match="kpartition"):
-            get_strategy("definitely-not-registered")
-
-    def test_duplicate_registration_rejected(self):
-        class Duplicate(OneTaskPerStatement):
-            name = "kpartition"
-
-            def run_task(self, dfg, config, instance, task):
-                return TaskResult(task=task)
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_strategy(Duplicate)
-
-    def test_factory_without_name_rejected(self):
-        with pytest.raises(ValueError, match="name"):
-            register_strategy(lambda: None)
-
-    def test_incomplete_strategy_rejected_at_registration(self):
-        """A plug-in missing part of the task protocol fails when it is
-        registered, naming what is missing, not later inside a worker."""
-
-        class PlanOnly:
-            name = "test-plan-only"
-
-            def plan(self, dfg, config):
-                return []
-
-        class DeriveOnly:
-            name = "test-derive-only"
-
-            def derive(self, dfg, config, instance, log):
-                return []
-
-        with pytest.raises(
-            ValueError, match="'test-plan-only' does not implement run_task, task_signature"
-        ):
-            register_strategy(PlanOnly)
-        with pytest.raises(ValueError, match="plan, run_task, task_signature"):
-            register_strategy(DeriveOnly)
-        # A non-class factory is checked through the instance it builds.
-        with pytest.raises(ValueError, match="run_task, task_signature"):
-            register_strategy(lambda: PlanOnly(), name="test-plan-only-lambda")
-        assert not {
-            "test-plan-only", "test-derive-only", "test-plan-only-lambda"
-        } & set(available_strategies())
+    @pytest.mark.parametrize("name", DEFAULT_STRATEGIES)
+    def test_planned_tasks_resolve_to_their_strategy(self, name):
+        """Task keys and task runs look a task's strategy up by the name the
+        task carries, so every planned task must carry its table key."""
+        config = AnalysisConfig(max_depth=2, strategies=(name,))
+        for kernel in ("durbin", "gemm", "jacobi-2d"):
+            plan = plan_program(get_kernel(kernel).program, config)
+            assert plan.tasks
+            assert {task.strategy for task in plan.tasks} == {name}
+            for task in plan.tasks:
+                assert STRATEGIES[task.strategy].task_signature(config)[0] == name
 
 
-class TestCustomStrategy:
-    def test_noop_strategy_plugs_into_the_driver(self):
-        """A registered no-op strategy runs through Analyzer unchanged: the
-        driver still combines sub-bounds and adds the compulsory misses."""
+class TestDriver:
+    def test_no_sub_bounds_give_the_input_misses_only(self):
+        """When no task derives a sub-bound, the combination degenerates to
+        the compulsory input misses, and every task's log is kept."""
+        program = get_kernel("gemm").program
+        plan = plan_program(program, AnalysisConfig())
+        empty = [TaskResult(task=task, log=[f"{task.task_id}: nothing"]) for task in plan.tasks]
+        result = combine_plan(plan, empty)
 
-        calls = []
-
-        class NoOpStrategy(OneTaskPerStatement):
-            name = "test-noop"
-
-            def run_task(self, dfg, config, instance, task):
-                calls.append(dfg.program.name)
-                return TaskResult(task=task, log=["noop: nothing derived"])
-
-        register_strategy(NoOpStrategy)
-        try:
-            program = get_kernel("gemm").program
-            result = Analyzer(AnalysisConfig(strategies=("test-noop",))).analyze(program)
-        finally:
-            unregister_strategy("test-noop")
-
-        assert calls == ["gemm"]
         assert result.sub_bounds == []
-        assert "noop: nothing derived" in result.log
-        # No sub-bounds -> the bound degenerates to the compulsory input misses.
+        assert result.log[:-1] == [f"{task.task_id}: nothing" for task in plan.tasks]
         assert sympy.simplify(result.smooth - program.input_size()) == 0
-
-    def test_custom_strategy_composes_with_builtins(self):
-        class MarkerStrategy(OneTaskPerStatement):
-            name = "test-marker"
-
-            def run_task(self, dfg, config, instance, task):
-                return TaskResult(task=task, log=["marker ran"])
-
-        register_strategy(MarkerStrategy)
-        try:
-            config = AnalysisConfig(strategies=("kpartition", "test-marker"), max_depth=0)
-            result = Analyzer(config).analyze(get_kernel("gemm").program)
-        finally:
-            unregister_strategy("test-marker")
-
-        assert "marker ran" in result.log
-        assert any(b.method == "kpartition" for b in result.sub_bounds)
 
     def test_kpartition_only_config_skips_wavefront(self):
         program = get_kernel("durbin").program

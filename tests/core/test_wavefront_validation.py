@@ -1,14 +1,16 @@
-"""The symbolic wavefront validator and the _omega_range tightest-bound fix."""
+"""The wavefront gate, the symbolic validator and the _omega_range fix."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.plan import dfg_for
+from repro.core.paths import CHAIN
 from repro.core.wavefront import (
     _omega_range,
     _validate_reachability_concrete,
     _validate_reachability_symbolic,
+    structural_chain,
     sub_param_q_by_wavefront,
 )
 from repro.fuzz.generator import random_program
@@ -65,6 +67,28 @@ class TestOmegaRange:
     def test_non_unit_coefficient_gives_up(self):
         domain = parse_set("[M] -> { S[t] : 2*t >= M and t < M }")
         assert _omega_range(domain, "t") is None
+
+
+class TestStructuralChain:
+    """The gate shared by the derivation and the fuzz ``backends`` oracle."""
+
+    def test_example2_s2_has_chain_and_broadcast(self, example2):
+        chain = structural_chain(DFG.from_program(example2), "S2", 1)
+        assert chain is not None and chain.kind == CHAIN
+
+    def test_chain_must_step_the_sliced_dimension(self, example2):
+        # S1's self-dependence steps i, not the sliced t.
+        assert structural_chain(DFG.from_program(example2), "S1", 1) is None
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_depth_must_leave_an_inner_dimension(self, example2, depth):
+        assert structural_chain(DFG.from_program(example2), "S2", depth) is None
+
+    def test_broadcast_must_come_from_a_statement(self, example1):
+        # Fig. 1 has the unit chain, but its slice-wide read is of an array.
+        dfg = DFG.from_program(example1)
+        assert structural_chain(dfg, "S", 1) is None
+        assert sub_param_q_by_wavefront(dfg, "S", 1) is None
 
 
 class TestSymbolicCertificate:

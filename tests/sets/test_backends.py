@@ -11,7 +11,8 @@ and the memo caches are keyed on content.  These tests pin:
   point *order* and the declines (grid limit, free names, non-integer
   parameters);
 * memo caching, constraint interning and set fingerprints;
-* the ``simplify`` redundancy rules (the re-canonicalisation bugfix sweep).
+* the canonical integer scaling of constraints (the re-canonicalisation
+  bugfix sweep).
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ class TestFingerprints:
         assert interned_count() == len(_intern_table)
 
 
-# -- canonicalisation and simplify (the bugfix sweep) -------------------------
+# -- canonicalisation (the bugfix sweep) ---------------------------------------
 
 
 class TestCanonicalisation:
@@ -258,45 +259,6 @@ class TestCanonicalisation:
         assert scaled.const == -3
 
 
-class TestSimplify:
-    def _set(self, constraints):
-        return BasicSet(Space("S", ("i", "j"), ("N",)), constraints)
-
-    def test_keeps_only_the_tightest_parallel_bound(self):
-        loose = Constraint(LinExpr({"i": 1}, 3), GE)   # i >= -3
-        tight = Constraint(LinExpr({"i": 1}, 0), GE)   # i >= 0
-        simplified = self._set([loose, tight]).simplify()
-        assert len(simplified.constraints) == 1
-        assert simplified.constraints[0].expr.const == 0
-
-    def test_drops_inequality_implied_by_equality(self):
-        eq = Constraint(LinExpr({"i": 1}, -5), EQ)     # i == 5
-        ge = Constraint(LinExpr({"i": 1}, 0), GE)      # i >= 0, implied
-        simplified = self._set([eq, ge]).simplify()
-        assert simplified.constraints == (eq.normalized(),)
-
-    def test_keeps_inequality_stricter_than_equality(self):
-        eq = Constraint(LinExpr({"i": 1}, -5), EQ)     # i == 5
-        ge = Constraint(LinExpr({"i": 1}, -7), GE)     # i >= 7: contradicts
-        simplified = self._set([eq, ge]).simplify()
-        assert len(simplified.constraints) == 2
-
-    def test_identity_when_nothing_is_redundant(self):
-        s = self._set([
-            Constraint(LinExpr({"i": 1}, 0), GE),
-            Constraint(LinExpr({"j": 1, "N": -1}, 0), GE),
-        ])
-        assert s.simplify() is s
-
-    def test_simplify_is_memoised_by_fingerprint(self):
-        memo.SIMPLIFY_CACHE.clear()
-        a = self._set([Constraint(LinExpr({"i": 1}, 3), GE),
-                       Constraint(LinExpr({"i": 1}, 0), GE)])
-        b = self._set([Constraint(LinExpr({"i": 1}, 3), GE),
-                       Constraint(LinExpr({"i": 1}, 0), GE)])
-        assert a.simplify() is b.simplify()
-
-
 # -- memoised set queries -----------------------------------------------------
 
 
@@ -315,13 +277,7 @@ class TestQueryMemoisation:
         assert second == first
         assert memo.EMPTINESS_CACHE.hits == hits_before + 1
 
-    def test_projection_cache_returns_shared_result(self):
-        memo.PROJECTION_CACHE.clear()
-        a = parse_set("{ S[i, j] : 0 <= i and i <= 5 and i <= j and j <= 7 }").pieces[0]
-        b = parse_set("{ S[i, j] : 0 <= i and i <= 5 and i <= j and j <= 7 }").pieces[0]
-        assert project_out(a, ["j"]) is project_out(b, ["j"])
-
-    def test_projection_results_are_correct_under_memo(self):
+    def test_projection_results_are_correct(self):
         piece = parse_set("{ S[i, j] : 0 <= i and i <= 5 and i <= j and j <= 7 }").pieces[0]
         projected = project_out(piece, ["j"])
         assert projected.space.dims == ("i",)

@@ -347,7 +347,6 @@ class TestKernelParity:
             return (
                 count,
                 poly.enumerate_points({"N": PARAM_VALUES[0]}),
-                [repr(piece.simplify()) for piece in poly.pieces],
                 repr(poly.project_onto(list(poly.space.dims[:1]))),
                 poly.is_empty(),
             )

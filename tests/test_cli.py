@@ -164,6 +164,21 @@ class TestRemovedWavefrontFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestUnknownStrategy:
+    @pytest.mark.parametrize(
+        "argv", [["suite", "--kernels", "gemm"], ["analyze", "gemm"]], ids=["suite", "analyze"]
+    )
+    def test_exits_two_before_planning(self, argv, monkeypatch, capsys):
+        import repro.analysis.analyzer
+
+        def no_planning(*args, **kwargs):
+            raise AssertionError("a bad strategy name must fail at the config")
+
+        monkeypatch.setattr(repro.analysis.analyzer, "plan_program", no_planning)
+        assert main([*argv, "--no-cache", "--strategies", "bogus"]) == 2
+        assert "error: unknown strategy 'bogus'" in capsys.readouterr().err
+
+
 class TestJobsBelowOne:
     """A worker count below one is a user error (exit code 2) on every
     command that takes ``--jobs``, never a silent clamp to one worker."""

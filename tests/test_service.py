@@ -135,6 +135,14 @@ class TestErrors:
             (request_line(stats="yes"), "must be the JSON value true"),
             (request_line(kernels=["gemm"], config=[1]), "must be a JSON object"),
             (request_line(kernels=["gemm"], config={"gamma": 7}), "invalid config"),
+            (
+                request_line(kernels=["gemm"], config={"strategies": ["bogus"]}),
+                "invalid config: unknown strategy 'bogus'",
+            ),
+            (
+                request_line(kernels=["gemm"], config={"strategies": []}),
+                "invalid config: strategies must name at least one strategy",
+            ),
         ],
     )
     def test_bad_requests_yield_one_error_event(self, service, monkeypatch, line, fragment):
