@@ -81,7 +81,7 @@ from typing import Sequence
 
 import sympy
 
-from .analysis import BoundStore, StreamCounters, save_results
+from .analysis import AnalysisConfig, BoundStore, StreamCounters, save_results
 from .analysis.executor import EXECUTOR_NAMES
 from .polybench import all_kernels, analyze_suite, analyze_suite_stream, kernel_names
 from .upper import tightness_report
@@ -163,7 +163,9 @@ def _store_for(args: argparse.Namespace) -> BoundStore | None:
 def _config_overrides(args: argparse.Namespace) -> dict:
     """The :class:`~repro.analysis.AnalysisConfig` fields set on the command line.
 
-    The suite drivers apply them over each kernel's registered depth.
+    The suite drivers apply them over each kernel's registered depth.  They
+    are checked here, by building a config from them, so that a bad value
+    fails before a command prints anything.
     """
     overrides: dict = {"instance": _parse_instance(args.instance)}
     if args.max_depth is not None:
@@ -172,6 +174,7 @@ def _config_overrides(args: argparse.Namespace) -> dict:
         overrides["gamma"] = args.gamma
     if args.strategies is not None:
         overrides["strategies"] = tuple(args.strategies)
+    AnalysisConfig(**overrides)
     return overrides
 
 
@@ -211,6 +214,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     names = _kernels_or_exit(args.kernels)
+    overrides = _config_overrides(args)
     store = _store_for(args)
     # This run's own work, not a delta of the process-wide counters.
     counters = StreamCounters()
@@ -227,7 +231,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         executor=args.executor,
         store=store,
         counters=counters,
-        **_config_overrides(args),
+        **overrides,
     ):
         analyses[analysis.spec.name] = analysis
         result = analysis.result

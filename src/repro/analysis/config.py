@@ -66,7 +66,8 @@ class AnalysisConfig:
     strategies:
         Names of the strategies to run, in order: a non-empty selection
         from ``DEFAULT_STRATEGIES`` (``"kpartition"``, ``"wavefront"``).  Any
-        other name is rejected here, when the config is built.
+        other name, and any name listed twice, is rejected here, when the
+        config is built.
     """
 
     instance: Mapping[str, int] | None = None
@@ -99,6 +100,8 @@ class AnalysisConfig:
                 raise ValueError(
                     f"unknown strategy {name!r}; available: {list(DEFAULT_STRATEGIES)}"
                 )
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValueError(f"strategies must not repeat a name, got {list(self.strategies)}")
 
     # -- derivation helpers -------------------------------------------------
 

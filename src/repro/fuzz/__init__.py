@@ -12,7 +12,7 @@ replayable JSON crash corpus.
   :class:`~repro.ir.program.AffineProgram` generation (the tests/rel
   generator, promoted and generalized) plus the program-surgery operators
   the shrinker uses;
-* :mod:`~repro.fuzz.oracles` — the oracle registry and the five built-in
+* :mod:`~repro.fuzz.oracles` — the fixed :data:`ORACLES` table of the five
   differentials (executors, backends, store, sandwich, counting);
 * :mod:`~repro.fuzz.runner` — campaigns, shrinking, corpus, replay;
 * ``python -m repro fuzz`` — the CLI front-end.
@@ -33,14 +33,7 @@ from .generator import (
     random_program,
     resolve_profile,
 )
-from .oracles import (
-    OracleContext,
-    OracleVerdict,
-    get_oracle,
-    oracle_names,
-    register_oracle,
-    run_oracle,
-)
+from .oracles import ORACLES, OracleContext, OracleVerdict, oracle_names, run_oracle
 from .runner import (
     CORPUS_KIND,
     CORPUS_SCHEMA,
@@ -61,6 +54,7 @@ __all__ = [
     "CampaignResult",
     "DEP_POOL_SMALL",
     "FuzzProfile",
+    "ORACLES",
     "OracleContext",
     "OracleVerdict",
     "PROFILES",
@@ -71,13 +65,11 @@ __all__ = [
     "delete_dimension",
     "delete_statement",
     "fingerprint_for",
-    "get_oracle",
     "load_corpus_entry",
     "oracle_names",
     "profile_from_dict",
     "profile_to_dict",
     "random_program",
-    "register_oracle",
     "replay_entry",
     "resolve_profile",
     "run_campaign",

@@ -36,10 +36,10 @@ system (see DESIGN.md, "Oracle soundness"):
     tiny instances and compared with exhaustive CDAG expansion — the
     differential that caught a real `sets/counting.py` miscount.
 
-Oracles are registered by name (:func:`register_oracle`) so test suites and
-downstream code can plug in their own; :func:`run_oracle` wraps execution so
-that an unexpected exception inside the system under test is itself reported
-as a divergence (``kind="crash"``) instead of killing the campaign.
+:data:`ORACLES` is the fixed table of the five, by name; :func:`run_oracle`
+wraps execution so that an unexpected exception inside the system under test
+is itself reported as a divergence (``kind="crash"``) instead of killing the
+campaign.
 """
 
 from __future__ import annotations
@@ -115,35 +115,15 @@ class OracleVerdict:
 
 Oracle = Callable[[AffineProgram, OracleContext], OracleVerdict]
 
-_ORACLES: dict[str, Oracle] = {}
-
-
-def register_oracle(name: str) -> Callable[[Oracle], Oracle]:
-    """Decorator: register ``fn`` as the oracle called ``name``."""
-
-    def decorate(fn: Oracle) -> Oracle:
-        _ORACLES[name] = fn
-        return fn
-
-    return decorate
-
 
 def oracle_names() -> tuple[str, ...]:
-    return tuple(sorted(_ORACLES))
-
-
-def get_oracle(name: str) -> Oracle:
-    try:
-        return _ORACLES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown oracle {name!r}; registered: {', '.join(oracle_names())}"
-        ) from None
+    """The oracle names, sorted (the keys of :data:`ORACLES`)."""
+    return tuple(ORACLES)
 
 
 def run_oracle(name: str, program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
     """Run one oracle, converting crashes of the system under test into verdicts."""
-    oracle = get_oracle(name)
+    oracle = ORACLES[name]
     try:
         return oracle(program, ctx)
     except Exception as exc:  # noqa: BLE001 — a fuzzer must survive any SUT crash
@@ -191,7 +171,6 @@ def _sandwich_capacity(cdag: CDAG) -> int:
 # built-in oracles
 
 
-@register_oracle("executors")
 def oracle_executors(program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
     """Bounds must be byte-identical across serial/thread/process executors."""
     config = _pipeline_config()
@@ -223,7 +202,6 @@ def oracle_executors(program: AffineProgram, ctx: OracleContext) -> OracleVerdic
     )
 
 
-@register_oracle("store")
 def oracle_store(program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
     """Cold vs warm store: warm run is all hits and byte-identical."""
     config = _pipeline_config()
@@ -268,7 +246,6 @@ def oracle_store(program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
     )
 
 
-@register_oracle("backends")
 def oracle_backends(program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
     """Confirm every symbolic reachability accept by concrete graph search.
 
@@ -316,7 +293,6 @@ def oracle_backends(program: AffineProgram, ctx: OracleContext) -> OracleVerdict
     )
 
 
-@register_oracle("sandwich")
 def oracle_sandwich(program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
     """Certified lower bounds never exceed a simulated legal schedule's loads."""
     variants = {
@@ -391,7 +367,6 @@ def _symbolic_statement_count(program: AffineProgram, statement: str, instance) 
     return evaluate(card(program.statements[statement].domain), instance)
 
 
-@register_oracle("counting")
 def oracle_counting(program: AffineProgram, ctx: OracleContext) -> OracleVerdict:
     """Symbolic card/input_size/total_flops vs brute-force CDAG enumeration."""
     checks = 0
@@ -458,3 +433,14 @@ def oracle_counting(program: AffineProgram, ctx: OracleContext) -> OracleVerdict
         details=f"{checks} counts match enumeration",
         checks=checks,
     )
+
+
+#: The built-in oracles by name, in sorted order.  A new differential is a
+#: function above plus an entry here.
+ORACLES: dict[str, Oracle] = {
+    "backends": oracle_backends,
+    "counting": oracle_counting,
+    "executors": oracle_executors,
+    "sandwich": oracle_sandwich,
+    "store": oracle_store,
+}

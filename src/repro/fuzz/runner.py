@@ -49,7 +49,7 @@ from .generator import (
     random_program,
     resolve_profile,
 )
-from .oracles import OracleContext, OracleVerdict, get_oracle, oracle_names, run_oracle
+from .oracles import ORACLES, OracleContext, OracleVerdict, oracle_names, run_oracle
 
 #: Version of the corpus entry JSON layout.
 CORPUS_SCHEMA = 1
@@ -148,13 +148,14 @@ def run_campaign(
     ``time_budget`` (seconds) stops scheduling new results once exceeded —
     already-completed seeds are kept, the result is marked ``stopped_early``.
     ``corpus_dir`` enables crash-corpus writing; ``oracles=None`` runs every
-    registered oracle.  Unknown oracle names raise :class:`KeyError` before
-    any work is scheduled.
+    oracle in :data:`ORACLES`.  Unknown oracle names raise :class:`KeyError`
+    before any work is scheduled.
     """
     prof = resolve_profile(profile)
     oracle_list = tuple(oracles) if oracles else oracle_names()
     for name in oracle_list:
-        get_oracle(name)
+        if name not in ORACLES:
+            raise KeyError(f"unknown oracle {name!r}; available: {', '.join(ORACLES)}")
     seed_list = [int(seed) for seed in seeds]
     started = time.monotonic()
     verdicts: list[dict] = []

@@ -10,11 +10,12 @@ independence / interference tests of the IOLB algorithms.  All uses in
   In-sets, sources and may-spill sets, all of which may safely be
   over-approximated — see DESIGN.md).
 
-Performance: the pair combination runs as a vectorised int64 kernel
-(:func:`repro.sets.backend.fm_combine`), falling back to the Python pair loop
-for the inputs the kernel declines, and the module-level queries are
-memoised under content keys (:mod:`repro.sets.memo`).  Both layers are exact:
-identical constraints in identical order.
+Performance: the pair combination is one exact integer loop — every
+constraint is normalised first, so bounds are read as Python ints, which
+cannot overflow — and the module-level queries are memoised under content
+keys (:mod:`repro.sets.memo`).  The ``Fraction`` pair loop it replaced lives
+on as the test oracle (``tests/sets/reference_affine.py``): identical
+constraints in identical order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Iterable, Sequence
 from .. import perf
 from . import memo
 from .affine import LinExpr
-from .backend import fm_combine
 from .basic_set import EQ, GE, BasicSet, Constraint
 
 MAX_CONSTRAINTS = 2000
@@ -60,62 +60,47 @@ def eliminate_variable(constraints: Sequence[Constraint], name: str) -> list[Con
             remaining = [c for c in constraints if c is not constraint]
             return [c.substitute({name: replacement}) for c in remaining]
 
-    others, lower, upper = _split_bounds(constraints, name)
+    # 2. Fourier-Motzkin.  Every constraint is normalised, so each bound on
+    # ``name`` reads as integers ``(a, rest, const)`` for
+    # ``a*name + rest + const >= 0``: lower bounds have ``a > 0``.
+    others: list[Constraint] = []
+    lower: list[tuple[int, dict[str, int], int]] = []
+    upper: list[tuple[int, dict[str, int], int]] = []
+    for constraint in constraints:
+        expr = constraint.expr
+        coeff = expr.coeffs.get(name)
+        if coeff is None:
+            others.append(constraint)
+            continue
+        a = coeff.numerator
+        rest = {n: c.numerator for n, c in expr.coeffs.items() if n != name}
+        const = expr.const.numerator
+        (lower if a > 0 else upper).append((a, rest, const))
+        if constraint.kind == EQ:
+            # A (non-unit) equality is two opposite inequalities.
+            (upper if a > 0 else lower).append((-a, {n: -c for n, c in rest.items()}, -const))
     if len(others) + len(lower) * len(upper) > MAX_CONSTRAINTS:
         raise EliminationError("Fourier-Motzkin blow-up")
 
-    combined = fm_combine(lower, upper)
-    if combined is None:
-        combined = _combine_pairs(lower, upper)
-    result = others + combined
-    return [c.normalized() for c in result if not c.is_trivially_true()]
-
-
-def _split_bounds(
-    constraints: Sequence[Constraint], name: str
-) -> tuple[list[Constraint], list[tuple[Fraction, LinExpr]], list[tuple[Fraction, LinExpr]]]:
-    """Split constraints into those without ``name``, lower and upper bounds.
-
-    A bound is ``(coeff, rest)`` for ``coeff*name + rest >= 0``: lower bounds
-    have ``coeff > 0``, upper bounds ``coeff < 0``.
-    """
-    lower: list[tuple[Fraction, LinExpr]] = []
-    upper: list[tuple[Fraction, LinExpr]] = []
-    others: list[Constraint] = []
-    for constraint in constraints:
-        coeff = constraint.expr.coeff(name)
-        if coeff == 0:
-            others.append(constraint)
-            continue
-        rest = LinExpr(
-            {n: c for n, c in constraint.expr.coeffs.items() if n != name},
-            constraint.expr.const,
-        )
-        if constraint.kind == EQ:
-            # Split the (non-unit) equality into two opposite inequalities.
-            pairs = [(coeff, rest), (-coeff, -rest)]
-        else:
-            pairs = [(coeff, rest)]
-        for pair_coeff, pair_rest in pairs:
-            if pair_coeff > 0:
-                lower.append((pair_coeff, pair_rest))
-            else:
-                upper.append((pair_coeff, pair_rest))
-    return others, lower, upper
-
-
-def _combine_pairs(
-    lower: Sequence[tuple[Fraction, LinExpr]], upper: Sequence[tuple[Fraction, LinExpr]]
-) -> list[Constraint]:
-    """Pair-combination loop for the inputs :func:`fm_combine` declines."""
+    # Combined rows list their names in first-seen order over all bounds.
+    names = list(dict.fromkeys(n for _, rest, _ in (*lower, *upper) for n in rest))
     combined = []
-    for lo_coeff, lo_rest in lower:
-        for up_coeff, up_rest in upper:
-            # lo: a*x + r1 >= 0 (a>0)  =>  x >= -r1/a
-            # up: b*x + r2 >= 0 (b<0)  =>  x <= -r2/b = r2/|b|
-            # combination: -r1/a <= r2/|b|  =>  |b|*r1 + a*r2 >= 0
-            combined.append(Constraint(lo_rest * (-up_coeff) + up_rest * lo_coeff, GE))
-    return combined
+    for a, lo_rest, lo_const in lower:
+        for b, up_rest, up_const in upper:
+            # lo: a*x + r1 >= 0 (a > 0)  =>  x >= -r1/a
+            # up: b*x + r2 >= 0 (b < 0)  =>  x <= r2/|b|
+            # combination: |b|*r1 + a*r2 >= 0
+            row = {}
+            for n in names:
+                value = a * up_rest.get(n, 0) - b * lo_rest.get(n, 0)
+                if value:
+                    row[n] = value
+            const = a * up_const - b * lo_const
+            if not row and const >= 0:
+                continue  # trivially true
+            # normalized() divides the row by its gcd.
+            combined.append(Constraint(LinExpr(row, const), GE).normalized())
+    return [c for c in others if not c.is_trivially_true()] + combined
 
 
 @perf.timed("fm")

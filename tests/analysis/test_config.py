@@ -70,6 +70,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown strategy 'no-such-strategy'"):
             AnalysisConfig.from_dict({"strategies": ["kpartition", "no-such-strategy"]})
 
+    def test_repeated_strategy_is_rejected(self):
+        """A repeated name would plan and derive its tasks twice and store
+        the result under a second key."""
+        with pytest.raises(ValueError, match="must not repeat"):
+            AnalysisConfig(strategies=("kpartition", "kpartition"))
+        with pytest.raises(ValueError, match="must not repeat"):
+            AnalysisConfig().replace(strategies=("wavefront", "kpartition", "wavefront"))
+        with pytest.raises(ValueError, match="must not repeat"):
+            AnalysisConfig.from_dict({"strategies": ["wavefront", "wavefront"]})
+
     def test_replace_checks_strategies_too(self):
         """The suite applies overrides with ``replace``; it runs the same checks."""
         with pytest.raises(ValueError, match="unknown strategy 'isl'"):

@@ -1,6 +1,6 @@
 """Oracle plumbing: every built-in differential runs green on clean cases.
 
-The fast tier runs all registered oracles on 5 seeds × 2 profiles; the wide
+The fast tier runs every oracle on 5 seeds × 2 profiles; the wide
 sweep (more seeds, the third profile) rides behind the ``slow`` marker like
 the historical reachability sweep.  All oracles of one case run inside one
 test so they share the per-process DFG/reachability caches — the same
@@ -19,14 +19,12 @@ from repro.core.wavefront import (
 )
 from repro.fuzz.generator import random_program
 from repro.fuzz.oracles import (
+    ORACLES,
     OracleContext,
     OracleVerdict,
-    get_oracle,
     oracle_names,
-    register_oracle,
     run_oracle,
 )
-from repro.fuzz.oracles import _ORACLES
 from repro.ir import ProgramBuilder
 from repro.rel import ReachabilityResult
 
@@ -56,30 +54,30 @@ def assert_all_oracles_green(profile: str, seed: int) -> None:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(BUILTIN_ORACLES) <= set(oracle_names())
+        assert tuple(ORACLES) == BUILTIN_ORACLES
+        assert oracle_names() == BUILTIN_ORACLES
 
-    def test_unknown_oracle_raises_with_listing(self):
-        with pytest.raises(KeyError, match="unknown oracle"):
-            get_oracle("no-such-oracle")
+    def test_unknown_oracle_is_not_run(self):
+        with pytest.raises(KeyError, match="no-such-oracle"):
+            run_oracle(
+                "no-such-oracle", random_program(0, "small"), OracleContext.for_case(0, "small")
+            )
 
-    def test_register_and_crash_wrapping(self):
-        @register_oracle("_test_crasher")
+    def test_register_and_crash_wrapping(self, monkeypatch):
         def crasher(program, ctx):
             raise RuntimeError("deliberate")
 
-        try:
-            verdict = run_oracle(
-                "_test_crasher",
-                random_program(0, "small"),
-                OracleContext.for_case(0, "small"),
-            )
-            # A crash of the system under test is a *finding*, not a
-            # campaign abort: it must come back as a failing verdict.
-            assert not verdict.ok
-            assert verdict.divergence["kind"] == "crash"
-            assert verdict.divergence["error"] == "RuntimeError"
-        finally:
-            _ORACLES.pop("_test_crasher", None)
+        monkeypatch.setitem(ORACLES, "_test_crasher", crasher)
+        verdict = run_oracle(
+            "_test_crasher",
+            random_program(0, "small"),
+            OracleContext.for_case(0, "small"),
+        )
+        # A crash of the system under test is a *finding*, not a campaign
+        # abort: it must come back as a failing verdict.
+        assert not verdict.ok
+        assert verdict.divergence["kind"] == "crash"
+        assert verdict.divergence["error"] == "RuntimeError"
 
 
 @pytest.mark.parametrize("profile,seed", FAST_CASES)

@@ -1,4 +1,6 @@
-"""The ``Fraction``-rebuilding ``LinExpr`` arithmetic, kept as an oracle.
+"""Reference ``Fraction`` implementations, kept as oracles.
+
+The ``Fraction``-rebuilding ``LinExpr`` arithmetic:
 
 :class:`repro.sets.LinExpr` keeps coefficients that are already ``Fraction``
 objects, builds the results of ``+``, ``-``, ``*`` and negation without
@@ -8,12 +10,20 @@ coefficient with ``Fraction(value)`` and drops zeros in the constructor, and
 ``substitute`` adds one freshly built expression per term.  Values *and* the
 insertion order of ``coeffs`` must agree with it, because constraint order
 and FM pair order follow dict order.
+
+The ``Fraction`` Fourier-Motzkin pair loop: :func:`reference_fm_eliminate`
+splits the normalised constraints into lower and upper bounds as ``LinExpr``
+pairs and combines every pair in rational arithmetic.  The integer pair loop
+in :func:`repro.sets.fourier_motzkin.eliminate_variable` must return the same
+constraints (same keys) in the same order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from repro.sets import EQ, GE, Constraint, LinExpr
 
 
 class ReferenceLinExpr:
@@ -76,3 +86,38 @@ def _as_reference(value) -> ReferenceLinExpr:
     if isinstance(value, ReferenceLinExpr):
         return value
     return ReferenceLinExpr({}, value)
+
+
+def reference_fm_eliminate(constraints, name) -> list[Constraint]:
+    """Fourier-Motzkin elimination of ``name`` by the ``Fraction`` pair loop.
+
+    Covers the combination branch only: a system with a unit-coefficient
+    equality on ``name`` (which ``eliminate_variable`` solves by
+    substitution) is rejected.
+    """
+    constraints = [c.normalized() for c in constraints]
+    others: list[Constraint] = []
+    lower: list[tuple[Fraction, LinExpr]] = []
+    upper: list[tuple[Fraction, LinExpr]] = []
+    for constraint in constraints:
+        coeff = constraint.expr.coeff(name)
+        if coeff == 0:
+            others.append(constraint)
+            continue
+        if constraint.kind == EQ and abs(coeff) == 1:
+            raise ValueError(f"unit equality on {name!r}: the substitution branch")
+        rest = LinExpr(
+            {n: c for n, c in constraint.expr.coeffs.items() if n != name},
+            constraint.expr.const,
+        )
+        pairs = [(coeff, rest), (-coeff, -rest)] if constraint.kind == EQ else [(coeff, rest)]
+        for pair_coeff, pair_rest in pairs:
+            (lower if pair_coeff > 0 else upper).append((pair_coeff, pair_rest))
+    combined = []
+    for lo_coeff, lo_rest in lower:
+        for up_coeff, up_rest in upper:
+            # lo: a*x + r1 >= 0 (a>0)  =>  x >= -r1/a
+            # up: b*x + r2 >= 0 (b<0)  =>  x <= -r2/b = r2/|b|
+            # combination: -r1/a <= r2/|b|  =>  |b|*r1 + a*r2 >= 0
+            combined.append(Constraint(lo_rest * (-up_coeff) + up_rest * lo_coeff, GE))
+    return [c.normalized() for c in others + combined if not c.is_trivially_true()]

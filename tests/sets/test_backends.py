@@ -1,12 +1,15 @@
-"""Unit tests for the vectorised set kernels, memoisation and canonical caching.
+"""Unit tests for the set kernels, memoisation and canonical caching.
 
-The trust boundary (DESIGN.md "Set-algebra engine"): the numpy kernels of
-:mod:`repro.sets.backend` either return exactly what the Python loops they
-replace would return — same values, same order — or decline with ``None``,
-and the memo caches are keyed on content.  These tests pin:
+The trust boundary (DESIGN.md "Set-algebra engine"): the numpy enumeration
+kernel of :mod:`repro.sets.backend` either returns exactly what the loop it
+replaces would return — same values, same order — or declines with ``None``;
+Fourier-Motzkin elimination is one exact integer loop checked against the
+``Fraction`` oracle; and the memo caches are keyed on content.  These tests
+pin:
 
-* ``fm_combine`` against the pair-combination loop, including the declines
-  (fractional coefficients, int64 overflow);
+* ``eliminate_variable``'s pair combination against the ``Fraction`` oracle
+  (random systems, non-unit equalities, unnormalised ``Fraction`` inputs,
+  coefficients past 2^62, trivially true and false rows);
 * ``enumerate_points`` against the recursive enumeration loop, including
   point *order* and the declines (grid limit, free names, non-integer
   parameters);
@@ -21,6 +24,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference_affine import reference_fm_eliminate
 
 from repro.sets import (
     EQ,
@@ -33,19 +37,9 @@ from repro.sets import (
     parse_set,
 )
 from repro.sets import memo
-from repro.sets.backend import ENUMERATION_GRID_LIMIT, enumerate_points, fm_combine
+from repro.sets.backend import ENUMERATION_GRID_LIMIT, enumerate_points
 from repro.sets.basic_set import _intern_table, interned_count
-from repro.sets.fourier_motzkin import (
-    _combine_pairs,
-    _split_bounds,
-    eliminate_variable,
-    project_out,
-)
-
-
-def _loop_combine(lower, upper) -> list[Constraint]:
-    """The decline path's output, filtered the way ``eliminate_variable`` does."""
-    return [c.normalized() for c in _combine_pairs(lower, upper) if not c.is_trivially_true()]
+from repro.sets.fourier_motzkin import eliminate_variable, project_out
 
 
 def _keys(constraints) -> list[tuple]:
@@ -72,50 +66,75 @@ def _random_system(rng: random.Random, nvars: int = 3, n: int = 6, scale: int = 
     return constraints
 
 
+def _fm_system(rng: random.Random, n: int = 6, scale: int = 3) -> list[Constraint]:
+    """A random system whose equalities on ``x0`` have non-unit coefficients,
+    so that eliminating ``x0`` takes the pair-combination branch."""
+    system = []
+    for constraint in _random_system(rng, n=n, scale=scale):
+        if constraint.kind == EQ and abs(constraint.normalized().expr.coeff("x0")) == 1:
+            constraint = Constraint(constraint.expr, GE)
+        system.append(constraint)
+    return system
+
+
 class TestFmCombine:
-    def test_kernel_matches_pair_loop_on_random_systems(self):
+    """The integer pair loop against the ``Fraction`` oracle: same keys,
+    same order."""
+
+    def test_eliminate_variable_matches_the_oracle_on_random_systems(self):
         rng = random.Random(424242)
-        compared = 0
-        for _ in range(60):
-            system = [c.normalized() for c in _random_system(rng)]
-            _, lower, upper = _split_bounds(system, "x0")
-            kernel = fm_combine(lower, upper)
-            assert kernel is not None
-            assert _keys(kernel) == _keys(_loop_combine(lower, upper))
-            compared += bool(lower and upper)
+        compared = equalities = 0
+        for _ in range(120):
+            system = _fm_system(rng)
+            expected = reference_fm_eliminate(system, "x0")
+            assert _keys(eliminate_variable(system, "x0")) == _keys(expected)
+            compared += len(expected) > sum(c.expr.coeff("x0") == 0 for c in system)
+            equalities += any(c.kind == EQ and c.expr.coeff("x0") for c in system)
         assert compared >= 20
+        assert equalities >= 10
 
-    def test_eliminate_variable_matches_the_decline_path(self, monkeypatch):
-        rng = random.Random(424242)
-        systems = [_random_system(rng) for _ in range(60)]
-        optimised = [repr(eliminate_variable(system, "x0")) for system in systems]
-        monkeypatch.setattr("repro.sets.fourier_motzkin.fm_combine", lambda lower, upper: None)
-        assert [repr(eliminate_variable(system, "x0")) for system in systems] == optimised
+    def test_non_unit_equality_splits_into_both_bounds(self):
+        # 2x = y + 1 and 0 <= x <= 5 give 0 <= y + 1 <= 10.
+        system = [
+            Constraint(LinExpr({"x": 2, "y": -1}, -1), EQ),
+            Constraint(LinExpr({"x": 1}, 0), GE),
+            Constraint(LinExpr({"x": -1}, 5), GE),
+        ]
+        keys = _keys(eliminate_variable(system, "x"))
+        assert keys == _keys(reference_fm_eliminate(system, "x"))
+        assert sorted(keys) == [(GE, (("y", -1),), 9), (GE, (("y", 1),), 1)]
 
-    def test_empty_sides_combine_to_nothing(self):
-        assert fm_combine([], [(Fraction(-1), LinExpr({"y": 1}, 0))]) == []
-        assert fm_combine([(Fraction(1), LinExpr({"y": 1}, 0))], []) == []
+    def test_unnormalised_fraction_inputs_match_the_oracle(self):
+        rng = random.Random(8080)
+        for _ in range(40):
+            system = [
+                Constraint(c.expr * Fraction(rng.randint(1, 9), rng.randint(1, 9)), c.kind)
+                for c in _fm_system(rng)
+            ]
+            half = LinExpr({"x0": Fraction(1, 2), "x1": Fraction(2, 3)}, Fraction(5, 7))
+            system.append(Constraint(half, GE))
+            expected = reference_fm_eliminate(system, "x0")
+            assert _keys(eliminate_variable(system, "x0")) == _keys(expected)
 
-    def test_fractional_coefficient_declines_to_the_loop(self):
-        lower = [(Fraction(1, 2), LinExpr({"y": 1}, 0))]
-        upper = [(Fraction(-1), LinExpr({}, 4))]
-        assert fm_combine(lower, upper) is None
-        # 1/2*x + y >= 0 and -x + 4 >= 0 combine to y + 2 >= 0.
-        assert _keys(_loop_combine(lower, upper)) == [(GE, (("y", 1),), 2)]
+    def test_fractional_coefficients_combine_exactly(self):
+        # 1/2*x + 1/3*y >= 0 and -x + 4 >= 0 combine to y + 6 >= 0.
+        system = [
+            Constraint(LinExpr({"x": Fraction(1, 2), "y": Fraction(1, 3)}, 0), GE),
+            Constraint(LinExpr({"x": -1}, 4), GE),
+        ]
+        assert _keys(eliminate_variable(system, "x")) == [(GE, (("y", 1),), 6)]
 
-    def test_fractional_rest_declines_to_the_loop(self):
-        lower = [(Fraction(1), LinExpr({"y": Fraction(1, 3)}, 0))]
-        upper = [(Fraction(-1), LinExpr({}, 4))]
-        assert fm_combine(lower, upper) is None
-        assert _keys(_loop_combine(lower, upper)) == [(GE, (("y", 1),), 12)]
+    def test_coefficients_past_two_to_the_62_match_the_oracle(self):
+        rng = random.Random(62)
 
-    def test_int64_overflow_declines_to_the_loop(self):
-        big = 1 << 33
-        lower = [(Fraction(big), LinExpr({"y": big}, 0))]
-        upper = [(Fraction(-big), LinExpr({}, big))]
-        assert fm_combine(lower, upper) is None
-        # big^2*y + big^2 >= 0, canonicalised exactly by the loop.
-        assert _keys(_loop_combine(lower, upper)) == [(GE, (("y", 1),), 1)]
+        def huge(expr: LinExpr) -> LinExpr:
+            coeffs = {n: v * ((1 << 62) + rng.randint(1, 99)) for n, v in expr.coeffs.items()}
+            return LinExpr(coeffs, expr.const * (1 << 63))
+
+        for _ in range(30):
+            system = [Constraint(huge(c.expr), c.kind) for c in _fm_system(rng)]
+            expected = reference_fm_eliminate(system, "x0")
+            assert _keys(eliminate_variable(system, "x0")) == _keys(expected)
 
     def test_overflowing_system_still_eliminates_exactly(self):
         big = (1 << 33) + 1
@@ -123,17 +142,34 @@ class TestFmCombine:
             Constraint(LinExpr({"x": big, "y": big}, 0), GE),
             Constraint(LinExpr({"x": -big, "y": 3}, 7), GE),
         ]
-        _, lower, upper = _split_bounds(x, "x")
-        assert fm_combine(lower, upper) is None
-        assert _keys(eliminate_variable(x, "x")) == _keys(_loop_combine(lower, upper))
+        # x + y >= 0 (normalised) and -big*x + 3y + 7 >= 0 combine to
+        # (big + 3)*y + 7 >= 0.
+        assert _keys(eliminate_variable(x, "x")) == _keys(reference_fm_eliminate(x, "x"))
+        assert _keys(eliminate_variable(x, "x")) == [(GE, (("y", big + 3),), 7)]
+
+    def test_one_sided_bounds_combine_to_nothing(self):
+        system = [
+            Constraint(LinExpr({"x": 1, "y": 1}, 0), GE),
+            Constraint(LinExpr({"y": -1}, 3), GE),
+        ]
+        assert _keys(eliminate_variable(system, "x")) == [(GE, (("y", -1),), 3)]
 
     def test_combination_drops_trivially_true_rows(self):
-        # x >= 0 and x <= 5 combine to the trivially-true 5 >= 0: the kernel
-        # must drop it exactly like the loop's filter.
-        lower = [(Fraction(1), LinExpr({}, 0))]
-        upper = [(Fraction(-1), LinExpr({}, 5))]
-        assert fm_combine(lower, upper) == []
-        assert _loop_combine(lower, upper) == []
+        # x >= 0 and x <= 5 combine to the trivially-true 5 >= 0, and the
+        # trivially-true 2 >= 0 among the others goes too.
+        system = [
+            Constraint(LinExpr({"x": 1}, 0), GE),
+            Constraint(LinExpr({"x": -1}, 5), GE),
+            Constraint(LinExpr({}, 2), GE),
+        ]
+        assert eliminate_variable(system, "x") == []
+        assert reference_fm_eliminate(system, "x") == []
+
+    def test_trivially_false_combination_is_kept_canonical(self):
+        # x >= 3 and x <= 1 combine to -2 >= 0, canonicalised to -1 >= 0.
+        system = [Constraint(LinExpr({"x": 1}, -3), GE), Constraint(LinExpr({"x": -1}, 1), GE)]
+        assert _keys(eliminate_variable(system, "x")) == [(GE, (), -1)]
+        assert _keys(reference_fm_eliminate(system, "x")) == [(GE, (), -1)]
 
 
 # -- point enumeration ----------------------------------------------------------

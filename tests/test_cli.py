@@ -179,6 +179,20 @@ class TestUnknownStrategy:
         assert "error: unknown strategy 'bogus'" in capsys.readouterr().err
 
 
+class TestBadSuiteOverrides:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--strategies", "bogus"], ["--gamma", "3"], ["--strategies", "wavefront", "wavefront"]],
+        ids=["strategy", "gamma", "repeated-strategy"],
+    )
+    def test_exit_two_with_nothing_on_stdout(self, flags, capsys):
+        """The overrides are checked before the table header is printed."""
+        assert main(["suite", "--kernels", "gemm", "--no-cache", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestJobsBelowOne:
     """A worker count below one is a user error (exit code 2) on every
     command that takes ``--jobs``, never a silent clamp to one worker."""
