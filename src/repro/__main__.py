@@ -30,9 +30,11 @@ Subcommands
     Long-lived JSON-lines analysis service (see :mod:`repro.service`):
     requests in, streamed results out, over stdin/stdout or TCP.  The TCP
     server is concurrent (one thread per connection, all connections
-    sharing one store and one executor pool); Ctrl-C stops accepting and
-    drains in-flight requests before exiting.  A ``{"stats": true}``
-    request reports uptime, in-flight requests and store statistics.
+    sharing one store and one executor pool, by default one worker process
+    so that cold derivations run off the server's GIL); Ctrl-C stops
+    accepting and drains in-flight requests before exiting.  A
+    ``{"stats": true}`` request reports uptime, in-flight requests, the
+    executor and store statistics.
 
 ``profile [--kernels ...] [--json] [--output FILE]``
     Cold in-process derivation of the suite with wall-time attributed to the
@@ -75,6 +77,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import tarfile
 from typing import Sequence
@@ -120,14 +123,16 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_run_arguments(
+    parser: argparse.ArgumentParser,
+    executor_help: str = "task executor: serial (default), thread (one shared "
+                         "thread pool), or process (worker processes); unset "
+                         "picks process when --jobs > 1",
+) -> None:
     """How a command runs: its executor, worker count and bound store."""
     group = parser.add_argument_group("execution")
     group.add_argument(
-        "--executor", choices=EXECUTOR_NAMES, default=None,
-        help="task executor: serial (default), thread (one shared thread "
-             "pool), or process (worker processes); unset picks process "
-             "when --jobs > 1",
+        "--executor", choices=EXECUTOR_NAMES, default=None, help=executor_help,
     )
     group.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -370,8 +375,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import AnalysisService, ServiceServer
 
     with AnalysisService(
-        store=_store_for(args), executor=args.executor, n_jobs=args.jobs
+        store=_store_for(args), executor=args.executor or "process", n_jobs=args.jobs
     ) as service:
+        # Fork the workers now, before any handler thread exists: no thread
+        # can then hold a lock (the store's, a pool's) at the moment of the
+        # fork.  SIGTERM drains like Ctrl-C, so that the workers are shut
+        # down, not orphaned.
+        service.executor.start()
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         if args.port is None:
             try:
                 service.serve_stream(sys.stdin, sys.stdout)
@@ -617,7 +628,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", metavar="HOST",
         help="bind address for --port (default: 127.0.0.1)",
     )
-    _add_run_arguments(serve)
+    _add_run_arguments(
+        serve,
+        executor_help="task executor: process (default; --jobs worker processes, "
+                      "started with the server, so cold derivations never hold "
+                      "its GIL), serial (in the server process), or thread (one "
+                      "shared thread pool)",
+    )
     serve.set_defaults(handler=_cmd_serve)
 
     from .fuzz import PROFILES, oracle_names

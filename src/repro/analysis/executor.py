@@ -20,13 +20,14 @@ independent of completion order.  :class:`SerialExecutor` runs the task
 in-line and hands back an already-finished future, so sequential execution
 is the ``n_jobs == 1`` case of the same event loop.
 
-Pools are created lazily on the first ``submit`` and kept open, so
-a whole suite batch (every kernel's tasks) flows through **one** work queue
-instead of paying a pool startup per program; close an executor explicitly
-(or use it as a context manager) when done.  ``close`` **cancels anything
-still queued** before reaping the workers, so closing from an interrupt
-handler (or a ``finally`` after Ctrl-C) leaves no orphan worker processes
-grinding through abandoned tasks.
+Pools are created lazily on the first ``submit`` (or by ``start``) and kept
+open, so a whole suite batch (every kernel's tasks) flows through **one**
+work queue instead of paying a pool startup per program; close an executor
+explicitly (or use it as a context manager) when done.  ``close`` **cancels
+anything still queued** before reaping the workers, so closing from an
+interrupt handler (or a ``finally`` after Ctrl-C) leaves no orphan worker
+processes grinding through abandoned tasks.  A pool broken by a dead worker
+is replaced on the next ``submit``.
 
 Trust boundary: the process executor runs the same code as the caller, in
 child processes of the caller, with the caller's privileges — it is a
@@ -48,6 +49,8 @@ live instance stays the caller's, and its release does nothing.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import signal
 import threading
 from typing import Any, Callable, Protocol
 
@@ -67,12 +70,19 @@ class Executor(Protocol):
         """Schedule ``fn(item)``, returning its future."""
         ...
 
+    def start(self) -> None:
+        """Start any workers now rather than on the first task."""
+        ...
+
     def close(self) -> None:
         """Release any worker pool.  Idempotent."""
         ...
 
 
 class _ExecutorBase:
+    def start(self) -> None:  # pragma: no cover - trivial
+        pass
+
     def close(self) -> None:  # pragma: no cover - trivial
         pass
 
@@ -123,15 +133,38 @@ class _PoolExecutor(_ExecutorBase):
         # threads each resolve a pool and one leaks unclosed.
         self._pool_lock = threading.Lock()
 
-    def _ensure_pool(self) -> concurrent.futures.Executor:
+    def _ensure_pool(
+        self, broken: concurrent.futures.Executor | None = None
+    ) -> concurrent.futures.Executor:
+        """The live pool: created on first use, replaced when ``broken``."""
         with self._pool_lock:
-            if self._pool is None:
+            if self._pool is None or self._pool is broken:
                 self._pool = type(self)._pool_factory(max_workers=self.n_jobs)
             return self._pool
 
     def submit(self, fn, item) -> concurrent.futures.Future:
-        """Schedule one task on the pool (created on first use)."""
-        return self._ensure_pool().submit(fn, item)
+        """Schedule one task on the pool (created on first use).
+
+        A pool broken by a dead worker fails the futures it held and
+        refuses new work; the first ``submit`` after that replaces it, so a
+        long-lived caller (the service) recovers instead of failing for
+        good.
+        """
+        pool = self._ensure_pool()
+        try:
+            return pool.submit(fn, item)
+        except concurrent.futures.BrokenExecutor:
+            pool.shutdown(wait=False)
+            return self._ensure_pool(broken=pool).submit(fn, item)
+
+    def start(self) -> None:
+        """Start the workers now instead of on the first task.
+
+        A process pool forks its workers on its first ``submit``, so a
+        caller about to start threads of its own calls this first: no
+        thread of its can then hold a lock at the moment of the fork.
+        """
+        self.submit(abs, 0).result()
 
     def close(self) -> None:
         with self._pool_lock:
@@ -151,11 +184,27 @@ class ThreadExecutor(_PoolExecutor):
     _pool_factory = staticmethod(concurrent.futures.ThreadPoolExecutor)
 
 
+def _worker_signals() -> None:
+    """Process-pool worker initializer: leave Ctrl-C to the parent.
+
+    Ctrl-C at a terminal signals the whole process group.  The parent
+    decides what stops — ``close`` cancels queued tasks and waits for
+    running ones, and ``repro serve`` first drains its in-flight requests —
+    so a worker must not die mid-task of a request that is draining.
+    SIGTERM ends a worker outright, whatever handler the parent had
+    installed when it forked.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 class ProcessExecutor(_PoolExecutor):
     """Process-pool execution: true parallelism, pickled payloads."""
 
     name = "process"
-    _pool_factory = staticmethod(concurrent.futures.ProcessPoolExecutor)
+    _pool_factory = staticmethod(
+        functools.partial(concurrent.futures.ProcessPoolExecutor, initializer=_worker_signals)
+    )
 
 
 _EXECUTOR_CLASSES = {

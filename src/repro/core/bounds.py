@@ -16,6 +16,7 @@ the sympy plumbing:
 from __future__ import annotations
 
 import ast
+import json
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any, Mapping
@@ -103,6 +104,15 @@ def evaluate(expr: sympy.Expr, instance: Mapping[str, object]) -> float:
 
 #: Version tag of the JSON serialization schema below.
 SERIALIZATION_SCHEMA = 1
+
+#: Key order of :meth:`SubBound.to_dict` and :meth:`IOBoundResult.to_dict`: a
+#: decoded payload laid out exactly so (as every stored entry and ``suite
+#: --json`` document is) seeds the decoded result's encoding memo.
+_SUB_BOUND_KEYS = ("expression", "smooth", "may_spill", "method", "statement", "depth", "notes")
+_RESULT_KEYS = (
+    "schema", "program_name", "parameters", "expression", "smooth", "asymptotic",
+    "input_size", "total_flops", "sub_bounds", "log",
+)
 
 
 def expr_to_text(expr: sympy.Expr) -> str:
@@ -455,19 +465,29 @@ class IOBoundResult:
         Sympy expressions are serialized with ``srepr`` so the round-trip is
         exact (including symbol assumptions, ``floor`` and ``Max``); may-spill
         sets are serialized piece-by-piece in the library's set syntax.
+
+        The encoding is memoised on the instance as its JSON text, like
+        :meth:`oi_upper_bound` (results are immutable), and :meth:`from_dict`
+        seeds that memo from the payload it decoded, so a stored result is
+        never re-printed.  Each call returns a fresh dict the caller may
+        mutate.
         """
-        return {
-            "schema": SERIALIZATION_SCHEMA,
-            "program_name": self.program_name,
-            "parameters": list(self.parameters),
-            "expression": expr_to_text(self.expression),
-            "smooth": expr_to_text(self.smooth),
-            "asymptotic": expr_to_text(self.asymptotic),
-            "input_size": expr_to_text(self.input_size),
-            "total_flops": expr_to_text(self.total_flops),
-            "sub_bounds": [bound.to_dict() for bound in self.sub_bounds],
-            "log": list(self.log),
-        }
+        text = self.__dict__.get("_encoded")
+        if text is None:
+            text = json.dumps({
+                "schema": SERIALIZATION_SCHEMA,
+                "program_name": self.program_name,
+                "parameters": list(self.parameters),
+                "expression": expr_to_text(self.expression),
+                "smooth": expr_to_text(self.smooth),
+                "asymptotic": expr_to_text(self.asymptotic),
+                "input_size": expr_to_text(self.input_size),
+                "total_flops": expr_to_text(self.total_flops),
+                "sub_bounds": [bound.to_dict() for bound in self.sub_bounds],
+                "log": list(self.log),
+            })
+            self.__dict__["_encoded"] = text
+        return json.loads(text)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "IOBoundResult":
@@ -477,7 +497,7 @@ class IOBoundResult:
                 f"unsupported IOBoundResult schema {schema!r} "
                 f"(this library reads schema {SERIALIZATION_SCHEMA})"
             )
-        return cls(
+        result = cls(
             program_name=data["program_name"],
             parameters=tuple(data["parameters"]),
             expression=expr_from_text(data["expression"]),
@@ -488,6 +508,13 @@ class IOBoundResult:
             sub_bounds=[SubBound.from_dict(entry) for entry in data.get("sub_bounds", [])],
             log=list(data.get("log", [])),
         )
+        # A payload laid out as to_dict writes it is what to_dict would
+        # print again; one with defaulted keys is re-encoded on first use.
+        if tuple(data) == _RESULT_KEYS and all(
+            tuple(entry) == _SUB_BOUND_KEYS for entry in data["sub_bounds"]
+        ):
+            result.__dict__["_encoded"] = json.dumps(data)
+        return result
 
     def __repr__(self) -> str:
         return (

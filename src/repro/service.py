@@ -29,9 +29,10 @@ Request (one JSON object per line)::
 A ``{"stats": true}`` request (optionally with an ``id``) is answered with
 one ``stats`` event instead of results: service uptime, the number of
 analysis requests currently in flight across **all** connections, totals
-served, and a cheap store snapshot (entry/byte counts from ``stat()`` plus
-this process's session hit/miss/write counters — the store is never parsed
-entry-by-entry while requests are running).
+served, the executor (``{"name": ..., "jobs": ...}``), and a cheap store
+snapshot (entry/byte counts from ``stat()`` plus this process's session
+hit/miss/write counters — the store is never parsed entry-by-entry while
+requests are running).
 
 Events (streamed, in completion order)::
 
@@ -63,6 +64,20 @@ so every concurrent request's derivation tasks are multiplexed into the
 same scheduler ready-queue machinery and worker pool rather than each
 request spawning its own workers.
 
+``python -m repro serve`` runs that executor as one **process worker** by
+default (``--executor process --jobs 1``), forked before the server starts
+its first handler thread.  A cold derivation then runs in the worker, and the
+server process keeps only planning, store reads and writes, combining and
+encoding: a warm request on another connection does not wait for a cold
+derivation's Python to release the GIL.  If the worker dies, the requests
+it was serving get one ``error`` event each, and the next request forks a
+replacement.  A warm request's reply is cheap too: a stored result keeps
+its encoding (:meth:`~repro.core.bounds.IOBoundResult.to_dict` is memoised
+and seeded at decode), and sockets set ``TCP_NODELAY`` so a request's
+``done`` line is not held back by Nagle's algorithm waiting for the
+client's delayed ACK.  The library's :class:`AnalysisService` keeps the
+serial default of every other entry point.
+
 Because any number of requests can be deriving at once, per-request
 accounting must never read the process-global
 :func:`~repro.analysis.derivation_count` (two overlapping requests would
@@ -82,6 +97,7 @@ safe.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import socketserver
 import threading
@@ -197,6 +213,7 @@ class AnalysisService:
             "in_flight": in_flight,
             "requests_served": served,
             "kernels": len(kernel_names()),
+            "executor": {"name": self.executor.name, "jobs": self.executor.n_jobs},
             "store": store_stats,
         }
 
@@ -250,6 +267,12 @@ class AnalysisService:
                 # move on to the next request rather than killing the server.
                 message = error.args[0] if error.args else str(error)
                 yield {"id": request_id, "event": "error", "error": str(message)}
+                return
+            except concurrent.futures.BrokenExecutor as error:
+                # A worker died under this request; the executor replaces
+                # its pool on the next submit, so later requests still run.
+                yield {"id": request_id, "event": "error",
+                       "error": f"a worker process died: {error}"}
                 return
             yield {
                 "id": request_id,
@@ -354,6 +377,11 @@ class AnalysisService:
 
 
 class _TCPHandler(socketserver.StreamRequestHandler):
+    # TCP_NODELAY: every event is one small write, and a request's second
+    # one (``done`` after ``result``) must not wait for the client's delayed
+    # ACK (Nagle, RFC 896, against delayed ACKs, RFC 1122: up to 40 ms).
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         service: AnalysisService = self.server.service  # type: ignore[attr-defined]
         reader = (raw.decode("utf-8", errors="replace") for raw in self.rfile)

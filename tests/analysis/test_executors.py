@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
+import signal
+import time
 
 import pytest
 
@@ -35,6 +38,10 @@ from repro.ir import DFG
 from repro.polybench import get_kernel
 
 from .adversaries import shuffled_executor
+
+def _worker_pid(_item) -> int:
+    return os.getpid()
+
 
 #: Multi-statement kernels: several independent tasks per derivation.
 KERNELS = ["durbin", "bicg", "mvt"]
@@ -238,6 +245,31 @@ class TestPoolLifecycle:
         executor.close()
         assert executor._pool is None
         executor.close()  # idempotent
+
+    def test_a_pool_broken_by_a_dead_worker_is_replaced_on_submit(self):
+        executor = ProcessExecutor(n_jobs=1)
+        try:
+            executor.start()
+            pid = executor.submit(_worker_pid, None).result()
+            running = executor.submit(time.sleep, 60)
+            os.kill(pid, signal.SIGKILL)
+            with pytest.raises(concurrent.futures.BrokenExecutor):
+                running.result(timeout=60)
+            assert executor.submit(abs, -2).result() == 2
+            assert executor.submit(_worker_pid, None).result() != pid
+        finally:
+            executor.close()
+
+    def test_process_workers_ignore_sigint(self):
+        """Ctrl-C at a terminal reaches the whole process group: the worker
+        stays up, and the parent decides when it stops."""
+        executor = ProcessExecutor(n_jobs=1)
+        try:
+            pid = executor.submit(_worker_pid, None).result()
+            os.kill(pid, signal.SIGINT)
+            assert executor.submit(_worker_pid, None).result(timeout=60) == pid
+        finally:
+            executor.close()
 
     def test_serial_submit_runs_in_line(self):
         future = SerialExecutor().submit(abs, -3)

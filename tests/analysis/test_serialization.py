@@ -333,7 +333,10 @@ class TestLazyMaySpill:
         monkeypatch.setattr(bounds, "parse_set", lambda text: calls.append(text) or parse_set(text))
         reloaded = IOBoundResult.from_dict(data)
         assert calls == []
+        # Encoding a decoded result reads the memo seeded at decode: no parse.
         assert reloaded.to_dict() == data
+        assert calls == []
+        assert any(len(bound.may_spill) for bound in reloaded.sub_bounds)
         assert calls
 
     def test_unparseable_or_empty_pieces_drop_the_statement(self):
@@ -354,3 +357,36 @@ class TestLazyMaySpill:
         expression = "Integer(1)"
         with pytest.raises(ValueError, match="may_spill"):
             SubBound.from_dict({"expression": expression, "smooth": expression, "may_spill": []})
+
+
+class TestEncodingMemo:
+    def test_mutating_a_returned_dict_does_not_change_the_next(self):
+        derived = _analyze("gemm")
+        for result in (derived, IOBoundResult.from_dict(derived.to_dict())):
+            first = result.to_dict()
+            expected = json.loads(json.dumps(first))
+            first["program_name"] = "mutated"
+            first["log"].append("mutated")
+            first["sub_bounds"][0]["may_spill"].clear()
+            del first["sub_bounds"][1:]
+            assert result.to_dict() == expected
+
+    def test_seeded_memo_equals_a_fresh_encoding(self, cold_suite):
+        """For every golden kernel, the encoding a decoded result keeps from
+        its payload is byte for byte what encoding its fields gives."""
+        for analysis in cold_suite.analyses:
+            text = json.dumps(analysis.result.to_dict())
+            reloaded = IOBoundResult.from_dict(json.loads(text))
+            assert reloaded.__dict__["_encoded"] == text, analysis.spec.name
+            del reloaded.__dict__["_encoded"]
+            assert json.dumps(reloaded.to_dict()) == text, analysis.spec.name
+
+    def test_payload_with_defaulted_keys_is_encoded_afresh(self):
+        data = _analyze("gemm").to_dict()
+        del data["schema"]
+        del data["sub_bounds"][0]["notes"]
+        reloaded = IOBoundResult.from_dict(data)
+        assert "_encoded" not in reloaded.__dict__
+        encoded = reloaded.to_dict()
+        assert encoded["schema"] == bounds.SERIALIZATION_SCHEMA
+        assert encoded["sub_bounds"][0]["notes"] == ""

@@ -6,7 +6,10 @@ and assert the contracts service clients and shell pipelines rely on.
 
 from __future__ import annotations
 
+import io
 import json
+import signal
+import sys
 
 import pytest
 
@@ -139,6 +142,24 @@ class TestServeArgs:
         assert args.port is None
         assert args.host == "127.0.0.1"
         assert args.executor is None and args.jobs == 1
+
+    @pytest.mark.parametrize(
+        "flags, executor",
+        [([], {"name": "process", "jobs": 1}), (["--executor", "serial"], {"name": "serial", "jobs": 1})],
+        ids=["default", "serial"],
+    )
+    def test_serve_runs_one_process_worker_unless_told_otherwise(
+        self, flags, executor, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"stats": true}\n'))
+        sigterm = signal.getsignal(signal.SIGTERM)
+        try:
+            assert main(["serve", "--no-cache", *flags]) == 0
+        finally:
+            signal.signal(signal.SIGTERM, sigterm)
+        events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [event["event"] for event in events] == ["hello", "stats"]
+        assert events[1]["executor"] == executor
 
     def test_serve_rejects_unknown_executor(self):
         from repro.__main__ import build_parser

@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisConfig, Analyzer, BoundStore
+from repro import service as service_module
+from repro.analysis import AnalysisConfig, Analyzer, BoundStore, ProcessExecutor
 from repro.analysis.serialization import results_to_document
 from repro.core.bounds import IOBoundResult
 from repro.polybench import get_kernel, kernel_names
@@ -243,6 +249,34 @@ class TestTCP:
         assert [event["event"] for event in events] == ["hello", "result", "done"]
         assert events[1]["kernel"] == "gemm"
 
+    def test_accepted_connections_set_tcp_nodelay(self, monkeypatch):
+        """A request's `done` line follows its `result` line at once: the
+        server's side of the socket does not wait for the client's ACK."""
+        nodelay = []
+        handle = service_module._TCPHandler.handle
+
+        def recording_handle(handler) -> None:
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            handle(handler)
+
+        monkeypatch.setattr(service_module._TCPHandler, "handle", recording_handle)
+        with AnalysisService(store=None) as service:
+            with ServiceServer(("127.0.0.1", 0), service) as server:
+                thread = threading.Thread(target=server.serve_forever, daemon=True)
+                thread.start()
+                try:
+                    client = _Client(*server.server_address[:2])
+                    try:
+                        assert client.read_event()["event"] == "hello"
+                    finally:
+                        client.close()
+                finally:
+                    server.shutdown()
+                    thread.join(timeout=10)
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
 
 class TestServeStream:
     def test_serve_stream_writes_one_json_line_per_event(self, service):
@@ -345,6 +379,7 @@ class TestStats:
         assert stats["in_flight"] == 0
         assert stats["requests_served"] == 1  # stats probes are not analysis requests
         assert stats["kernels"] == len(kernel_names())
+        assert stats["executor"] == {"name": "serial", "jobs": 1}
         store = stats["store"]
         # A cold derivation persists the program bound plus task-level
         # sub-bounds; the quick snapshot sees every entry this session wrote.
@@ -629,3 +664,90 @@ class TestSharedStateRaces:
             thread.join(timeout=30)
         assert len(shutdowns) == 1, "concurrent close() callers double-closed the pool"
         assert service.executor._pool is None
+
+
+def _worker_pid(_item) -> int:
+    return os.getpid()
+
+
+def _wait_until_reaped(pid: int, timeout: float = 30.0) -> None:
+    """A killed pool worker is reaped once its pool has marked itself broken."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        assert time.monotonic() < deadline, f"worker {pid} was never reaped"
+        time.sleep(0.01)
+
+
+class TestWorkerDeath:
+    """A dead process worker costs the requests it was serving one `error`
+    event each; the next request runs on a replacement worker."""
+
+    GEMM = request_line(kernels=["gemm"], config={"max_depth": 0})
+
+    def test_a_killed_idle_worker_is_replaced_by_the_next_request(self, tmp_path):
+        with AnalysisService(store=BoundStore(tmp_path / "store"), executor="process") as service:
+            service.executor.start()
+            pid = service.executor.submit(_worker_pid, None).result()
+            os.kill(pid, signal.SIGKILL)
+            _wait_until_reaped(pid)
+
+            events = events_for(service, self.GEMM, request_line(stats=True))
+            assert [event["event"] for event in events] == ["hello", "result", "done", "stats"]
+            assert events[2]["derivations"] == 1
+            assert events[3]["executor"] == {"name": "process", "jobs": 1}
+            assert service.executor.submit(_worker_pid, None).result() != pid
+
+    def test_a_request_in_flight_gets_one_error_event(self, tmp_path):
+        executor = ProcessExecutor(n_jobs=1)
+        try:
+            pid = executor.submit(_worker_pid, None).result()
+            submit = executor.submit
+
+            def submit_then_kill(fn, item):
+                future = submit(fn, item)
+                executor.submit = submit  # type: ignore[method-assign]
+                os.kill(pid, signal.SIGKILL)
+                return future
+
+            executor.submit = submit_then_kill  # type: ignore[method-assign]
+            with AnalysisService(store=BoundStore(tmp_path / "store"), executor=executor) as service:
+                events = events_for(service, request_line(id=1, kernels=["gemm"]), self.GEMM)
+                assert [event["event"] for event in events] == ["hello", "error", "result", "done"]
+                assert events[1]["id"] == 1
+                assert "worker process died" in events[1]["error"]
+                assert events[3]["derivations"] == 1
+                assert service.in_flight == 0
+        finally:
+            executor.close()
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="lists the server's worker through /proc",
+)
+def test_sigterm_drains_the_server_and_stops_its_worker():
+    """`repro serve` forks its worker at startup; SIGTERM takes the Ctrl-C
+    path (stop accepting, drain, close the pool), so no worker is orphaned."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--no-cache"],
+        env={**os.environ, "PYTHONPATH": src},
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert "serving on" in server.stderr.readline()
+        children = Path(f"/proc/{server.pid}/task/{server.pid}/children").read_text().split()
+        assert len(children) == 1, children
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=60) == 0
+        assert "draining" in server.stderr.read()
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+    _wait_until_reaped(int(children[0]))
