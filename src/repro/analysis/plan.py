@@ -39,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from .. import perf
 from ..core.bounds import SubBound
 from ..ir import AffineProgram, DFG
 from .config import AnalysisConfig
@@ -90,6 +91,7 @@ class ProgramCache:
         self._build = build
         self._limit = limit
         self._lock = threading.Lock()
+        perf.renew_lock_at_fork(self)
         self._entries: OrderedDict[tuple, Any] = OrderedDict()
 
     def get(self, program: AffineProgram, fingerprint: str | None = None, *extra) -> Any:

@@ -38,7 +38,9 @@ thread executor when attribution matters).
 
 from __future__ import annotations
 
+import os
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import wraps
 from time import perf_counter
@@ -286,3 +288,30 @@ def reset() -> None:
             reset_counters()
 
 
+# -- locks across fork -----------------------------------------------------------
+
+#: (owner, attribute) of every lock a forked child replaces; see below.
+_fork_locks: list[tuple[weakref.ref, str]] = []
+
+
+def renew_lock_at_fork(owner: object, attr: str = "_lock") -> None:
+    """Give ``owner.<attr>`` a new, unheld lock in every forked child.
+
+    ``repro serve`` forks a replacement process worker while its handler
+    threads run.  A lock one of them holds at that instant is copied held
+    into the child, where no thread will ever release it, and the child
+    would block on its first use.  Only the owner's weak reference is kept.
+    """
+    _fork_locks.append((weakref.ref(owner), attr))
+
+
+def _renew_locks_in_child() -> None:
+    global _lock
+    _lock = threading.Lock()
+    for ref, attr in _fork_locks:
+        owner = ref()
+        if owner is not None:
+            setattr(owner, attr, threading.Lock())
+
+
+os.register_at_fork(after_in_child=_renew_locks_in_child)

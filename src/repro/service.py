@@ -71,11 +71,14 @@ server process keeps only planning, store reads and writes, combining and
 encoding: a warm request on another connection does not wait for a cold
 derivation's Python to release the GIL.  If the worker dies, the requests
 it was serving get one ``error`` event each, and the next request forks a
-replacement.  A warm request's reply is cheap too: a stored result keeps
-its encoding (:meth:`~repro.core.bounds.IOBoundResult.to_dict` is memoised
-and seeded at decode), and sockets set ``TCP_NODELAY`` so a request's
-``done`` line is not held back by Nagle's algorithm waiting for the
-client's delayed ACK.  The library's :class:`AnalysisService` keeps the
+replacement.  The profiler's, the constraint intern table's and every memo
+and program cache's lock start fresh in that child
+(:func:`repro.perf.renew_lock_at_fork`), so a handler thread that held one
+at the fork cannot leave it held there.  A warm request's reply is cheap
+too: a stored result keeps its encoding
+(:meth:`~repro.core.bounds.IOBoundResult.to_dict` is memoised and seeded at
+decode), and sockets set ``TCP_NODELAY`` so a request's ``done`` line is
+not held back by Nagle's algorithm waiting for the client's delayed ACK.  The library's :class:`AnalysisService` keeps the
 serial default of every other entry point.
 
 Because any number of requests can be deriving at once, per-request

@@ -14,6 +14,7 @@ gives structurally equal sets identical content fingerprints.
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ GE = "ge"   # expr >= 0
 _intern_lock = threading.Lock()
 _intern_table: dict = {}
 _INTERN_MAX = 1 << 17
+perf.renew_lock_at_fork(sys.modules[__name__], "_intern_lock")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,69 +256,78 @@ class BasicSet:
         """Enumerate all integer points for concrete parameter values.
 
         Intended for small instances (tests, CDAG expansion).  Dimensions are
-        assigned recursively; the bounds of each dimension are recomputed from
-        all constraints whose *other* dimensions are already fixed, which keeps
-        the search tight even when bounds couple several dimensions.  The
-        ``bound`` argument caps any dimension that remains unbounded.
-
-        The enumeration runs as a vectorised kernel
-        (:func:`repro.sets.backend.enumerate_points`) unless the kernel
-        declines; both produce the identical point sequence (ascending
-        lexicographic in the internal assignment order).
+        assigned in :meth:`_enumeration_order`, and each constraint bounds the
+        last of its dimensions in that order, in exact integer floor division
+        once the earlier ones are fixed.  So every constraint is a bound and
+        no point is tested afterwards.  The ``bound`` argument caps any
+        dimension that remains unbounded.  Points come in ascending
+        lexicographic order of the enumeration order, each a tuple in
+        ``space.dims`` order.  A name that is neither a dimension nor a key
+        of ``params`` raises ``KeyError``.
         """
-        from .backend import enumerate_points
-
-        points = enumerate_points(self, params, bound)
-        if points is not None:
-            return points
-        return self._enumerate_points_loop(params, bound)
-
-    def _enumerate_points_loop(
-        self, params: Mapping[str, int], bound: int = 2000
-    ) -> list[tuple[int, ...]]:
-        """Recursive enumeration for the inputs the vectorised kernel declines."""
         dims = self.space.dims
+        order = self._enumeration_order()
+        position = {dim: k for k, dim in enumerate(order)}
+        # rows[k]: the constraints whose last dimension is order[k], as
+        # (its coefficient, is an equality, the earlier dimensions'
+        # (position, coefficient) pairs, the constant with params folded in).
+        rows: list[list[tuple]] = [[] for _ in order]
+        for constraint in self.constraints:
+            const = constraint.expr.const
+            terms = []
+            for name, coeff in constraint.expr.coeffs.items():
+                if name in position:
+                    terms.append((position[name], _exact(coeff)))
+                else:
+                    const += coeff * Fraction(params[name])
+            const = _exact(const)
+            if not terms:
+                if const != 0 if constraint.kind == EQ else const < 0:
+                    return []
+                continue
+            terms.sort()
+            last, coeff = terms.pop()
+            rows[last].append((coeff, constraint.kind == EQ, terms, const))
+        if not order:
+            return [()]
+
+        values = [0] * len(order)
+
+        def dim_range(k: int) -> range:
+            lo, hi = -bound, bound
+            for coeff, is_eq, terms, rest in rows[k]:
+                for p, c in terms:
+                    rest += c * values[p]
+                if is_eq:
+                    if rest % coeff:
+                        return range(0)
+                    lo = max(lo, -rest // coeff)
+                    hi = min(hi, -rest // coeff)
+                elif coeff > 0:
+                    lo = max(lo, -(rest // coeff))
+                else:
+                    hi = min(hi, rest // -coeff)
+            return range(lo, hi + 1)
+
+        # The innermost dimension runs as a plain range spliced between the
+        # outer values that precede and follow it in ``space.dims``.
+        inner = len(order) - 1
+        split = dims.index(order[inner])
+        head = [position[d] for d in dims[:split]]
+        tail = [position[d] for d in dims[split + 1:]]
         points: list[tuple[int, ...]] = []
 
-        # Choose an assignment order in which each dimension is bounded by
-        # previously assigned dimensions and parameters whenever possible.
-        order = self._enumeration_order()
-
-        def recurse(assigned: dict[str, int]) -> None:
-            if len(assigned) == len(dims):
-                point = tuple(assigned[d] for d in dims)
-                if self.contains_point(point, params):
-                    points.append(point)
+        def descend(k: int) -> None:
+            if k == inner:
+                before = tuple(values[p] for p in head)
+                after = tuple(values[p] for p in tail)
+                points.extend(before + (v,) + after for v in dim_range(k))
                 return
-            dim = order[len(assigned)]
-            lo, hi = -bound, bound
-            values = dict(params)
-            values.update(assigned)
-            for constraint in self.constraints:
-                coeff = constraint.expr.coeff(dim)
-                if coeff == 0:
-                    continue
-                others = constraint.expr.names() - {dim} - set(values)
-                if others & set(dims):
-                    continue
-                rest = LinExpr(
-                    {n: c for n, c in constraint.expr.coeffs.items() if n != dim},
-                    constraint.expr.const,
-                ).evaluate(values)
-                boundary = Fraction(-rest, coeff)
-                if constraint.kind == EQ:
-                    lo = max(lo, _ceil(boundary))
-                    hi = min(hi, _floor(boundary))
-                elif coeff > 0:
-                    lo = max(lo, _ceil(boundary))
-                else:
-                    hi = min(hi, _floor(boundary))
-            for value in range(lo, hi + 1):
-                assigned[dim] = value
-                recurse(assigned)
-            assigned.pop(dim, None)
+            for v in dim_range(k):
+                values[k] = v
+                descend(k + 1)
 
-        recurse({})
+        descend(0)
         return points
 
     def _enumeration_order(self) -> list[str]:
@@ -359,9 +370,6 @@ def _as_lin(value: LinExpr | int) -> LinExpr:
     return value if isinstance(value, LinExpr) else LinExpr.constant(value)
 
 
-def _ceil(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
-
-
-def _floor(value: Fraction) -> int:
-    return value.numerator // value.denominator
+def _exact(value: Fraction) -> int | Fraction:
+    """``value`` as an ``int`` when integral, so bound arithmetic stays in ints."""
+    return value.numerator if value.denominator == 1 else value

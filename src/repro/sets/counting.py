@@ -169,8 +169,6 @@ def _card_basic_cold(basic: BasicSet, engine=NATIVE_ENGINE) -> sympy.Expr:
 @perf.timed("counting")
 def card_at(pset: ParamSet | BasicSet, params: dict[str, int]) -> int:
     """Concrete cardinality by enumeration (ground truth for tests)."""
-    if isinstance(pset, BasicSet):
-        return len(pset.enumerate_points(params))
     return len(pset.enumerate_points(params))
 
 

@@ -43,13 +43,14 @@ class MemoCache:
     dict lookup.
     """
 
-    __slots__ = ("name", "maxsize", "_data", "_lock", "hits", "misses")
+    __slots__ = ("name", "maxsize", "_data", "_lock", "hits", "misses", "__weakref__")
 
     def __init__(self, name: str, maxsize: int = 65536):
         self.name = name
         self.maxsize = maxsize
         self._data: dict = {}
         self._lock = threading.Lock()
+        perf.renew_lock_at_fork(self)
         self.hits = 0
         self.misses = 0
         perf.register_cache(name, self)

@@ -16,6 +16,14 @@ splits the normalised constraints into lower and upper bounds as ``LinExpr``
 pairs and combines every pair in rational arithmetic.  The integer pair loop
 in :func:`repro.sets.fourier_motzkin.eliminate_variable` must return the same
 constraints (same keys) in the same order.
+
+The recursive ``Fraction`` point enumeration:
+:func:`reference_enumerate_points` assigns dimensions one at a time in
+``BasicSet._enumeration_order``, recomputes each dimension's bounds from every
+constraint whose other dimensions are already fixed, and tests each complete
+point against all constraints.  The integer loop in
+:meth:`repro.sets.BasicSet.enumerate_points` must return the same points in
+the same order.
 """
 
 from __future__ import annotations
@@ -121,3 +129,59 @@ def reference_fm_eliminate(constraints, name) -> list[Constraint]:
             # combination: -r1/a <= r2/|b|  =>  |b|*r1 + a*r2 >= 0
             combined.append(Constraint(lo_rest * (-up_coeff) + up_rest * lo_coeff, GE))
     return [c.normalized() for c in others + combined if not c.is_trivially_true()]
+
+
+def reference_enumerate_points(basic_set, params, bound=2000) -> list[tuple[int, ...]]:
+    """All integer points of ``basic_set`` for concrete ``params``, by the
+    recursive ``Fraction`` loop with a membership test at every leaf."""
+    dims = basic_set.space.dims
+    points: list[tuple[int, ...]] = []
+
+    # Choose an assignment order in which each dimension is bounded by
+    # previously assigned dimensions and parameters whenever possible.
+    order = basic_set._enumeration_order()
+
+    def recurse(assigned: dict[str, int]) -> None:
+        if len(assigned) == len(dims):
+            point = tuple(assigned[d] for d in dims)
+            if basic_set.contains_point(point, params):
+                points.append(point)
+            return
+        dim = order[len(assigned)]
+        lo, hi = -bound, bound
+        values = dict(params)
+        values.update(assigned)
+        for constraint in basic_set.constraints:
+            coeff = constraint.expr.coeff(dim)
+            if coeff == 0:
+                continue
+            others = constraint.expr.names() - {dim} - set(values)
+            if others & set(dims):
+                continue
+            rest = LinExpr(
+                {n: c for n, c in constraint.expr.coeffs.items() if n != dim},
+                constraint.expr.const,
+            ).evaluate(values)
+            boundary = Fraction(-rest, coeff)
+            if constraint.kind == EQ:
+                lo = max(lo, _ceil(boundary))
+                hi = min(hi, _floor(boundary))
+            elif coeff > 0:
+                lo = max(lo, _ceil(boundary))
+            else:
+                hi = min(hi, _floor(boundary))
+        for value in range(lo, hi + 1):
+            assigned[dim] = value
+            recurse(assigned)
+        assigned.pop(dim, None)
+
+    recurse({})
+    return points
+
+
+def _ceil(value: Fraction) -> int:
+    return -((-value.numerator) // value.denominator)
+
+
+def _floor(value: Fraction) -> int:
+    return value.numerator // value.denominator

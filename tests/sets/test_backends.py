@@ -1,18 +1,16 @@
 """Unit tests for the set kernels, memoisation and canonical caching.
 
-The trust boundary (DESIGN.md "Set-algebra engine"): the numpy enumeration
-kernel of :mod:`repro.sets.backend` either returns exactly what the loop it
-replaces would return — same values, same order — or declines with ``None``;
-Fourier-Motzkin elimination is one exact integer loop checked against the
-``Fraction`` oracle; and the memo caches are keyed on content.  These tests
-pin:
+The trust boundary (DESIGN.md "Set-algebra engine"): point enumeration and
+Fourier-Motzkin elimination are each one exact integer loop, checked against
+the ``Fraction`` oracles of ``reference_affine``; and the memo caches are
+keyed on content.  These tests pin:
 
 * ``eliminate_variable``'s pair combination against the ``Fraction`` oracle
   (random systems, non-unit equalities, unnormalised ``Fraction`` inputs,
   coefficients past 2^62, trivially true and false rows);
-* ``enumerate_points`` against the recursive enumeration loop, including
-  point *order* and the declines (grid limit, free names, non-integer
-  parameters);
+* ``enumerate_points`` against the recursive ``Fraction`` loop oracle,
+  including point *order*, and its answers on large grids, free names,
+  non-integer parameters, empty ranges and 0-dimensional sets;
 * memo caching, constraint interning and set fingerprints;
 * the canonical integer scaling of constraints (the re-canonicalisation
   bugfix sweep).
@@ -24,7 +22,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference_affine import reference_fm_eliminate
+from reference_affine import reference_enumerate_points, reference_fm_eliminate
 
 from repro.sets import (
     EQ,
@@ -37,7 +35,6 @@ from repro.sets import (
     parse_set,
 )
 from repro.sets import memo
-from repro.sets.backend import ENUMERATION_GRID_LIMIT, enumerate_points
 from repro.sets.basic_set import _intern_table, interned_count
 from repro.sets.fourier_motzkin import eliminate_variable, project_out
 
@@ -46,8 +43,8 @@ def _keys(constraints) -> list[tuple]:
     return [c.key() for c in constraints]
 
 
-def test_engine_is_named_numpy():
-    assert get_backend().name == "numpy"
+def test_engine_is_named_int():
+    assert get_backend().name == "int"
     assert get_backend() is get_backend()
 
 
@@ -179,46 +176,104 @@ class TestEnumeration:
     def test_point_order_is_identical(self):
         triangle = parse_set("{ T[i, j] : 0 <= i and i <= 6 and i <= j and j <= 6 }")
         piece = triangle.pieces[0]
-        points = enumerate_points(piece, {}, 2000)
-        assert points is not None
-        assert points == piece._enumerate_points_loop({})
+        points = piece.enumerate_points({})
+        assert len(points) == 28
+        assert points == reference_enumerate_points(piece, {})
 
-    def test_parametric_set_matches_loop(self):
+    def test_parametric_set_matches_the_oracle(self):
         band = parse_set("[N] -> { D[i, j] : 0 <= i and i <= N - 1 and i <= j and j <= i + 2 }")
         piece = band.pieces[0]
-        points = enumerate_points(piece, {"N": 8}, 2000)
-        assert points is not None
-        assert points == piece._enumerate_points_loop({"N": 8})
+        assert piece.enumerate_points({"N": 8}) == reference_enumerate_points(piece, {"N": 8})
 
-    def test_empty_range_short_circuits(self):
+    def test_order_differs_from_dims_order(self):
+        # j is bounded by constants only, so it is assigned before i; the
+        # points still come as (i, j) tuples.
+        piece = parse_set("{ P[i, j] : 0 <= j and j <= 2 and j <= i and i <= j + 1 }").pieces[0]
+        assert piece._enumeration_order() == ["j", "i"]
+        points = piece.enumerate_points({})
+        assert points == [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2)]
+        assert points == reference_enumerate_points(piece, {})
+
+    def test_equalities_with_non_unit_coefficients(self):
+        piece = parse_set("{ Q[i, j] : 0 <= i and i <= 9 and 3*j = 2*i }").pieces[0]
+        points = piece.enumerate_points({})
+        assert points == [(0, 0), (3, 2), (6, 4), (9, 6)]
+        assert points == reference_enumerate_points(piece, {})
+
+    def test_inequalities_with_non_unit_coefficients(self):
+        # 2*i >= 3 gives i >= 2 (ceiling); 3*j <= i + 1 gives j <= (i + 1) // 3.
+        piece = parse_set("{ C[i, j] : 2*i >= 3 and i <= 6 and 0 <= j and 3*j <= i + 1 }").pieces[0]
+        points = piece.enumerate_points({})
+        assert points == [
+            (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1), (5, 0), (5, 1), (5, 2), (6, 0), (6, 1), (6, 2)
+        ]
+        assert points == reference_enumerate_points(piece, {})
+
+    def test_random_systems_match_the_oracle(self):
+        """Coupled constraints with coefficients up to 3 in size, equalities
+        included, inside a box: the floor/ceiling and divisibility cases the
+        unit-coefficient polytope battery never reaches."""
+        rng = random.Random(31337)
+        nonempty = 0
+        for case in range(150):
+            names = [f"x{k}" for k in range(rng.randint(1, 3))]
+            space = Space("R", tuple(names), ("N",))
+            constraints = []
+            for name in names:
+                constraints.append(Constraint(LinExpr({name: 1}, 0), GE))
+                constraints.append(Constraint(LinExpr({name: -1, "N": 1}, 0), GE))
+            for _ in range(rng.randint(1, 3)):
+                coeffs = {name: rng.randint(-3, 3) for name in names}
+                coeffs["N"] = rng.randint(-1, 1)
+                kind = EQ if rng.random() < 0.25 else GE
+                constraints.append(Constraint(LinExpr(coeffs, rng.randint(-6, 6)), kind))
+            piece = BasicSet(space, constraints)
+            params = {"N": rng.randint(0, 7)}
+            expected = reference_enumerate_points(piece, params)
+            assert piece.enumerate_points(params) == expected, f"case {case}: {piece!r}"
+            nonempty += bool(expected)
+        assert nonempty >= 40
+
+    def test_empty_range(self):
         empty = parse_set("{ E[i] : 3 <= i and i <= 1 }").pieces[0]
-        assert enumerate_points(empty, {}, 2000) == []
-        assert empty._enumerate_points_loop({}) == []
+        assert empty.enumerate_points({}) == []
+        assert reference_enumerate_points(empty, {}) == []
 
-    def test_oversized_grid_declines_to_the_loop(self):
-        # The static grid is 1001^2 points; the loop bounds j by i - 998.
+    def test_zero_dimensional_set(self):
+        space = Space("Z", (), ("N",))
+        holds = BasicSet(space, [Constraint(LinExpr({"N": 1}, -2), GE)])
+        assert holds.enumerate_points({"N": 5}) == [()]
+        assert holds.enumerate_points({"N": 1}) == []
+        assert reference_enumerate_points(holds, {"N": 5}) == [()]
+        assert BasicSet.universe(Space("U", ())).enumerate_points({}) == [()]
+
+    def test_large_static_grid_is_bounded_by_coupled_constraints(self):
+        # The static grid is 1001^2 points; j is bounded by i - 998.
         piece = parse_set(
             "{ G[i, j] : 0 <= i and i <= 1000 and 0 <= j and j <= 1000 and j <= i - 998 }"
         ).pieces[0]
-        assert 1001 ** 2 > ENUMERATION_GRID_LIMIT
-        assert enumerate_points(piece, {}, 2000) is None
         assert piece.enumerate_points({}) == [
             (998, 0), (999, 0), (999, 1), (1000, 0), (1000, 1), (1000, 2)
         ]
 
-    def test_free_name_declines_to_the_loop(self):
+    def test_unbounded_dimension_is_capped_by_bound(self):
+        ray = parse_set("{ R[i] : i >= 7 }").pieces[0]
+        assert ray.enumerate_points({}, 10) == [(7,), (8,), (9,), (10,)]
+        assert ray.enumerate_points({}, 10) == reference_enumerate_points(ray, {}, 10)
+
+    def test_free_name_raises_key_error(self):
         space = Space("F", ("i",), ())
         leaky = BasicSet(space, [Constraint(LinExpr({"i": 1, "M": -1}, 0), GE)])
-        assert enumerate_points(leaky, {}, 10) is None
-        with pytest.raises(KeyError):
-            leaky._enumerate_points_loop({}, 10)
         with pytest.raises(KeyError):
             leaky.enumerate_points({}, 10)
 
-    def test_non_integer_parameter_declines_to_the_loop(self):
+    def test_non_integer_parameter_is_exact(self):
         band = parse_set("[N] -> { D[i] : 0 <= i and i <= N }").pieces[0]
-        assert enumerate_points(band, {"N": 1.5}, 10) is None
         assert band.enumerate_points({"N": 1.5}, 10) == [(0,), (1,)]
+        assert band.enumerate_points({"N": Fraction(5, 2)}, 10) == [(0,), (1,), (2,)]
+        pinned = parse_set("[N] -> { D[i] : 2*i = N }").pieces[0]
+        assert pinned.enumerate_points({"N": 1.5}, 10) == []
+        assert pinned.enumerate_points({"N": 6}, 10) == [(3,)]
 
 
 # -- memo caches -----------------------------------------------------------------

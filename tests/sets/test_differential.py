@@ -265,14 +265,13 @@ class TestAlgebraDifferential:
 # -- kernel parity and memo parity -------------------------------------------
 
 from repro.sets import memo as sets_memo  # noqa: E402
-from repro.sets.backend import enumerate_points as enumerate_kernel  # noqa: E402
 from repro.sets.fourier_motzkin import eliminate_variable  # noqa: E402
-from reference_affine import reference_fm_eliminate  # noqa: E402
+from reference_affine import reference_enumerate_points, reference_fm_eliminate  # noqa: E402
 
 
 class TestKernelParity:
-    """The numpy enumeration kernel must be byte-identical to the loop it
-    replaces, Fourier-Motzkin elimination to the ``Fraction`` pair loop
+    """Point enumeration must be byte-identical to the recursive ``Fraction``
+    loop oracle, Fourier-Motzkin elimination to the ``Fraction`` pair loop
     oracle, and the memo caches must not change any answer.
 
     Exact equality throughout: the same point lists in the same order, the
@@ -285,16 +284,43 @@ class TestKernelParity:
         rng = random.Random(seed)
         return [random_polytope(rng, ndim=rng.randint(2, 3)) for _ in range(self.CASES)]
 
-    def test_enumeration_kernel_matches_the_loop(self):
+    def test_enumeration_matches_the_oracle(self):
         compared = 0
         for case, poly in enumerate(self._battery(97531)):
             for piece in poly.pieces:
-                fast = enumerate_kernel(piece, {"N": 9}, 2000)
-                if fast is None:
-                    continue  # two band dims: the static grid passes the limit
-                assert fast == piece._enumerate_points_loop({"N": 9}), f"case {case}\n{poly!r}"
-                compared += 1
-        assert compared >= self.CASES * 9 // 10
+                for value in (0, 3, 9):
+                    expected = reference_enumerate_points(piece, {"N": value})
+                    assert piece.enumerate_points({"N": value}) == expected, (
+                        f"case {case} at N={value}\n{poly!r}"
+                    )
+                    compared += bool(expected)
+        assert compared >= self.CASES
+
+    def test_cdag_expansion_matches_the_oracle_on_every_kernel(self, monkeypatch):
+        """Every PolyBench kernel's explicit CDAG at a small instance: the
+        same vertex order and the same predecessor tuples with the oracle
+        enumerating the domains instead, so ``CDAGIndex`` ids and schedules
+        do not move."""
+        from repro.ir import CDAG
+        from repro.polybench import get_kernel, kernel_names
+        from repro.sets import BasicSet
+
+        def expand_all():
+            indexes = []
+            for name in kernel_names():
+                spec = get_kernel(name)
+                small = {param: min(value, 5) for param, value in spec.large_instance.items()}
+                index = CDAG.expand(spec.program, small).index
+                indexes.append((name, index.vertices, index.preds))
+            return indexes
+
+        fast = expand_all()
+        monkeypatch.setattr(BasicSet, "enumerate_points", reference_enumerate_points)
+        slow = expand_all()
+        assert len(fast) == 30
+        assert sum(len(vertices) for _, vertices, _ in fast) > 1000
+        for (name, vertices, preds), expected in zip(fast, slow):
+            assert (name, vertices, preds) == expected, name
 
     def test_fm_elimination_matches_the_oracle(self):
         combined = 0
@@ -311,21 +337,6 @@ class TestKernelParity:
                     )
                     combined += 1
         assert combined >= self.CASES
-
-    def test_enumeration_matches_the_decline_path(self, monkeypatch):
-        polys = self._battery(97531)
-
-        def run():
-            sets_memo.clear_all()
-            return [poly.enumerate_points({"N": 9}) for poly in polys]
-
-        fast = run()
-        monkeypatch.setattr(
-            "repro.sets.backend.enumerate_points", lambda basic_set, params, bound: None
-        )
-        slow = run()
-        sets_memo.clear_all()
-        assert fast == slow
 
     def test_card_battery_cold_equals_warm(self):
         """Memo keys are content hashes: a cold run (every cache cleared

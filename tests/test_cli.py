@@ -107,7 +107,7 @@ class TestProfile:
         assert main(["profile", "--kernels", "gemm"]) == 0
         out = capsys.readouterr().out
         assert "cold derivation of 1 kernel(s)" in out
-        assert "(set backend: numpy, count backend: " in out
+        assert "(set backend: int, count backend: " in out
         assert "linalg" in out and "wall" in out
         assert "memo cache" in out
 
@@ -116,7 +116,7 @@ class TestProfile:
         document = json.loads(capsys.readouterr().out)
         assert document["kernels"] == ["gemm"]
         assert document["wall_s"] > 0
-        assert document["backend"] == "numpy"
+        assert document["backend"] == "int"
         assert "memo" not in document
         names = [entry["name"] for entry in document["subsystems"]]
         assert "linalg" in names

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -723,6 +724,87 @@ class TestWorkerDeath:
                 assert service.in_flight == 0
         finally:
             executor.close()
+
+
+def _locks_a_handler_thread_can_hold() -> list:
+    """The profiler's lock, the constraint intern table's, each memo cache's
+    and each program cache's, read afresh from their owners."""
+    from repro import perf
+    from repro.analysis import plan
+    from repro.sets import basic_set
+    from repro.upper import search
+
+    return [
+        perf._lock,
+        basic_set._intern_lock,
+        *(cache._lock for cache in perf._caches.values()),
+        plan._DFGS._lock,
+        search._CDAGS._lock,
+    ]
+
+
+def _derive_gemm_after_fork(expected: str) -> int:
+    """The forked child's check: exit code 0 if it derives gemm cold and then
+    finds every one of those locks free."""
+    from repro.sets import memo
+
+    memo.clear_all()
+    result = Analyzer(AnalysisConfig(max_depth=0)).analyze(get_kernel("gemm").program)
+    if json.dumps(result.to_dict(), sort_keys=True) != expected:
+        return 2
+    locks = _locks_a_handler_thread_can_hold()
+    return 0 if all(lock.acquire(timeout=5) for lock in locks) else 3
+
+
+class TestForkWithHeldLocks:
+    """A replacement process worker is forked while handler threads run; a
+    lock one of them holds at that instant must not stay held in the child."""
+
+    def test_child_forked_under_held_locks_still_derives_gemm(self):
+        expected = json.dumps(
+            Analyzer(AnalysisConfig(max_depth=0)).analyze(get_kernel("gemm").program).to_dict(),
+            sort_keys=True,
+        )
+        held, release = threading.Event(), threading.Event()
+        locks = _locks_a_handler_thread_can_hold()
+
+        def hold() -> None:
+            for lock in locks:
+                lock.acquire()
+            held.set()
+            release.wait()
+            for lock in reversed(locks):
+                lock.release()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(timeout=30)
+            with warnings.catch_warnings():
+                # Python 3.12 warns that forking a threaded process may deadlock.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    code = _derive_gemm_after_fork(expected)
+                finally:
+                    os._exit(code)
+        finally:
+            release.set()
+            holder.join(timeout=30)
+
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child blocked on a lock held at the fork")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.skipif(
