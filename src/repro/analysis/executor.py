@@ -50,6 +50,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import multiprocessing
+import multiprocessing.connection
+import os
 import signal
 import threading
 from typing import Any, Callable, Protocol
@@ -185,7 +188,7 @@ class ThreadExecutor(_PoolExecutor):
 
 
 def _worker_signals() -> None:
-    """Process-pool worker initializer: leave Ctrl-C to the parent.
+    """Process-pool worker initializer: leave Ctrl-C to the parent, die with it.
 
     Ctrl-C at a terminal signals the whole process group.  The parent
     decides what stops — ``close`` cancels queued tasks and waits for
@@ -193,9 +196,24 @@ def _worker_signals() -> None:
     so a worker must not die mid-task of a request that is draining.
     SIGTERM ends a worker outright, whatever handler the parent had
     installed when it forked.
+
+    A parent that dies without closing its pool (SIGKILL, a crash) never
+    tells its workers, and a worker blocked reading the call queue would
+    wait forever.  A daemon thread waits on the parent's sentinel instead
+    and ends the worker as soon as the parent is gone.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent, args=(parent.sentinel,), daemon=True
+        ).start()
+
+
+def _exit_with_parent(sentinel: int) -> None:
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
 
 
 class ProcessExecutor(_PoolExecutor):

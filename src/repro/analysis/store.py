@@ -25,16 +25,19 @@ JSON cache of the first ``Analyzer`` iteration with a first-class store:
   destination shard followed by an atomic :func:`os.replace`; readers treat
   missing, truncated or unparseable entries as misses, so any number of
   writers and readers can share a store without locks;
-* **one decode path** — every read (:meth:`BoundStore.get`,
-  :meth:`~BoundStore.get_task`, :meth:`~BoundStore.get_simulation`) checks
-  the envelope and decodes the body with its kind's decoder, and counts a
-  hit only when the body decodes, so the session hit/miss counters are
-  true;
-* **shared warm results** — a store keeps the results it decoded last,
-  keyed by the bytes of their entry, and a read of an unchanged entry
-  returns the same result object instead of a fresh copy (results are
-  immutable everywhere in the library), so a caller holding many warm reads
-  holds one result per entry and a warm read skips the parse and the decode.
+* **one decode path** — every read checks the envelope and decodes the
+  body with its kind's decoder, and counts a hit only when the body decodes,
+  so the session hit/miss counters are true.  The read paths are
+  :meth:`BoundStore.get` (whole-program bound results),
+  :meth:`~BoundStore.get_task` (one derivation task's sub-bounds),
+  :meth:`~BoundStore.get_search` (one tiling search's whole outcome) and
+  :meth:`~BoundStore.get_simulation` (one cache simulation of that search);
+* **shared warm results** — a store keeps the bound results and search
+  outcomes it decoded last, keyed by the bytes of their entry, and a read
+  of an unchanged entry returns the same object instead of a fresh copy
+  (both are immutable everywhere in the library), so a caller holding many
+  warm reads holds one object per entry and a warm read skips the parse
+  and the decode.
 
 Maintenance is exposed programmatically (:meth:`stats`, :meth:`gc`,
 :meth:`clear`) and on the command line::
@@ -89,13 +92,13 @@ STORE_SCHEMA = 1
 _SIZE_SUFFIXES = {"": 1, "K": 1024, "M": 1024**2, "G": 1024**3, "T": 1024**4}
 
 #: Archive member names accepted by :meth:`BoundStore.import_archive`: the
-#: sharded layout with a result key, a ``-task`` key or a ``-sim`` key as the
-#: stem.  Anything else in the tar — absolute paths, ``..`` traversals,
+#: sharded layout with a result key, a ``-task``, ``-search`` or ``-sim`` key
+#: as the stem.  Anything else in the tar — absolute paths, ``..`` traversals,
 #: unrelated files — is skipped, never extracted: members are read through
 #: ``extractfile`` and re-written through the store's own atomic write path,
 #: so a hostile archive cannot place a file anywhere but a valid entry slot.
 _ARCHIVE_MEMBER_PATTERN = re.compile(
-    r"objects/[0-9a-f]{2}/([0-9a-f]{64}-(?:[0-9a-f]{16}|task|sim))\.json"
+    r"objects/[0-9a-f]{2}/([0-9a-f]{64}-(?:[0-9a-f]{16}|task|search|sim))\.json"
 )
 
 #: With a size budget configured, ``put`` triggers a full ``gc`` sweep only
@@ -103,11 +106,20 @@ _ARCHIVE_MEMBER_PATTERN = re.compile(
 #: running it per write would make batch derivation quadratic in store size.
 GC_WRITE_INTERVAL = 8
 
-#: Decoded results a store keeps for warm reads (least recently read go first).
+#: Decoded results and search outcomes a store keeps for warm reads (least
+#: recently read go first).
 DECODED_RESULTS = 64
 
 #: The envelope field holding each entry kind's body.
-_BODY_FIELDS = {"result": "result", "task": "task_result", "simulation": "simulation"}
+_BODY_FIELDS = {
+    "result": "result",
+    "task": "task_result",
+    "search": "search",
+    "simulation": "simulation",
+}
+
+#: Entry kinds whose decoded objects a store keeps and shares across reads.
+_SHARED_KINDS = ("result", "search")
 
 T = TypeVar("T")
 
@@ -146,8 +158,9 @@ class StoreStats:
     total_bytes: int = 0
     shards: int = 0
     schema_versions: dict[int, int] = field(default_factory=dict)
-    #: Entry kinds on disk: whole-program ``"result"`` envelopes vs.
-    #: task-level ``"task"`` envelopes (plus ``"unreadable"``).
+    #: Entry kinds on disk: whole-program ``"result"``, derivation
+    #: ``"task"``, tiling ``"search"`` outcome and per-tile ``"simulation"``
+    #: envelopes (plus ``"unreadable"``).
     kinds: dict[str, int] = field(default_factory=dict)
     size_budget: int | None = None
     #: Session counters (this BoundStore instance, this process only).
@@ -202,8 +215,9 @@ class BoundStore:
         self._writes = 0
         self._evictions = 0
         self._writes_since_gc = 0
-        # Entry digest -> the result decoded from those bytes.
-        self._decoded: OrderedDict[bytes, IOBoundResult] = OrderedDict()
+        # (Kind, entry digest) -> the result or search outcome decoded from
+        # those bytes.
+        self._decoded: OrderedDict[tuple[str, bytes], object] = OrderedDict()
         self._decoded_lock = threading.Lock()
 
     def _count_hit(self) -> None:
@@ -264,8 +278,8 @@ class BoundStore:
         raw = _read_bytes(path)
         value = None
         if raw is not None:
-            if kind == "result":
-                value = self._decoded_result(raw, decode)
+            if kind in _SHARED_KINDS:
+                value = self._decoded_result(raw, kind, decode)
             else:
                 value = _decode_entry(raw, kind, decode)
         if value is None:
@@ -275,16 +289,19 @@ class BoundStore:
         self._count_hit()
         return value
 
-    def _decoded_result(self, raw: bytes, decode: Callable[[dict], T]) -> T | None:
-        """The result in a result entry's bytes: the one decoded from the
-        same bytes before, if this store still keeps it, else a new decode."""
-        digest = hashlib.blake2b(raw, digest_size=16).digest()
+    def _decoded_result(
+        self, raw: bytes, kind: str, decode: Callable[[dict], T]
+    ) -> T | None:
+        """The object in a result or search entry's bytes: the one decoded
+        as ``kind`` from the same bytes before, if this store still keeps
+        it, else a new decode."""
+        digest = (kind, hashlib.blake2b(raw, digest_size=16).digest())
         with self._decoded_lock:
             value = self._decoded.get(digest)
             if value is not None:
                 self._decoded.move_to_end(digest)
                 return value
-        value = _decode_entry(raw, "result", decode)
+        value = _decode_entry(raw, kind, decode)
         if value is not None:
             with self._decoded_lock:
                 self._decoded[digest] = value
@@ -322,7 +339,7 @@ class BoundStore:
             envelope["metadata"] = dict(metadata)
         return self._write_entry(key, envelope)
 
-    # -- kinded sub-result entries (tasks, simulations) -----------------------
+    # -- kinded entries (tasks, search outcomes, simulations) -----------------
 
     def _put_kinded(
         self,
@@ -362,6 +379,28 @@ class BoundStore:
         """Write a task-level entry atomically (same guarantees as ``put``)."""
         return self._put_kinded(key, "task", payload, metadata)
 
+    def get_search(self, key: str, decode: Callable[[dict], T]) -> T | None:
+        """Look up a ``kind="search"`` entry and decode its body.
+
+        Search entries hold the whole outcome of one tiling search
+        (:mod:`repro.upper.search`), keyed by (program fingerprint x instance
+        x cache size x candidate budget x search version), so a warm
+        tightness report reads one entry per kernel instead of one per
+        simulation cell.  Like results, an unchanged entry read twice
+        returns the same decoded object.  The caller passes the decoder
+        (``UpperBoundResult.from_dict``).
+        """
+        return self._read(key, "search", decode)
+
+    def put_search(
+        self,
+        key: str,
+        payload: Mapping[str, object],
+        metadata: Mapping[str, object] | None = None,
+    ) -> Path | None:
+        """Write a search outcome entry atomically (same guarantees as ``put``)."""
+        return self._put_kinded(key, "search", payload, metadata)
+
     def get_simulation(self, key: str, decode: Callable[[dict], T]) -> T | None:
         """Look up a ``kind="simulation"`` entry and decode its body.
 
@@ -399,7 +438,9 @@ class BoundStore:
             return None
         try:
             with os.fdopen(handle, "w") as stream:
-                json.dump(envelope, stream)
+                # json.dumps encodes in C; json.dump streams through the
+                # pure-Python encoder, ~3x slower for the same text.
+                stream.write(json.dumps(envelope))
             os.replace(temp_name, path)
         except OSError:
             try:
@@ -432,7 +473,7 @@ class BoundStore:
         """Pack every store entry into a gzipped tar at ``path``.
 
         The archive holds the sharded ``objects/<2-hex>/<key>.json`` layout
-        verbatim (results and task entries alike), so it can be imported
+        verbatim (entries of every kind alike), so it can be imported
         into any other store root — the "replicate a store across machines"
         path.  The tar is written to a temporary sibling and moved into
         place atomically.  Returns the number of entries packed.

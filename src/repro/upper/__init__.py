@@ -14,8 +14,8 @@ matching *upper* bounds of the paper's Sec. 8.2 tightness experiment:
 * :mod:`~repro.upper.result` — :class:`TileSimulation` /
   :class:`UpperBoundResult`, the losslessly JSON-serializable records the
   search produces (persisted in the :class:`~repro.analysis.BoundStore` as
-  ``kind="simulation"`` entries, so searches are resumable and warm reruns
-  cost zero simulations);
+  ``kind="simulation"`` cells and ``kind="search"`` outcomes, so searches
+  are resumable and a warm rerun costs one store read per kernel);
 * :mod:`~repro.upper.report` — the :class:`TightnessReport` combiner behind
   ``python -m repro report``: per kernel, the parametric lower bound, its
   instance evaluation, the best simulated upper bound, the winning tile
@@ -24,10 +24,12 @@ matching *upper* bounds of the paper's Sec. 8.2 tightness experiment:
 
 from .result import TileSimulation, UpperBoundResult
 from .search import (
+    SEARCH_VERSION,
     SIMULATION_VERSION,
     candidate_shapes,
     cdag_for,
     reset_simulation_count,
+    search_key,
     search_upper_bounds,
     simulation_count,
     simulation_key,
@@ -36,6 +38,7 @@ from .search import (
 from .report import TightnessReport, TightnessRow, tightness_report
 
 __all__ = [
+    "SEARCH_VERSION",
     "SIMULATION_VERSION",
     "TightnessReport",
     "TightnessRow",
@@ -44,6 +47,7 @@ __all__ = [
     "candidate_shapes",
     "cdag_for",
     "reset_simulation_count",
+    "search_key",
     "search_upper_bounds",
     "simulation_count",
     "simulation_key",

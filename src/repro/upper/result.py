@@ -8,9 +8,9 @@ and round-trip through ``cache export`` archives unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..pebble import SimulationResult
 
@@ -90,7 +90,7 @@ def _shared_simulation(*fields) -> TileSimulation:
     return TileSimulation(*fields)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpperBoundResult:
     """Outcome of a tiling search for one program instance and cache size.
 
@@ -98,14 +98,15 @@ class UpperBoundResult:
     bound on the instance's optimal I/O, because every simulated schedule is
     a validated red-white pebble game.  ``simulations`` keeps every record
     the search produced (including skipped ones), so the result doubles as a
-    search trace.
+    search trace.  The record is frozen: a warm search returns the one
+    outcome its store decoded to every caller that reads it.
     """
 
     program: str
     instance: dict[str, int]
     cache_words: int
     best: TileSimulation | None
-    simulations: list[TileSimulation] = field(default_factory=list)
+    simulations: tuple[TileSimulation, ...] = ()
 
     @property
     def candidates(self) -> int:
@@ -134,11 +135,13 @@ class UpperBoundResult:
             instance={str(k): int(v) for k, v in dict(payload["instance"]).items()},
             cache_words=int(payload["cache_words"]),
             best=None if best is None else TileSimulation.from_dict(best),
-            simulations=[TileSimulation.from_dict(s) for s in payload.get("simulations", [])],
+            simulations=tuple(
+                TileSimulation.from_dict(s) for s in payload.get("simulations", [])
+            ),
         )
 
 
-def select_best(simulations: list[TileSimulation]) -> TileSimulation | None:
+def select_best(simulations: Iterable[TileSimulation]) -> TileSimulation | None:
     """Deterministic winner: fewest loads among simulated records.
 
     Non-fallback records (the schedule realises its tiling) win over the

@@ -18,16 +18,20 @@ kernel sandwiched.
 
 Simulations fan out through the generic event-driven scheduler
 (:func:`repro.analysis.scheduler.schedule_work`) — the same engine that runs
-derivation tasks — so a search parallelises over the configured executor and
-memoises each (program fingerprint x instance x S x tile x policy) cell as a
-``kind="simulation"`` store entry: interrupted searches resume, and a warm
-rerun performs **zero** simulations.  Executed simulations are counted on
-the same :class:`~repro.analysis.StreamCounters` object as derivations: the
-process-wide instance behind :func:`simulation_count`, plus the caller's
-own instance when one is passed (the tightness report passes one, so its
-counts are its own work only).  The expanded CDAGs live in the same bounded
-fingerprint-keyed LRU (:class:`~repro.analysis.plan.ProgramCache`) as the
-planner's DFGs.
+derivation tasks — so a search parallelises over the configured executor.
+A store memoises a search at two levels.  Each (program fingerprint x
+instance x S x tile x policy) cell is a ``kind="simulation"`` entry, so an
+interrupted search resumes and a search under another candidate budget
+reuses every cell it shares.  Each finished search is one ``kind="search"``
+entry over (program fingerprint x instance x S x candidate budget), read
+before the CDAG is even expanded, so a warm rerun costs one store read per
+job: **zero** simulations and zero CDAG expansions.  Executed simulations
+are counted on the same :class:`~repro.analysis.StreamCounters` object as
+derivations: the process-wide instance behind :func:`simulation_count`, plus
+the caller's own instance when one is passed (the tightness report passes
+one, so its counts are its own work only).  The expanded CDAGs live in the
+same bounded fingerprint-keyed LRU (:class:`~repro.analysis.plan.ProgramCache`)
+as the planner's DFGs.
 """
 
 from __future__ import annotations
@@ -51,7 +55,13 @@ from ..pebble import simulate_schedule, tiled_schedule
 from .result import TileSimulation, UpperBoundResult, select_best
 
 #: Bump to invalidate every persisted simulation entry (key material).
+#: Search outcome keys fold it in too: an outcome is built from those cells.
 SIMULATION_VERSION = 1
+
+#: Bump to invalidate every persisted search outcome (key material) whenever
+#: :func:`candidate_shapes`, :func:`_refinement_shapes`, ``select_best`` or
+#: :data:`POLICIES` change which cells a search examines or which it elects.
+SEARCH_VERSION = 1
 
 #: Replacement policies every candidate shape is simulated under.
 POLICIES = ("lru", "opt")
@@ -122,6 +132,30 @@ def simulation_key(
         str(policy),
     ))
     return hashlib.sha256(material.encode("utf-8")).hexdigest() + "-sim"
+
+
+def search_key(
+    fingerprint: str,
+    instance: Mapping[str, int],
+    cache_words: int,
+    max_candidates: int,
+) -> str:
+    """Store key of one whole search outcome: ``<sha256>-search``.
+
+    Keyed by (program fingerprint x instance x S x candidate budget) plus
+    both schema versions; the budget is part of the key because it decides
+    which shapes the search examines, while the cells those shapes share
+    with another budget's search stay reusable under their own keys.
+    """
+    material = repr((
+        SEARCH_VERSION,
+        SIMULATION_VERSION,
+        fingerprint,
+        _instance_items(instance),
+        int(cache_words),
+        int(max_candidates),
+    ))
+    return hashlib.sha256(material.encode("utf-8")).hexdigest() + "-search"
 
 
 # -- tile shapes --------------------------------------------------------------
@@ -261,9 +295,11 @@ def search_upper_bounds(
     whose CDAG could not be expanded at the requested instance.
 
     With a ``store``, every simulation cell persists as a
-    ``kind="simulation"`` entry; a warm rerun executes zero simulations.
-    Executed simulations are counted process-wide and, when given, on
-    ``counters``.
+    ``kind="simulation"`` entry and every job's outcome as one
+    ``kind="search"`` entry.  A job whose outcome is stored costs that one
+    read (no CDAG expansion, no simulation), and a warm rerun returns the
+    very object the store decoded.  Executed simulations are counted
+    process-wide and, when given, on ``counters``.
     """
     executor, release = lease_executor(executor, n_jobs)
     try:
@@ -280,25 +316,38 @@ def _run_search(
     store: BoundStore | None,
     counters: StreamCounters | None,
 ) -> list[UpperBoundResult | None]:
+    results: list[UpperBoundResult | None] = [None] * len(jobs)
+    # One entry per job still to search; None for a stored or failed job.
     prepared: list[dict | None] = []
-    for program, instance in jobs:
+    for index, (program, instance) in enumerate(jobs):
+        prepared.append(None)
+        fingerprint = program_fingerprint(program)
         try:
-            cdag = cdag_for(program, instance)
+            values = program.instance_values(instance)
+        except (KeyError, ValueError, TypeError):
+            continue
+        key = None
+        if store is not None:
+            key = search_key(fingerprint, values, cache_words, max_candidates)
+            results[index] = store.get_search(key, UpperBoundResult.from_dict)
+            if results[index] is not None:
+                continue
+        try:
+            cdag = cdag_for(program, values, fingerprint)
         except Exception:
-            prepared.append(None)
             continue
         if not cdag.index.compute:
-            prepared.append(None)
             continue
         extents = cdag.extents
-        prepared.append({
+        prepared[index] = {
             "program": program,
-            "instance": dict(cdag.params),
-            "fingerprint": program_fingerprint(program),
+            "instance": values,
+            "fingerprint": fingerprint,
+            "key": key,
             "extents": extents,
             "shapes": candidate_shapes(extents, max_candidates),
             "simulations": [],
-        })
+        }
 
     def run_wave(shapes_per_job: list[list[tuple[int, ...]]]) -> None:
         groups: list[list[WorkItem]] = []
@@ -350,19 +399,19 @@ def _run_search(
         )
     run_wave(refinements)
 
-    results: list[UpperBoundResult | None] = []
-    for job in prepared:
+    for index, job in enumerate(prepared):
         if job is None:
-            results.append(None)
             continue
-        simulations = sorted(job["simulations"], key=lambda sim: (sim.shape, sim.policy))
-        results.append(
-            UpperBoundResult(
-                program=job["program"].name,
-                instance=job["instance"],
-                cache_words=int(cache_words),
-                best=select_best(simulations),
-                simulations=simulations,
-            )
+        simulations = tuple(
+            sorted(job["simulations"], key=lambda sim: (sim.shape, sim.policy))
         )
+        results[index] = UpperBoundResult(
+            program=job["program"].name,
+            instance=job["instance"],
+            cache_words=int(cache_words),
+            best=select_best(simulations),
+            simulations=simulations,
+        )
+        if job["key"] is not None:
+            store.put_search(job["key"], results[index].to_dict())
     return results

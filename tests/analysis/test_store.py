@@ -128,6 +128,7 @@ class TestSchemaNegotiation:
         [
             ("result", "result", "get"),
             ("task", "task_result", "get_task"),
+            ("search", "search", "get_search"),
             ("simulation", "simulation", "get_simulation"),
         ],
     )
@@ -139,7 +140,7 @@ class TestSchemaNegotiation:
         body = make_result().to_dict() if kind == "result" else {"x": 1}
         entry = {"kind": kind, "key": KEY, body_field: body}
         store = BoundStore(tmp_path / "store")
-        # Task and simulation reads take their kind's decoder.
+        # Task, search and simulation reads take their kind's decoder.
         decoders = () if kind == "result" else (dict,)
         path = store.path_for(KEY)
         path.parent.mkdir(parents=True)
@@ -239,6 +240,13 @@ class TestSharedWarmResults:
         path.unlink()
         assert store.get(KEY) is None
         assert store.hits == 1 and store.misses == 2
+
+    def test_kept_result_is_not_served_as_another_kind(self, tmp_path):
+        store = BoundStore(tmp_path)
+        store.put(KEY, make_result())
+        assert store.get(KEY) is not None
+        assert store.get_search(KEY, dict) is None
+        assert store.hits == 1 and store.misses == 1
 
     def test_kept_results_are_bounded(self, tmp_path, monkeypatch):
         monkeypatch.setattr("repro.analysis.store.DECODED_RESULTS", 2)
@@ -523,6 +531,9 @@ class TestUndecodableEntriesAreMisses:
         job = (get_kernel("gemm").program, {"Ni": 4, "Nj": 4, "Nk": 4})
         options = dict(cache_words=16, max_candidates=4)
         (cold,) = search_upper_bounds([job], store=BoundStore(tmp_path), **options)
+        # Without its outcome entry the search reads its per-tile cells.
+        for outcome in tmp_path.glob("objects/*/*-search.json"):
+            outcome.unlink()
 
         store = BoundStore(tmp_path)
         path = sorted(tmp_path.glob("objects/*/*-sim.json"))[0]
@@ -533,8 +544,67 @@ class TestUndecodableEntriesAreMisses:
         reset_simulation_count()
         (warm,) = search_upper_bounds([job], store=store, **options)
         assert simulation_count() == 1
-        assert (store.hits, store.misses) == (len(cold.simulations) - 1, 1)
+        # The removed outcome entry and the undecodable cell miss; every
+        # other cell hits.
+        assert (store.hits, store.misses) == (len(cold.simulations) - 1, 2)
         assert warm.to_dict() == cold.to_dict()
+
+
+class TestSearchOutcomeEntries:
+    """A tiling search's whole outcome is one ``kind="search"`` entry, read
+    through the same shared decoded cache as bound results."""
+
+    OPTIONS = dict(cache_words=16, max_candidates=4)
+
+    @staticmethod
+    def job():
+        from repro.polybench import get_kernel
+
+        return get_kernel("gemm").program, {"Ni": 4, "Nj": 4, "Nk": 4}
+
+    def test_two_warm_reads_return_the_same_outcome(self, tmp_path):
+        from repro.upper import search_upper_bounds
+
+        search_upper_bounds([self.job()], store=BoundStore(tmp_path), **self.OPTIONS)
+        store = BoundStore(tmp_path)
+        (first,) = search_upper_bounds([self.job()], store=store, **self.OPTIONS)
+        (second,) = search_upper_bounds([self.job()], store=store, **self.OPTIONS)
+        assert first is second
+        assert (store.hits, store.misses) == (2, 0)
+
+    def test_corrupt_outcome_entry_falls_back_to_the_cells(self, tmp_path):
+        from repro.upper import reset_simulation_count, search_upper_bounds, simulation_count
+
+        (cold,) = search_upper_bounds([self.job()], store=BoundStore(tmp_path), **self.OPTIONS)
+        (path,) = tmp_path.glob("objects/*/*-search.json")
+        entry = json.loads(path.read_text())
+        del entry["search"]["cache_words"]
+        path.write_text(json.dumps(entry))
+
+        store = BoundStore(tmp_path)
+        reset_simulation_count()
+        (warm,) = search_upper_bounds([self.job()], store=store, **self.OPTIONS)
+        assert simulation_count() == 0
+        # The outcome misses; every cell hits; the outcome is written afresh.
+        assert (store.hits, store.misses) == (len(cold.simulations), 1)
+        assert warm.to_dict() == cold.to_dict()
+        assert "cache_words" in json.loads(path.read_text())["search"]
+
+    def test_archive_round_trips_an_outcome_entry(self, tmp_path):
+        from repro.upper import UpperBoundResult, search_upper_bounds
+
+        source = BoundStore(tmp_path / "source")
+        (cold,) = search_upper_bounds([self.job()], store=source, **self.OPTIONS)
+        (path,) = source.objects_dir.glob("*/*-search.json")
+        archive = tmp_path / "replica.tar.gz"
+        source.export_archive(archive)
+
+        replica = BoundStore(tmp_path / "replica")
+        imported, skipped = replica.import_archive(archive)
+        assert (imported, skipped) == (len(source), 0)
+        key = path.stem
+        assert replica.path_for(key).read_bytes() == path.read_bytes()
+        assert replica.get_search(key, UpperBoundResult.from_dict).to_dict() == cold.to_dict()
 
 
 class TestCacheCLI:

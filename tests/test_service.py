@@ -833,3 +833,43 @@ def test_sigterm_drains_the_server_and_stops_its_worker():
             server.kill()
             server.wait()
     _wait_until_reaped(int(children[0]))
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="lists the server's worker through /proc",
+)
+def test_sigkilled_server_leaves_no_worker_behind():
+    """A server killed outright never closes its pool; its worker notices the
+    parent is gone and exits instead of blocking on the call queue forever."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--no-cache"],
+        env={**os.environ, "PYTHONPATH": src},
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert "serving on" in server.stderr.readline()
+        children = Path(f"/proc/{server.pid}/task/{server.pid}/children").read_text().split()
+        assert len(children) == 1, children
+    finally:
+        server.kill()
+        server.wait()
+    worker = int(children[0])
+    deadline = time.monotonic() + 10
+    while _running(worker):
+        if time.monotonic() > deadline:
+            os.kill(worker, signal.SIGKILL)
+            pytest.fail(f"worker {worker} outlived its SIGKILLed server")
+        time.sleep(0.05)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie counts as gone:
+    an orphan's reaper is not this test's process)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"

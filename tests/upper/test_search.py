@@ -7,18 +7,20 @@ import warnings
 import pytest
 
 from repro.analysis import BoundStore
-from repro.ir import CDAG, ProgramBuilder
+from repro.ir import CDAG, ProgramBuilder, expand_count, reset_expand_count
 from repro.polybench import get_kernel
 from repro.upper import (
     TileSimulation,
     UpperBoundResult,
     candidate_shapes,
     reset_simulation_count,
+    search_key,
     search_upper_bounds,
     simulation_count,
     simulation_key,
     tile_sizes_for,
 )
+from repro.upper import search as search_module
 from repro.upper.result import select_best
 
 GEMM_INSTANCE = {"Ni": 6, "Nj": 6, "Nk": 6}
@@ -98,6 +100,23 @@ class TestSimulationKey:
         assert simulation_key("f" * 64, {"N": 8}, 32, (2, 2), "lru") != base
         assert simulation_key("f" * 64, {"N": 8}, 64, (2, 4), "lru") != base
         assert simulation_key("f" * 64, {"N": 8}, 64, (2, 2), "opt") != base
+
+
+class TestSearchKey:
+    def test_key_shape_and_determinism(self):
+        key = search_key("f" * 64, {"N": 8}, 64, 16)
+        assert key.endswith("-search")
+        assert len(key) == 64 + len("-search")
+        assert key == search_key("f" * 64, {"N": 8}, 64, 16)
+
+    def test_key_sensitive_to_every_component(self, monkeypatch):
+        base = search_key("f" * 64, {"N": 8}, 64, 16)
+        assert search_key("e" * 64, {"N": 8}, 64, 16) != base
+        assert search_key("f" * 64, {"N": 9}, 64, 16) != base
+        assert search_key("f" * 64, {"N": 8}, 32, 16) != base
+        assert search_key("f" * 64, {"N": 8}, 64, 8) != base
+        monkeypatch.setattr(search_module, "SEARCH_VERSION", search_module.SEARCH_VERSION + 1)
+        assert search_key("f" * 64, {"N": 8}, 64, 16) != base
 
 
 class TestSearch:
@@ -196,6 +215,74 @@ class TestSearch:
             [(spec.program, {"Ni": 0, "Nj": 0, "Nk": 0})], cache_words=16
         )
         assert results == [None]
+
+
+def _outcome_entries(store: BoundStore) -> list:
+    return sorted(store.objects_dir.glob("*/*-search.json"))
+
+
+class TestSearchOutcomeEntries:
+    """A finished search is one store entry: a warm rerun reads it before
+    any CDAG is expanded, while the per-tile cells stay for other budgets."""
+
+    JOBS = [
+        (get_kernel("gemm").program, GEMM_INSTANCE),
+        (get_kernel("atax").program, {"M": 6, "N": 6}),
+    ]
+    OPTIONS = dict(cache_words=16, max_candidates=8)
+
+    def test_warm_search_expands_nothing_and_reads_one_entry_per_job(self, tmp_path):
+        cold = search_upper_bounds(self.JOBS, store=BoundStore(tmp_path), **self.OPTIONS)
+        assert len(_outcome_entries(BoundStore(tmp_path))) == len(self.JOBS)
+
+        search_module._CDAGS._entries.clear()
+        store = BoundStore(tmp_path)
+        reset_expand_count()
+        reset_simulation_count()
+        warm = search_upper_bounds(self.JOBS, store=store, **self.OPTIONS)
+        assert expand_count() == 0
+        assert simulation_count() == 0
+        assert (store.hits, store.misses) == (len(self.JOBS), 0)
+        assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
+
+    def test_store_without_outcome_entries_answers_from_its_cells(self, tmp_path):
+        # A store filled before outcome entries existed holds only the cells.
+        cold = search_upper_bounds(self.JOBS, store=BoundStore(tmp_path), **self.OPTIONS)
+        for path in _outcome_entries(BoundStore(tmp_path)):
+            path.unlink()
+
+        store = BoundStore(tmp_path)
+        reset_simulation_count()
+        warm = search_upper_bounds(self.JOBS, store=store, **self.OPTIONS)
+        assert simulation_count() == 0
+        assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
+        assert store.writes == len(self.JOBS)
+        assert len(_outcome_entries(store)) == len(self.JOBS)
+
+    def test_other_budget_has_its_own_outcome_but_reuses_the_cells(self, tmp_path):
+        store = BoundStore(tmp_path)
+        job = self.JOBS[:1]
+        (narrow,) = search_upper_bounds(job, store=store, cache_words=16, max_candidates=8)
+        first = _outcome_entries(store)
+
+        reset_simulation_count()
+        (wide,) = search_upper_bounds(job, store=store, cache_words=16, max_candidates=16)
+        assert len(_outcome_entries(store)) == len(first) + 1
+        shared = {(s.shape, s.policy) for s in narrow.simulations} & {
+            (s.shape, s.policy) for s in wide.simulations
+        }
+        assert shared
+        # Every cell the narrow search simulated is read back, not re-run.
+        assert simulation_count() == len(wide.simulations) - len(shared)
+
+    def test_unexpandable_instance_yields_none_with_a_store(self, tmp_path):
+        spec = get_kernel("gemm")
+        store = BoundStore(tmp_path)
+        for instance in ({"Ni": 0, "Nj": 0, "Nk": 0}, {"Ni": 4}):
+            assert search_upper_bounds(
+                [(spec.program, instance)], store=store, **self.OPTIONS
+            ) == [None]
+        assert _outcome_entries(store) == []
 
 
 class TestResultSerialization:
