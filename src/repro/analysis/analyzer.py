@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 import sympy
 
-from ..core.bounds import IOBoundResult, SubBound, asymptotic_leading
+from ..core.bounds import IOBoundResult, SubBound, asymptotic_leading, clamp_at_zero
 from ..core.decomposition import combine_sub_q
 from ..ir import AffineProgram
 from .config import AnalysisConfig
@@ -104,8 +104,10 @@ def combine_plan(
 
     input_size = program.input_size()
     total_flops = program.total_flops()
-    expression = input_size + sympy.Max(sympy.Integer(0), combined)
-    smooth = sympy.expand(input_size + sympy.Max(sympy.Integer(0), combined))
+    expression = input_size + clamp_at_zero(combined)
+    # Expanding around the clamp, not through it: ``expand`` rebuilds (and
+    # so re-evaluates) every ``Max`` node it descends into.
+    smooth = sympy.expand(input_size) + clamp_at_zero(sympy.expand(combined))
     params = set(program.params)
     asymptotic = asymptotic_leading(smooth, params)
 

@@ -219,6 +219,8 @@ class BoundStore:
         # those bytes.
         self._decoded: OrderedDict[tuple[str, bytes], object] = OrderedDict()
         self._decoded_lock = threading.Lock()
+        # Shard directories this instance has made (see ``_temp_file``).
+        self._shards: set[Path] = set()
 
     def _count_hit(self) -> None:
         with self._counter_lock:
@@ -422,18 +424,30 @@ class BoundStore:
         """Write a simulation entry atomically (same guarantees as ``put``)."""
         return self._put_kinded(key, "simulation", payload, metadata)
 
+    def _temp_file(self, shard: Path) -> tuple[int, str]:
+        """Open a temporary file in ``shard`` for a write-then-rename.
+
+        Renaming within the destination directory means concurrent writers
+        and readers never observe a half-written entry.  Each shard is made
+        once per store instance, not once per write; one removed behind the
+        store's back is made again when the temporary file cannot be opened.
+        """
+        if shard not in self._shards:
+            shard.mkdir(parents=True, exist_ok=True)
+            self._shards.add(shard)
+        try:
+            return tempfile.mkstemp(dir=str(shard), prefix=".put-", suffix=".tmp")
+        except FileNotFoundError:
+            shard.mkdir(parents=True, exist_ok=True)
+            return tempfile.mkstemp(dir=str(shard), prefix=".put-", suffix=".tmp")
+
     def _write_entry(self, key: str, envelope: dict) -> Path | None:
         path = self.path_for(key)
         existing = _read_json(path)
         if existing is not None and _entry_schema(existing) > STORE_SCHEMA:
             return None
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Write-then-rename in the destination directory so concurrent
-            # writers and readers never observe a half-written entry.
-            handle, temp_name = tempfile.mkstemp(
-                dir=str(path.parent), prefix=".put-", suffix=".tmp"
-            )
+            handle, temp_name = self._temp_file(path.parent)
         except OSError:
             return None
         try:

@@ -95,6 +95,28 @@ def _leading_term(expr: sympy.Expr, param_names: set[str]) -> sympy.Expr:
     return sympy.Add(*best_terms)
 
 
+def clamp_at_zero(expr: sympy.Expr) -> sympy.Expr:
+    """``max(0, expr)``, built exactly as the evaluated ``sympy.Max`` builds it.
+
+    An evaluated ``Max`` of a symbolic argument searches for its sign
+    (``_find_localzeros`` -> ``factor_terms``) on every clamp, and on the
+    derivation's expressions that search never decides a sign the direct
+    queries below leave open (``tests/core/test_clamp_oracle.py`` checks the
+    suite and the fuzz corpus).  A number is folded by the evaluated ``Max``
+    itself; a sign the assumptions decide directly picks the answer;
+    anything else stays an unevaluated ``Max``, whose arguments sympy orders
+    just as it orders the evaluated one's.
+    """
+    zero = sympy.Integer(0)
+    if expr.is_number:
+        return sympy.Max(zero, expr)
+    if expr.is_nonnegative:
+        return expr
+    if expr.is_nonpositive:
+        return zero
+    return sympy.Max(zero, expr, evaluate=False)
+
+
 def evaluate(expr: sympy.Expr, instance: Mapping[str, object]) -> float:
     """Numeric value of a bound expression at a parameter/cache-size instance."""
     substitutions = {sym(name): value for name, value in instance.items()}

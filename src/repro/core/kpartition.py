@@ -22,7 +22,7 @@ import sympy
 from ..ir import DFG
 from ..linalg import SubspaceLattice, subspace_closure
 from ..sets import Constraint, CountingError, LinExpr, ParamSet, card, card_upper
-from .bounds import S_SYMBOL, SubBound, evaluate
+from .bounds import S_SYMBOL, SubBound, clamp_at_zero, evaluate
 from .brascamp_lieb import solve_exponents
 from .interference import coeff_interf, path_source_set
 from .paths import DFGPath, genpaths
@@ -101,9 +101,7 @@ def sub_param_q_by_partition(
             space = dfg.program.statement(node).space
             _accumulate_may_spill(may_spill, node, function.image_of(domain, space))
 
-    q_full = sympy.Max(
-        sympy.floor(domain_card / u_expr) * t_expr - source_cards, sympy.Integer(0)
-    )
+    q_full = clamp_at_zero(sympy.floor(domain_card / u_expr) * t_expr - source_cards)
     q_smooth = sympy.expand((domain_card / u_expr - 1) * t_expr - source_cards)
 
     notes = (

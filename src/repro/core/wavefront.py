@@ -45,7 +45,7 @@ from ..rel import (
     out_name,
 )
 from ..sets import Constraint, CountingError, EQ, LinExpr, ParamSet, card, lin_to_sympy, sym
-from .bounds import S_SYMBOL, SubBound
+from .bounds import S_SYMBOL, SubBound, clamp_at_zero
 from .paths import CHAIN, genpaths
 
 OMEGA_PREFIX = "Omega"
@@ -110,7 +110,7 @@ def sub_param_q_by_wavefront(dfg: DFG, statement: str, depth: int = 1) -> SubBou
         f"symbolic validation ({closure_kind} closure)"
     )
     return SubBound(
-        expression=sympy.Max(total, sympy.Integer(0)),
+        expression=clamp_at_zero(total),
         smooth=total,
         may_spill=may_spill,
         method="wavefront",

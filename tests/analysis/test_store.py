@@ -78,6 +78,37 @@ class TestLayoutAndRoundtrip:
         assert shards == {key[:2] for key in keys}
         assert len(store) == 16
 
+    def test_write_lands_after_its_shard_is_removed_behind_the_store(self, tmp_path):
+        store = BoundStore(tmp_path)
+        store.put(KEY, make_result("first", 1))
+        shard = tmp_path / "objects" / KEY[:2]
+        for entry in shard.iterdir():
+            entry.unlink()
+        shard.rmdir()
+        second = KEY[:2] + "1" * 62
+        path = store.put(second, make_result("second", 2))
+        assert path == shard / f"{second}.json" and path.exists()
+        assert store.get(second).program_name == "second"
+        assert store.get(KEY) is None
+
+    def test_a_made_shard_is_not_made_again(self, tmp_path, monkeypatch):
+        store = BoundStore(tmp_path)
+        for shard in ("00", "01"):
+            store.put(shard + "f" * 62, make_result(shard))
+        made = []
+        mkdir = Path.mkdir
+
+        def recording(self, *args, **kwargs):
+            made.append(self.name)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", recording)
+        for i in range(4):
+            store.put(f"{i % 2:02x}" + f"{i:x}" * 62, make_result(f"p{i}", i + 1))
+        store.put("02" + "f" * 62, make_result("new shard"))
+        assert made == ["02"]
+        assert len(store) == 7
+
     def test_miss_returns_none_and_counts(self, tmp_path):
         store = BoundStore(tmp_path)
         assert store.get(KEY) is None

@@ -15,17 +15,25 @@ The full-suite derivation is expensive (~30 s), so it runs at most once per
 test session (``cold_suite``), routed through a session-private
 :class:`BoundStore`.  The golden-bound regression tests and the decoder
 oracle read its results; the warm-run test re-runs the suite against the
-now-populated store and asserts it derives nothing.
+now-populated store and asserts it derives nothing.  The run also records
+the argument of every clamp at zero it builds, for the clamp oracle.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
+import sympy
 
-from repro.analysis import BoundStore, reset_derivation_count
+from repro.analysis import BoundStore, analyzer, reset_derivation_count
+from repro.core import kpartition, wavefront
+from repro.core.bounds import clamp_at_zero
 from repro.ir import reset_expand_count
 from repro.polybench import KernelAnalysis, analyze_suite
+
+#: The modules that clamp a bound at zero; each imports ``clamp_at_zero``.
+CLAMP_SITES = (kpartition, wavefront, analyzer)
 
 
 def pytest_addoption(parser):
@@ -66,10 +74,32 @@ class ColdSuiteRun:
     seconds: float
     derivations: int
     cdag_expansions: int
+    clamps: list[sympy.Expr]
 
     @property
     def by_name(self) -> dict[str, KernelAnalysis]:
         return {analysis.spec.name: analysis for analysis in self.analyses}
+
+
+@contextmanager
+def recorded_clamps():
+    """Record the argument of every ``clamp_at_zero`` call made in-process."""
+    recorded: list[sympy.Expr] = []
+
+    def recording(expr):
+        recorded.append(expr)
+        return clamp_at_zero(expr)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in CLAMP_SITES:
+            patch.setattr(module, "clamp_at_zero", recording)
+        yield recorded
+
+
+@pytest.fixture(scope="session")
+def clamp_recorder():
+    """:func:`recorded_clamps`, for tests that derive programs of their own."""
+    return recorded_clamps
 
 
 @pytest.fixture(scope="session")
@@ -83,7 +113,10 @@ def cold_suite(suite_store) -> ColdSuiteRun:
     """Derive every registered kernel once, cold, through the session store."""
     reset_derivation_count()
     reset_expand_count()
-    start = time.perf_counter()
-    analyses = analyze_suite(store=suite_store)
-    seconds = time.perf_counter() - start
-    return ColdSuiteRun(analyses, seconds, reset_derivation_count(), reset_expand_count())
+    with recorded_clamps() as clamps:
+        start = time.perf_counter()
+        analyses = analyze_suite(store=suite_store)
+        seconds = time.perf_counter() - start
+    return ColdSuiteRun(
+        analyses, seconds, reset_derivation_count(), reset_expand_count(), clamps
+    )
