@@ -105,6 +105,14 @@ def _parse_instance(pairs: Sequence[str]) -> dict[str, int] | None:
     return instance
 
 
+def positive_int(text: str) -> int:
+    """An argparse type for counts and sizes: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("analysis configuration")
     group.add_argument(
@@ -135,7 +143,7 @@ def _add_run_arguments(
         "--executor", choices=EXECUTOR_NAMES, default=None, help=executor_help,
     )
     group.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="parallel workers for the task executor (threads or processes, "
              "depending on --executor)",
     )
@@ -372,6 +380,7 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .core.bounds import expr_from_text
     from .service import AnalysisService, ServiceServer
 
     with AnalysisService(
@@ -379,8 +388,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ) as service:
         # Fork the workers now, before any handler thread exists: no thread
         # can then hold a lock (the store's, a pool's) at the moment of the
-        # fork.  SIGTERM drains like Ctrl-C, so that the workers are shut
-        # down, not orphaned.
+        # fork, and after a first decode, whose sympy import no warm request
+        # then pays.  SIGTERM drains like Ctrl-C, so workers are not orphaned.
+        expr_from_text("Add(Symbol('N', integer=True), Integer(1))")
         service.executor.start()
         signal.signal(signal.SIGTERM, signal.default_int_handler)
         if args.port is None:
@@ -570,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="kernels to report on (default: the whole suite)",
     )
     report.add_argument(
-        "--cache-words", type=int, default=64, metavar="S",
+        "--cache-words", type=positive_int, default=64, metavar="S",
         help="fast-memory capacity in words for both sides of the sandwich "
              "(default: 64)",
     )
@@ -579,12 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulation instance overrides (applied where the parameter exists)",
     )
     report.add_argument(
-        "--instance-target", type=int, default=12, metavar="N",
+        "--instance-target", type=positive_int, default=12, metavar="N",
         help="edge length LARGE instances are shrunk to before CDAG "
              "expansion (default: 12)",
     )
     report.add_argument(
-        "--max-candidates", type=int, default=64, metavar="N",
+        "--max-candidates", type=positive_int, default=64, metavar="N",
         help="tile shapes per kernel in the powers-of-two search wave "
              "(default: 64)",
     )
@@ -682,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign executor (default: serial; process parallelises across "
              "seeds)",
     )
-    fuzz.add_argument("--jobs", type=int, default=1, metavar="N",
+    fuzz.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                       help="parallel workers for the campaign executor")
     fuzz.add_argument("--json", action="store_true",
                       help="emit the campaign (or replay) result as JSON on stdout")

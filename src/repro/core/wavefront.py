@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import networkx as nx
 import sympy
 
 from ..ir import CDAG, DFG
@@ -351,8 +350,13 @@ def _validate_reachability_concrete(
         if not v1 or not v2:
             continue
         for source in v1:
-            reachable = nx.descendants(cdag.graph, source)
-            if not all(target in reachable for target in v2):
+            reached, frontier = set(), [cdag.ids[source]]
+            while frontier:  # search over successor ids
+                for child in cdag.succ[frontier.pop()]:
+                    if child not in reached:
+                        reached.add(child)
+                        frontier.append(child)
+            if not all(cdag.ids[target] in reached for target in v2):
                 return False
         checked_pairs += 1
         if checked_pairs >= 2:

@@ -161,9 +161,7 @@ def _pipeline_config() -> AnalysisConfig:
 
 def _sandwich_capacity(cdag: CDAG) -> int:
     """A cache size every operation of the CDAG fits in (operands + result)."""
-    indegree = max(
-        (cdag.graph.in_degree(v) for v in cdag.compute_vertices()), default=0
-    )
+    indegree = max((len(cdag.preds[i]) for i in cdag.compute), default=0)
     return max(4, indegree + 2)
 
 
@@ -399,13 +397,7 @@ def oracle_counting(program: AffineProgram, ctx: OracleContext) -> OracleVerdict
                 )
         aggregates = (
             ("input-size", program.input_size(), len(cdag.inputs)),
-            (
-                "total-flops",
-                program.total_flops(),
-                sum(
-                    program.statements[v[0]].flops for v in cdag.compute_vertices()
-                ),
-            ),
+            ("total-flops", program.total_flops(), cdag.flops),
         )
         for what, expr, enumerated in aggregates:
             checks += 1

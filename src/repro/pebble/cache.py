@@ -7,9 +7,9 @@ with either an LRU or an optimal (Belady) replacement policy and return the
 number of loads — which, divided into the operation count, gives the achieved
 operational intensity of that schedule.
 
-The simulation runs on the CDAG's integer index
-(:class:`repro.ir.cdag.CDAGIndex`) and plays a red-white pebble game
-(Def. 3.2) in-line: the schedule is checked up front to be a
+The simulation runs on the CDAG's integer form (:class:`repro.ir.cdag.CDAG`:
+vertex ids, predecessor tuples, an input mask) and plays a red-white pebble
+game (Def. 3.2) in-line: the schedule is checked up front to be a
 topological order of the compute vertices, and every load, compute and
 eviction is checked against the rules (no load of an uncomputed value, no
 double load, no recomputation, operands in fast memory, capacity, evict only
@@ -148,17 +148,16 @@ def simulate_schedule(
     """
     if policy not in ("lru", "opt"):
         raise ValueError(f"unknown replacement policy {policy!r}")
-    index = cdag.index
-    order = index.schedule_ids(schedule)
+    order = cdag.schedule_ids(schedule)
     if order is None:
         raise ValueError("schedule is not a valid topological order of the CDAG")
-    preds = index.preds
-    size = len(index.vertices)
+    preds, vertices = cdag.preds, cdag.vertices
+    size = len(vertices)
     cache = _LRU() if policy == "lru" else _Belady(preds, order, size)
     reuse, add, choose_victim = cache.reuse, cache.add, cache.victim
 
     # The rule checks below are the pebble-game rules R1-R3, on bytearrays.
-    white = bytearray(index.is_input)  # computed (or input) values
+    white = bytearray(cdag.is_input)  # computed (or input) values
     red = bytearray(size)  # values in fast memory
     held = loads = evictions = 0
 
@@ -166,7 +165,7 @@ def simulate_schedule(
         victim = choose_victim(protected)
         if not red[victim]:
             raise PebbleGameError(
-                f"evicting a value not in fast memory: {index.vertices[victim]}"
+                f"evicting a value not in fast memory: {vertices[victim]}"
             )
         red[victim] = 0
 
@@ -175,7 +174,7 @@ def simulate_schedule(
         if len(operands) + 1 > capacity:
             raise ValueError(
                 f"cache of {capacity} words cannot hold the {len(operands)} "
-                f"operands of {index.vertices[vertex]}"
+                f"operands of {vertices[vertex]}"
             )
         for slot, operand in enumerate(operands):
             if red[operand]:
@@ -187,11 +186,11 @@ def simulate_schedule(
                 evictions += 1
             if not white[operand]:
                 raise PebbleGameError(
-                    f"load of a value never computed: {index.vertices[operand]}"
+                    f"load of a value never computed: {vertices[operand]}"
                 )
             if red[operand]:
                 raise PebbleGameError(
-                    f"load of a value already in fast memory: {index.vertices[operand]}"
+                    f"load of a value already in fast memory: {vertices[operand]}"
                 )
             if held >= capacity:
                 raise PebbleGameError("fast memory over capacity on load")
@@ -204,12 +203,12 @@ def simulate_schedule(
             held -= 1
             evictions += 1
         if white[vertex]:
-            raise PebbleGameError(f"recomputation is not allowed: {index.vertices[vertex]}")
+            raise PebbleGameError(f"recomputation is not allowed: {vertices[vertex]}")
         for operand in operands:
             if not red[operand]:
                 raise PebbleGameError(
-                    f"computing {index.vertices[vertex]} but operand "
-                    f"{index.vertices[operand]} is not in fast memory"
+                    f"computing {vertices[vertex]} but operand "
+                    f"{vertices[operand]} is not in fast memory"
                 )
         if held >= capacity:
             raise PebbleGameError("fast memory over capacity on compute")

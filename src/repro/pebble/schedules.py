@@ -63,18 +63,14 @@ class Schedule(list):
 
 def topological_schedule(cdag: CDAG) -> Schedule:
     """Any topological order of the compute vertices."""
-    index = cdag.index
-    vertices = index.vertices
-    return Schedule(
-        [vertices[i] for i in index.compute_topological], requested="topological"
-    )
+    vertices = cdag.vertices
+    return Schedule([vertices[i] for i in cdag.compute_topological], requested="topological")
 
 
 def _finish(cdag: CDAG, ordered: list[int], requested: str, warn: bool) -> Schedule:
     """Validate a candidate order of compute ids, falling back observably when illegal."""
-    index = cdag.index
-    if index.is_valid_order(ordered):
-        vertices = index.vertices
+    if cdag.is_valid_order(ordered):
+        vertices = cdag.vertices
         return Schedule([vertices[i] for i in ordered], requested=requested)
     if warn:
         warnings.warn(
@@ -108,7 +104,7 @@ def _sorted_compute(cdag: CDAG, key_rows) -> list[int]:
     parts vary in length sorts the same once each part is padded with
     ``_LOW`` (a proper prefix sorts first) or cut and padded with ``_HIGH``.
     """
-    groups = cdag.index.statements
+    groups = cdag.statements
     if not groups:
         return []
     ids = np.concatenate([ids for ids, _ in groups.values()])
@@ -159,7 +155,7 @@ def tiled_schedule(
     order = list(statement_order or cdag.program.statements.keys())
     rank = {name: index for index, name in enumerate(order)}
 
-    depth = max((points.shape[1] for _, points in cdag.index.statements.values()), default=0)
+    depth = max((points.shape[1] for _, points in cdag.statements.values()), default=0)
 
     def key_rows(name: str, points: np.ndarray) -> np.ndarray:
         # (tile coordinates, the statement's rank, point)

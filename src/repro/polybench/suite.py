@@ -221,7 +221,7 @@ def _simulated_oi(
         cdag = CDAG.expand(spec.program, instance)
     except Exception:
         return None
-    if not cdag.index.compute:
+    if not cdag.compute:
         return None
     try:
         result = simulate_schedule(cdag, schedule_for(cdag), cache, policy="lru")

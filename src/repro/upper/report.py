@@ -24,7 +24,7 @@ from ..analysis import BoundStore, Executor, StreamCounters, lease_executor
 from ..polybench.registry import all_kernels, get_kernel
 from ..polybench.suite import _shrink, analyze_suite_stream
 from .result import TileSimulation, UpperBoundResult
-from .search import search_upper_bounds
+from .search import check_sizes, search_upper_bounds
 
 REPORT_SCHEMA = 1
 
@@ -196,8 +196,10 @@ def tightness_report(
     kernel's LARGE instance shrunk to ``target`` (overridable per parameter
     via ``instance``).  Both sides share one ``store`` and one executor, so
     warm reruns cost zero derivations and zero simulations — the report
-    records both counts, of its own work only.
+    records both counts, of its own work only.  Sizes below 1 raise
+    ``ValueError`` before any work.
     """
+    check_sizes(cache_words=cache_words, max_candidates=max_candidates, target=target)
     specs = all_kernels() if names is None else [get_kernel(name) for name in names]
     counters = StreamCounters()
     executor, release = lease_executor(executor, n_jobs)

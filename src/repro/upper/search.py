@@ -277,6 +277,13 @@ def _simulate_payload(payload: tuple) -> TileSimulation:
 # -- the search ---------------------------------------------------------------
 
 
+def check_sizes(**sizes: int) -> None:
+    """Raise ``ValueError`` for the first size below 1."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def search_upper_bounds(
     jobs: Sequence[tuple[AffineProgram, Mapping[str, int]]],
     cache_words: int = 64,
@@ -299,8 +306,10 @@ def search_upper_bounds(
     ``kind="search"`` entry.  A job whose outcome is stored costs that one
     read (no CDAG expansion, no simulation), and a warm rerun returns the
     very object the store decoded.  Executed simulations are counted
-    process-wide and, when given, on ``counters``.
+    process-wide and, when given, on ``counters``.  Sizes below 1 raise
+    ``ValueError`` before any work.
     """
+    check_sizes(cache_words=cache_words, max_candidates=max_candidates)
     executor, release = lease_executor(executor, n_jobs)
     try:
         return _run_search(jobs, cache_words, max_candidates, executor, store, counters)
@@ -336,7 +345,7 @@ def _run_search(
             cdag = cdag_for(program, values, fingerprint)
         except Exception:
             continue
-        if not cdag.index.compute:
+        if not cdag.compute:
             continue
         extents = cdag.extents
         prepared[index] = {

@@ -138,10 +138,15 @@ class TestCDAG:
         assert not cdag.is_valid_schedule([*good[:-1], ("S", (9, 9))])
 
     def test_topological_order_matches_networkx(self):
+        """The order ``nx.topological_sort`` gives for the graph-based
+        expansion (``CDAG.graph`` keeps operand orders, not successor orders)."""
         import networkx as nx
+        from reference_cdag import ReferenceCDAG
 
-        cdag = CDAG.expand(example1_program(), {"M": 4, "N": 3})
-        assert cdag.topological_order() == list(nx.topological_sort(cdag.graph))
+        instance = {"M": 4, "N": 3}
+        cdag = CDAG.expand(example1_program(), instance)
+        reference = ReferenceCDAG.expand(example1_program(), instance).graph
+        assert cdag.topological_order() == list(nx.topological_sort(reference))
 
     def test_topological_order_is_valid(self):
         cdag = CDAG.expand(example1_program(), {"M": 4, "N": 4})

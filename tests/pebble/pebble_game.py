@@ -9,9 +9,9 @@ memory of ``S`` words:
 * re-loading an already computed value (rule R1) is the unit of I/O cost.
 
 :class:`GameState` applies one move at a time and checks it against the
-networkx graph; :func:`validate_game` replays a whole game and returns its
-number of R1 moves.  :func:`repro.pebble.simulate_schedule` enforces the
-same rules in-line on the CDAG's integer index; :mod:`reference_cache`
+networkx form of the CDAG (``CDAG.graph``); :func:`validate_game` replays a
+whole game and returns its number of R1 moves.  :func:`repro.pebble.simulate_schedule` enforces the
+same rules in-line on the CDAG's integer form; :mod:`reference_cache`
 drives every move of its reference simulator through :class:`GameState`.
 """
 
@@ -43,11 +43,13 @@ class GameState:
     red: set[Vertex] = field(default_factory=set)
     white: set[Vertex] = field(default_factory=set)
     loads: int = 0
+    graph: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Input vertices start with a white pebble (their values exist in slow
         # memory); nothing is in fast memory initially.
         self.white |= set(self.cdag.inputs)
+        self.graph = self.cdag.graph  # ``CDAG.graph`` builds a new graph per read
 
     def apply(self, move: Move) -> None:
         """Apply one move, enforcing rules R1-R3 of Def. 3.2."""
@@ -64,7 +66,7 @@ class GameState:
         elif move.kind == "compute":
             if vertex in self.white:
                 raise PebbleGameError(f"recomputation is not allowed: {vertex}")
-            for predecessor in self.cdag.graph.predecessors(vertex):
+            for predecessor in self.graph.predecessors(vertex):
                 if predecessor not in self.red:
                     raise PebbleGameError(
                         f"computing {vertex} but operand {predecessor} is not in fast memory"

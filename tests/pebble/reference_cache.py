@@ -4,9 +4,10 @@ This is the straightforward simulator the indexed one replaced.  It keeps
 vertices as ``(statement, point)`` tuples, asks a replacement-policy object
 for every victim, and plays every move through
 :class:`pebble_game.GameState`, which re-checks the red-white rules against
-the networkx graph.  It is slow (LRU rescans every vertex ever touched,
-Belady scans the whole resident set) but obviously faithful, so the
-differential tests compare loads and evictions against it.
+the networkx form of the CDAG (``CDAG.graph``).  It is slow (LRU rescans
+every vertex ever touched, Belady scans the whole resident set) but
+obviously faithful, so the differential tests compare loads and evictions
+against it.
 
 Belady breaks ties between equally distant next uses in the iteration order
 of the resident ``set``, i.e. in hash order; the indexed simulator breaks
@@ -92,12 +93,13 @@ def reference_simulate(
     if not cdag.is_valid_schedule(schedule):
         raise ValueError("schedule is not a valid topological order of the CDAG")
 
+    graph = cdag.graph  # ``CDAG.graph`` builds a new graph per read
     if policy == "lru":
         replacement: _ReplacementPolicy = _LRUPolicy()
     else:
         future_uses: dict[Vertex, list[int]] = defaultdict(list)
         for time, vertex in enumerate(schedule):
-            for operand in cdag.graph.predecessors(vertex):
+            for operand in graph.predecessors(vertex):
                 future_uses[operand].append(time)
         replacement = _BeladyPolicy(dict(future_uses))
 
@@ -105,7 +107,7 @@ def reference_simulate(
     evictions = 0
 
     for time, vertex in enumerate(schedule):
-        operands = list(cdag.graph.predecessors(vertex))
+        operands = list(graph.predecessors(vertex))
         if len(operands) + 1 > capacity:
             raise ValueError(
                 f"cache of {capacity} words cannot hold the {len(operands)} operands of {vertex}"

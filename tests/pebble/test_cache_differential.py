@@ -30,19 +30,16 @@ def random_cdag(seed: int, operations: int = 40, inputs: int = 6) -> CDAG:
     per vertex keeps every operation simulable at small capacities.
     """
     rng = random.Random(seed)
-    cdag = CDAG(program=None, params={})
-    for index in range(inputs):
-        vertex = ("in", (index,))
-        cdag.graph.add_node(vertex, kind="input")
-        cdag.inputs.add(vertex)
+    nodes = [(("in", (index,)), "input") for index in range(inputs)]
+    edges = []
     for index in range(operations):
         vertex = ("S", (index,))
-        cdag.graph.add_node(vertex, kind="statement")
+        nodes.append((vertex, "statement"))
         pool = [("in", (i,)) for i in range(inputs)]
         pool += [("S", (i,)) for i in range(index)]
         for operand in rng.sample(pool, k=min(len(pool), rng.randint(1, 4))):
-            cdag.graph.add_edge(operand, vertex)
-    return cdag
+            edges.append((operand, vertex))
+    return CDAG(program=None, params={}, nodes=nodes, edges=edges)
 
 
 class TestBeladyNeverWorseThanLRU:

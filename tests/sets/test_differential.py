@@ -299,20 +299,20 @@ class TestKernelParity:
     def test_cdag_expansion_matches_the_oracle_on_every_kernel(self, monkeypatch):
         """Every PolyBench kernel's explicit CDAG at a small instance: the
         same vertex order and the same predecessor tuples with the oracle
-        enumerating the domains instead, so ``CDAGIndex`` ids and schedules
+        enumerating the domains instead, so CDAG vertex ids and schedules
         do not move."""
         from repro.ir import CDAG
         from repro.polybench import get_kernel, kernel_names
         from repro.sets import BasicSet
 
         def expand_all():
-            indexes = []
+            expanded = []
             for name in kernel_names():
                 spec = get_kernel(name)
                 small = {param: min(value, 5) for param, value in spec.large_instance.items()}
-                index = CDAG.expand(spec.program, small).index
-                indexes.append((name, index.vertices, index.preds))
-            return indexes
+                cdag = CDAG.expand(spec.program, small)
+                expanded.append((name, cdag.vertices, cdag.preds))
+            return expanded
 
         fast = expand_all()
         monkeypatch.setattr(BasicSet, "enumerate_points", reference_enumerate_points)

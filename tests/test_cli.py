@@ -161,6 +161,45 @@ class TestServeArgs:
         assert [event["event"] for event in events] == ["hello", "stats"]
         assert events[1]["executor"] == executor
 
+    def test_serve_loads_the_decoder_before_starting_its_executor(self, tmp_path):
+        """After ``serve``'s start-up, decoding a stored result imports
+        nothing, and the lazy sympy import a first decode would make was
+        already loaded when the executor started (and so forked its
+        workers)."""
+        import os
+        import subprocess
+
+        from repro.polybench import analyze_suite
+
+        [gemm] = analyze_suite(["gemm"], store=None, executor="serial")
+        stored = tmp_path / "gemm.json"
+        stored.write_text(json.dumps(gemm.result.to_dict()))
+        script = (
+            "import json, sys\n"
+            "from repro.__main__ import main\n"
+            "from repro.analysis.executor import SerialExecutor\n"
+            "loaded = {}\n"
+            "def start(self):\n"
+            "    loaded['modules'] = set(sys.modules)\n"
+            "SerialExecutor.start = start\n"
+            "assert main(['serve', '--no-cache', '--executor', 'serial']) == 0\n"
+            "from repro.core.bounds import IOBoundResult\n"
+            "with open(sys.argv[1]) as stream:\n"
+            "    document = json.load(stream)\n"
+            "before = set(sys.modules)\n"
+            "IOBoundResult.from_dict(document)\n"
+            "print(json.dumps({'added': sorted(set(sys.modules) - before),\n"
+            "                  'tensor': 'sympy.tensor.tensor' in loaded['modules']}))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(stored)],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout.splitlines()[-1]) == {"added": [], "tensor": True}
+
     def test_serve_rejects_unknown_executor(self):
         from repro.__main__ import build_parser
 
@@ -215,8 +254,9 @@ class TestBadSuiteOverrides:
 
 
 class TestJobsBelowOne:
-    """A worker count below one is a user error (exit code 2) on every
-    command that takes ``--jobs``, never a silent clamp to one worker."""
+    """A worker count below one is a user error (exit code 2, nothing on
+    stdout) on every command that takes ``--jobs``, never a silent clamp to
+    one worker."""
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize(
@@ -231,5 +271,42 @@ class TestJobsBelowOne:
         ids=["suite", "analyze", "report", "fuzz", "serve"],
     )
     def test_jobs_below_one_exits_two(self, argv, jobs, capsys):
-        assert main([*argv, "--jobs", jobs]) == 2
-        assert "n_jobs must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--jobs", jobs])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --jobs: must be >= 1, got {jobs}" in err
+
+
+class TestNumericFlagsBelowOne:
+    """Sizes and counts take one positive-integer type: a bad value exits 2
+    while parsing, before any derivation, simulation or output."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["report", "gemm"], "--max-candidates", "0"),
+            (["report", "gemm"], "--max-candidates", "-3"),
+            (["report", "gemm"], "--cache-words", "0"),
+            (["report", "gemm"], "--instance-target", "0"),
+            (["suite", "--kernels", "gemm"], "--jobs", "0"),
+        ],
+        ids=["max-candidates-0", "max-candidates-negative", "cache-words", "instance-target",
+             "suite-jobs"],
+    )
+    def test_exits_two_with_nothing_on_stdout(self, argv, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--no-cache", flag, value])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: must be >= 1, got {value}" in err
+
+    def test_a_non_integer_is_named(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "gemm", "--no-cache", "--cache-words", "lots"])
+        assert excinfo.value.code == 2
+        assert "argument --cache-words: invalid positive_int value: 'lots'" in (
+            capsys.readouterr().err
+        )

@@ -174,3 +174,23 @@ class TestAcceptance:
             assert row["lower_value"] <= row["upper_loads"]
             assert row["tightness"] is not None
             assert row["tile_shape"] is not None
+
+
+class TestSizesBelowOne:
+    @pytest.mark.parametrize(
+        "sizes, name",
+        [({"cache_words": 0}, "cache_words"), ({"max_candidates": -3}, "max_candidates"),
+         ({"target": 0}, "target")],
+        ids=["cache-words", "max-candidates", "target"],
+    )
+    def test_raises_before_any_derivation(self, sizes, name, tmp_path, monkeypatch):
+        import repro.upper.report
+
+        def no_derivation(*args, **kwargs):
+            raise AssertionError("a bad size must be refused before deriving")
+
+        monkeypatch.setattr(repro.upper.report, "analyze_suite_stream", no_derivation)
+        store = BoundStore(tmp_path / "store")
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            tightness_report(["gemm"], store=store, **sizes)
+        assert len(store) == 0

@@ -315,3 +315,26 @@ class TestResultSerialization:
         skipped = TileSimulation(shape=(8,), policy="lru", capacity=8, simulated=False)
         assert select_best([a, b, skipped]) == b
         assert select_best([skipped]) is None
+
+
+class TestSizesBelowOne:
+    """A cache or a shape budget below one word is refused before any
+    expansion, simulation or store write."""
+
+    @pytest.mark.parametrize(
+        "sizes, name",
+        [({"cache_words": 0}, "cache_words"), ({"max_candidates": 0}, "max_candidates"),
+         ({"max_candidates": -3}, "max_candidates")],
+        ids=["cache-words-0", "max-candidates-0", "max-candidates-negative"],
+    )
+    def test_raises_before_any_work(self, sizes, name, tmp_path):
+        store = BoundStore(tmp_path / "store")
+        reset_simulation_count()
+        reset_expand_count()
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            search_upper_bounds(
+                [(get_kernel("gemm").program, GEMM_INSTANCE)], store=store, **sizes
+            )
+        assert simulation_count() == 0
+        assert expand_count() == 0
+        assert len(store) == 0
