@@ -86,12 +86,15 @@ import sympy
 
 from .analysis import AnalysisConfig, BoundStore, StreamCounters, save_results
 from .analysis.executor import EXECUTOR_NAMES
-from .polybench import all_kernels, analyze_suite, analyze_suite_stream, kernel_names
+from .polybench import all_kernels, analyze_suite, analyze_suite_stream, get_kernel, kernel_names
 from .upper import tightness_report
 
 
 def _parse_instance(pairs: Sequence[str]) -> dict[str, int] | None:
-    """Parse repeated ``NAME=VALUE`` arguments into an instance mapping."""
+    """Parse repeated ``NAME=VALUE`` arguments into an instance mapping.
+
+    Each value follows the :func:`positive_int` rule.
+    """
     if not pairs:
         return None
     instance = {}
@@ -101,7 +104,13 @@ def _parse_instance(pairs: Sequence[str]) -> dict[str, int] | None:
             raise argparse.ArgumentTypeError(
                 f"instance entries must look like NAME=VALUE, got {pair!r}"
             )
-        instance[name] = int(value)
+        try:
+            instance[name] = positive_int(value)
+        except ValueError:
+            message = f"must be an integer, got {value!r}"
+            raise argparse.ArgumentTypeError(f"instance value of {name} {message}") from None
+        except argparse.ArgumentTypeError as error:
+            raise argparse.ArgumentTypeError(f"instance value of {name} {error}") from None
     return instance
 
 
@@ -321,12 +330,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     names = _kernels_or_exit(args.kernels)
+    instance = _parse_instance(args.instance) or {}
+    unknown = sorted(set(instance) - {p for n in names for p in get_kernel(n).program.params})
+    if unknown:
+        raise ValueError(f"no selected kernel has the parameter(s) {unknown}")
 
     store = _store_for(args)
     report = tightness_report(
         names,
         cache_words=args.cache_words,
-        instance=_parse_instance(args.instance),
+        instance=instance,
         store=store,
         executor=args.executor,
         n_jobs=args.jobs,

@@ -42,6 +42,17 @@ DEFAULT_MAX_SUBCDAGS_PER_STATEMENT = 1
 DEFAULT_STRATEGIES = ("kpartition", "wavefront")
 
 
+def check_instance(instance: Mapping[str, int]) -> dict[str, int]:
+    """``instance`` as a dict of ints; a value that is not an ``int`` (a
+    ``bool``, a float, a string) or is below 1 raises ``ValueError``."""
+    for name, value in instance.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"instance value of {name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"instance value of {name} must be >= 1, got {value}")
+    return {str(name): int(value) for name, value in instance.items()}
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Immutable bundle of every knob of the IOLB derivation (Algorithm 6).
@@ -52,7 +63,8 @@ class AnalysisConfig:
         Heuristic parameter values used only to *rank* competing sub-bounds
         (the returned bound is valid for all parameter values).  Defaults to
         ``DEFAULT_PARAM_VALUE`` (10**5) for every program parameter and
-        ``DEFAULT_CACHE_SIZE`` (256) for the cache size ``S``.
+        ``DEFAULT_CACHE_SIZE`` (256) for the cache size ``S``.  Each value is
+        an ``int`` of at least 1 (see :func:`check_instance`).
     gamma:
         Fraction of the statement domain a path must cover to be considered
         by the K-partition search.
@@ -81,9 +93,7 @@ class AnalysisConfig:
         # do not depend on how the caller spelled them.
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if self.instance is not None:
-            object.__setattr__(
-                self, "instance", {str(k): int(v) for k, v in dict(self.instance).items()}
-            )
+            object.__setattr__(self, "instance", check_instance(self.instance))
 
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
@@ -114,7 +124,7 @@ class AnalysisConfig:
         values = {p: DEFAULT_PARAM_VALUE for p in params}
         values["S"] = DEFAULT_CACHE_SIZE
         if self.instance:
-            values.update({k: int(v) for k, v in self.instance.items()})
+            values.update(self.instance)
         return values
 
     def signature(self) -> tuple:

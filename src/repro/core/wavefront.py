@@ -151,7 +151,7 @@ def _find_unit_chain(dfg: DFG, statement: str, dims: tuple[str, ...], depth: int
         delta = path.function.translation_vector()
         forward = [-d for d in delta]
         expected = [1 if i == depth - 1 else 0 for i in range(len(dims))]
-        if list(map(int, forward)) == expected:
+        if forward == expected:
             return path
     return None
 

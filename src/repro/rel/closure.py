@@ -39,7 +39,6 @@ reflection dependence) would force an approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..sets import EQ, GE, BasicSet, Constraint, EliminationError, LinExpr, Space
@@ -101,7 +100,7 @@ def _self_check(relation: AffineRelation) -> None:
 
 
 def _translation_piece_closure(
-    relation: AffineRelation, piece: BasicSet, delta: tuple[Fraction, ...]
+    relation: AffineRelation, piece: BasicSet, delta: tuple[int, ...]
 ) -> tuple[BasicSet, bool]:
     """Parametric closure of one translation piece ``{x -> x + b : x in D}``.
 

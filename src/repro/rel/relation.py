@@ -36,7 +36,6 @@ exactness certificate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from ..sets import (
@@ -501,7 +500,7 @@ class AffineRelation:
         )
 
 
-def translation_of_piece(relation: AffineRelation, piece: BasicSet) -> tuple[Fraction, ...] | None:
+def translation_of_piece(relation: AffineRelation, piece: BasicSet) -> tuple[int, ...] | None:
     """The constant offset ``b`` when the piece has the form ``x -> x + b``.
 
     Recognised syntactically: for every coordinate ``k`` there must be an
@@ -511,7 +510,7 @@ def translation_of_piece(relation: AffineRelation, piece: BasicSet) -> tuple[Fra
     """
     if relation.n_in != relation.n_out:
         return None
-    offsets: list[Fraction] = []
+    offsets: list[int] = []
     for k in range(relation.n_in):
         i_name, o_name = in_name(k), out_name(k)
         found = None
@@ -527,10 +526,7 @@ def translation_of_piece(relation: AffineRelation, piece: BasicSet) -> tuple[Fra
                 out_coeff = expr.coeff(o_name)
             if out_coeff != 1 or expr.coeff(i_name) != -1:
                 continue
-            offset = -expr.const
-            if offset.denominator != 1:
-                continue
-            found = offset
+            found = -expr.const
             break
         if found is None:
             return None

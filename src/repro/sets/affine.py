@@ -1,39 +1,36 @@
 """Affine expressions over named dimensions and parameters.
 
-A :class:`LinExpr` is ``sum_i c_i * name_i + const`` with rational
+A :class:`LinExpr` is ``sum_i c_i * name_i + const`` with Python ``int``
 coefficients.  It is the atom of every constraint, access function and
-dependence relation in the library.
+dependence relation in the library, all of which are integer polyhedra.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from numbers import Rational
 from typing import Iterable, Mapping
-
-import sympy
 
 
 class LinExpr:
-    """An affine (degree-one) expression with rational coefficients."""
+    """An affine (degree-one) expression with integer coefficients."""
 
     __slots__ = ("coeffs", "const")
 
     def __init__(self, coeffs: Mapping[str, object] | None = None, const: object = 0):
-        cleaned: dict[str, Fraction] = {}
+        cleaned: dict[str, int] = {}
         if coeffs:
             for name, value in coeffs.items():
-                if type(value) is not Fraction:
-                    value = Fraction(value)
+                value = as_integer(value)
                 if value:
                     cleaned[name] = value
-        self.coeffs: dict[str, Fraction] = cleaned
-        self.const: Fraction = const if type(const) is Fraction else Fraction(const)
+        self.coeffs: dict[str, int] = cleaned
+        self.const: int = as_integer(const)
 
     @classmethod
-    def _trusted(cls, coeffs: dict[str, Fraction], const: Fraction) -> "LinExpr":
+    def _trusted(cls, coeffs: dict[str, int], const: int) -> "LinExpr":
         """Wrap ``coeffs`` and ``const`` as they are: the caller guarantees that
-        every coefficient is a non-zero ``Fraction`` and ``const`` a ``Fraction``."""
+        every coefficient is a non-zero ``int`` and ``const`` an ``int``."""
         expr = object.__new__(cls)
         expr.coeffs = coeffs
         expr.const = const
@@ -57,9 +54,9 @@ class LinExpr:
         """Names with non-zero coefficient."""
         return set(self.coeffs)
 
-    def coeff(self, name: str) -> Fraction:
+    def coeff(self, name: str) -> int:
         """Coefficient of ``name`` (0 when absent)."""
-        return self.coeffs.get(name, Fraction(0))
+        return self.coeffs.get(name, 0)
 
     def is_constant(self) -> bool:
         """True when no variable appears."""
@@ -71,7 +68,7 @@ class LinExpr:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "LinExpr | int | Fraction") -> "LinExpr":
+    def __add__(self, other: "LinExpr | int") -> "LinExpr":
         other = _as_expr(other)
         coeffs = dict(self.coeffs)
         for name, value in other.coeffs.items():
@@ -84,16 +81,16 @@ class LinExpr:
     def __neg__(self) -> "LinExpr":
         return LinExpr._trusted({k: -v for k, v in self.coeffs.items()}, -self.const)
 
-    def __sub__(self, other: "LinExpr | int | Fraction") -> "LinExpr":
+    def __sub__(self, other: "LinExpr | int") -> "LinExpr":
         return self + (-_as_expr(other))
 
     def __rsub__(self, other):
         return _as_expr(other) - self
 
     def __mul__(self, scalar: object) -> "LinExpr":
-        factor = scalar if type(scalar) is Fraction else Fraction(scalar)
+        factor = as_integer(scalar)
         if not factor:
-            return LinExpr._trusted({}, _ZERO)
+            return LinExpr._trusted({}, 0)
         return LinExpr._trusted(
             {k: v * factor for k, v in self.coeffs.items()}, self.const * factor
         )
@@ -102,10 +99,11 @@ class LinExpr:
         return self.__mul__(scalar)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (LinExpr, int, Fraction)):
-            return NotImplemented
-        other = _as_expr(other)
-        return self.coeffs == other.coeffs and self.const == other.const
+        if isinstance(other, LinExpr):
+            return self.coeffs == other.coeffs and self.const == other.const
+        if isinstance(other, Rational):
+            return not self.coeffs and self.const == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         # A constant expression equals its constant, so it must hash like it.
@@ -115,14 +113,14 @@ class LinExpr:
 
     # -- substitution / evaluation ------------------------------------------
 
-    def substitute(self, mapping: Mapping[str, "LinExpr | int | Fraction"]) -> "LinExpr":
+    def substitute(self, mapping: Mapping[str, "LinExpr | int"]) -> "LinExpr":
         """Replace each named variable by the given affine expression.
 
         One pass over one dict: a name already present is updated in place,
         one that cancels is deleted and a new one is appended, which is the
         coefficient order of summing the substituted terms left to right.
         """
-        coeffs: dict[str, Fraction] = {}
+        coeffs: dict[str, int] = {}
         const = self.const
         for name, coeff in self.coeffs.items():
             if name not in mapping:
@@ -135,42 +133,29 @@ class LinExpr:
                 const = const + replacement.const * coeff
         return LinExpr._trusted(coeffs, const)
 
-    def evaluate(self, values: Mapping[str, object]) -> Fraction:
-        """Numeric value of the expression at a point; all names must be bound."""
+    def evaluate(self, values: Mapping[str, object]) -> int:
+        """Value of the expression at a point; all names must be bound."""
         total = self.const
         for name, coeff in self.coeffs.items():
             if name not in values:
                 raise KeyError(f"no value supplied for {name!r}")
-            total += coeff * Fraction(values[name])
+            total += coeff * values[name]
         return total
-
-    def to_sympy(self, symbols: Mapping[str, sympy.Symbol] | None = None) -> sympy.Expr:
-        """Convert to a sympy expression (creating integer symbols as needed)."""
-        symbols = symbols or {}
-        expr: sympy.Expr = sympy.Rational(self.const.numerator, self.const.denominator)
-        for name, coeff in self.coeffs.items():
-            symbol = symbols.get(name, sympy.Symbol(name, integer=True))
-            expr += sympy.Rational(coeff.numerator, coeff.denominator) * symbol
-        return expr
 
     # -- normalisation ------------------------------------------------------
 
     def scaled_to_integers(self) -> "LinExpr":
-        """Multiply by the positive rational that makes all coefficients integral
-        and divides out the common factor.
+        """Divide the coefficients and the constant by their common factor.
 
         Returns ``self`` (not a copy) when the expression is already in
         canonical form, so callers can cheaply detect idempotence.
         """
-        values = [*self.coeffs.values(), self.const]
-        denominator = 1
-        for value in values:
-            if value.denominator != 1:
-                denominator = denominator * value.denominator // gcd(denominator, value.denominator)
-        common = gcd(*[value.numerator * (denominator // value.denominator) for value in values])
-        if denominator == 1 and common <= 1:
+        common = gcd(*self.coeffs.values(), self.const)
+        if common <= 1:
             return self
-        return self * Fraction(denominator, common)
+        return LinExpr._trusted(
+            {k: v // common for k, v in self.coeffs.items()}, self.const // common
+        )
 
     def __repr__(self) -> str:
         parts = []
@@ -187,10 +172,17 @@ class LinExpr:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-_ZERO = Fraction(0)
+def as_integer(value: object) -> int:
+    """``value`` as an ``int``: an integral rational converts, anything else
+    raises ``ValueError``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Rational) and value.denominator == 1:
+        return int(value.numerator)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
-def _accumulate(coeffs: dict[str, Fraction], name: str, value: Fraction) -> None:
+def _accumulate(coeffs: dict[str, int], name: str, value: int) -> None:
     """``coeffs[name] += value`` in place, deleting a coefficient that cancels."""
     total = coeffs.get(name)
     if total is None:
@@ -203,7 +195,7 @@ def _accumulate(coeffs: dict[str, Fraction], name: str, value: Fraction) -> None
         del coeffs[name]
 
 
-def _as_expr(value: "LinExpr | int | Fraction") -> LinExpr:
+def _as_expr(value: "LinExpr | int") -> LinExpr:
     if isinstance(value, LinExpr):
         return value
-    return LinExpr({}, value)
+    return LinExpr._trusted({}, as_integer(value))

@@ -12,7 +12,6 @@ computed by the integer :class:`~repro.linalg.Subspace` elimination.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ..linalg import Subspace
@@ -65,8 +64,7 @@ class AffineFunction:
             return False
         for i, expr in enumerate(self.exprs):
             for j, dim in enumerate(self.domain_space.dims):
-                expected = Fraction(1) if i == j else Fraction(0)
-                if expr.coeff(dim) != expected:
+                if expr.coeff(dim) != (1 if i == j else 0):
                     return False
             # Offsets must be numeric (parametric shifts are not chain circuits).
             if any(name in self.domain_space.params for name in expr.names()):
@@ -75,26 +73,18 @@ class AffineFunction:
                     return False
         return True
 
-    def translation_vector(self) -> tuple[Fraction, ...]:
+    def translation_vector(self) -> tuple[int, ...]:
         """The offset delta of a translation map (raises if not a translation)."""
         if not self.is_translation():
             raise ValueError("not a translation map")
-        return tuple(
-            expr.const for expr in self.exprs
-        )
+        return tuple(expr.const for expr in self.exprs)
 
     # -- application -------------------------------------------------------
 
     def apply_to_point(self, point: Sequence[int], params: Mapping[str, int]) -> tuple[int, ...]:
         values = dict(params)
-        values.update(dict(zip(self.domain_space.dims, point)))
-        image = []
-        for expr in self.exprs:
-            value = expr.evaluate(values)
-            if value.denominator != 1:
-                raise ValueError("non-integer image point")
-            image.append(int(value))
-        return tuple(image)
+        values.update(zip(self.domain_space.dims, point))
+        return tuple(expr.evaluate(values) for expr in self.exprs)
 
     def compose_after(self, inner: "AffineFunction") -> "AffineFunction":
         """Return ``self o inner`` (first apply ``inner``, then ``self``).

@@ -17,12 +17,11 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from hashlib import blake2b
 from typing import Iterable, Mapping, Sequence
 
 from .. import perf
-from .affine import LinExpr
+from .affine import LinExpr, as_integer
 from .space import Space
 
 EQ = "eq"   # expr == 0
@@ -41,7 +40,7 @@ class Constraint:
 
     Equality is equality of :meth:`key`, and the hash of the key is cached,
     so dedup, interning and piece signatures hash each constraint's
-    ``Fraction`` coefficients once.  The cached hash depends on the
+    integer coefficients once.  The cached hash depends on the
     interpreter's string hash seed, so it is never pickled.
     """
 
@@ -82,7 +81,7 @@ class Constraint:
         return (Constraint, (self.expr, self.kind))
 
     def normalized(self) -> "Constraint":
-        """Scale coefficients to coprime integers (direction preserved).
+        """Divide the coefficients by their common factor (direction preserved).
 
         The result is cached on the object and interned so structurally
         equal canonical constraints are one shared object.
@@ -263,7 +262,8 @@ class BasicSet:
         dimension that remains unbounded.  Points come in ascending
         lexicographic order of the enumeration order, each a tuple in
         ``space.dims`` order.  A name that is neither a dimension nor a key
-        of ``params`` raises ``KeyError``.
+        of ``params`` raises ``KeyError``, and a parameter value that is not
+        an integer raises ``ValueError``.
         """
         dims = self.space.dims
         order = self._enumeration_order()
@@ -277,10 +277,9 @@ class BasicSet:
             terms = []
             for name, coeff in constraint.expr.coeffs.items():
                 if name in position:
-                    terms.append((position[name], _exact(coeff)))
+                    terms.append((position[name], coeff))
                 else:
-                    const += coeff * Fraction(params[name])
-            const = _exact(const)
+                    const += coeff * as_integer(params[name])
             if not terms:
                 if const != 0 if constraint.kind == EQ else const < 0:
                     return []
@@ -368,8 +367,3 @@ class BasicSet:
 
 def _as_lin(value: LinExpr | int) -> LinExpr:
     return value if isinstance(value, LinExpr) else LinExpr.constant(value)
-
-
-def _exact(value: Fraction) -> int | Fraction:
-    """``value`` as an ``int`` when integral, so bound arithmetic stays in ints."""
-    return value.numerator if value.denominator == 1 else value

@@ -18,15 +18,16 @@ Count engine
 The polynomial weight carried through the recursion is a native
 :class:`repro.sets.poly.Poly`: exact ``Fraction`` monomial dicts with the
 precomputed Faulhaber tables doing each per-dimension sum in closed form,
-converted to sympy once per basic set.  The recursion takes its weight
-engine as a parameter; ``tests/sets/test_counting.py`` substitutes a
-``sympy.summation`` reference engine and asserts identical expressions on
-every PolyBench and fuzz-program statement domain.
+converted to sympy once per basic set.  Only the weight is rational: the
+affine bounds it sums between are integer :class:`LinExpr` rows.  The
+recursion takes its weight engine as a parameter;
+``tests/sets/test_counting.py`` substitutes a ``sympy.summation`` reference
+engine and asserts identical expressions on every PolyBench and
+fuzz-program statement domain.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 import sympy
@@ -54,9 +55,9 @@ def count_backend() -> str:
 
 def lin_to_sympy(expr: LinExpr) -> sympy.Expr:
     """Convert a :class:`LinExpr` to sympy using the shared symbol table."""
-    result: sympy.Expr = sympy.Rational(expr.const.numerator, expr.const.denominator)
+    result: sympy.Expr = sympy.Integer(expr.const)
     for name, coeff in expr.coeffs.items():
-        result += sympy.Rational(coeff.numerator, coeff.denominator) * sym(name)
+        result += sympy.Integer(coeff) * sym(name)
     return result
 
 
@@ -194,7 +195,7 @@ def _substitute_equalities(
                 {n: c for n, c in constraint.expr.coeffs.items() if n != target},
                 constraint.expr.const,
             )
-            replacement = rest * Fraction(-1, coeff)
+            replacement = rest * -coeff
             constraints = [
                 c.substitute({target: replacement})
                 for c in constraints

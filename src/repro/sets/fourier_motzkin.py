@@ -11,16 +11,15 @@ independence / interference tests of the IOLB algorithms.  All uses in
   over-approximated — see DESIGN.md).
 
 Performance: the pair combination is one exact integer loop — every
-constraint is normalised first, so bounds are read as Python ints, which
+constraint is normalised first and its coefficients are Python ints, which
 cannot overflow — and the module-level queries are memoised under content
-keys (:mod:`repro.sets.memo`).  The ``Fraction`` pair loop it replaced lives
-on as the test oracle (``tests/sets/reference_affine.py``): identical
-constraints in identical order.
+keys (:mod:`repro.sets.memo`).  A rational ``Fraction`` pair loop lives on as
+the test oracle (``tests/sets/reference_affine.py``): identical constraints
+in identical order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .. import perf
@@ -51,30 +50,29 @@ def eliminate_variable(constraints: Sequence[Constraint], name: str) -> list[Con
             continue
         coeff = constraint.expr.coeff(name)
         if abs(coeff) == 1:
-            # name = -(rest)/coeff
+            # name = -(rest)/coeff = -coeff * rest, as coeff is +-1
             rest = LinExpr(
                 {n: c for n, c in constraint.expr.coeffs.items() if n != name},
                 constraint.expr.const,
             )
-            replacement = rest * Fraction(-1, coeff)
+            replacement = rest * -coeff
             remaining = [c for c in constraints if c is not constraint]
             return [c.substitute({name: replacement}) for c in remaining]
 
-    # 2. Fourier-Motzkin.  Every constraint is normalised, so each bound on
-    # ``name`` reads as integers ``(a, rest, const)`` for
-    # ``a*name + rest + const >= 0``: lower bounds have ``a > 0``.
+    # 2. Fourier-Motzkin.  Each bound on ``name`` reads as the integers
+    # ``(a, rest, const)`` of ``a*name + rest + const >= 0``: lower bounds
+    # have ``a > 0``.
     others: list[Constraint] = []
     lower: list[tuple[int, dict[str, int], int]] = []
     upper: list[tuple[int, dict[str, int], int]] = []
     for constraint in constraints:
         expr = constraint.expr
-        coeff = expr.coeffs.get(name)
-        if coeff is None:
+        a = expr.coeffs.get(name)
+        if a is None:
             others.append(constraint)
             continue
-        a = coeff.numerator
-        rest = {n: c.numerator for n, c in expr.coeffs.items() if n != name}
-        const = expr.const.numerator
+        rest = {n: c for n, c in expr.coeffs.items() if n != name}
+        const = expr.const
         (lower if a > 0 else upper).append((a, rest, const))
         if constraint.kind == EQ:
             # A (non-unit) equality is two opposite inequalities.

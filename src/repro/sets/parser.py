@@ -14,7 +14,6 @@ the corresponding conjunction; conjuncts are joined with ``and``.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .affine import LinExpr
 from .affine_map import AffineFunction
@@ -77,7 +76,7 @@ class _ExprParser:
                 sign = -sign
         token = self.next()
         if token.isdigit():
-            value = Fraction(int(token))
+            value = int(token)
             if self.peek() == "*":
                 self.next()
                 name = self.next()

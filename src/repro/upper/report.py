@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 import sympy
 
 from ..analysis import BoundStore, Executor, StreamCounters, lease_executor
+from ..analysis.config import check_instance
 from ..polybench.registry import all_kernels, get_kernel
 from ..polybench.suite import _shrink, analyze_suite_stream
 from .result import TileSimulation, UpperBoundResult
@@ -196,10 +197,13 @@ def tightness_report(
     kernel's LARGE instance shrunk to ``target`` (overridable per parameter
     via ``instance``).  Both sides share one ``store`` and one executor, so
     warm reruns cost zero derivations and zero simulations — the report
-    records both counts, of its own work only.  Sizes below 1 raise
-    ``ValueError`` before any work.
+    records both counts, of its own work only.  An ``instance`` entry
+    applies to the kernels that have that parameter, so one mapping serves
+    several kernels.  Sizes and instance values below 1 raise ``ValueError``
+    before any work.
     """
     check_sizes(cache_words=cache_words, max_candidates=max_candidates, target=target)
+    instance = check_instance(instance or {})
     specs = all_kernels() if names is None else [get_kernel(name) for name in names]
     counters = StreamCounters()
     executor, release = lease_executor(executor, n_jobs)
@@ -216,10 +220,7 @@ def tightness_report(
         instances = []
         for spec in specs:
             small = _shrink(spec.large_instance, target)
-            if instance:
-                small.update({
-                    name: int(value) for name, value in instance.items() if name in small
-                })
+            small.update({name: value for name, value in instance.items() if name in small})
             instances.append(small)
         uppers = search_upper_bounds(
             [(spec.program, small) for spec, small in zip(specs, instances)],

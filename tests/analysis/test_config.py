@@ -80,6 +80,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="must not repeat"):
             AnalysisConfig.from_dict({"strategies": ["wavefront", "wavefront"]})
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [(2.7, "must be an integer, got 2.7"), (2.0, "must be an integer, got 2.0"),
+         (True, "must be an integer, got True"), ("4", "must be an integer, got '4'"),
+         (0, "must be >= 1, got 0"), (-5, "must be >= 1, got -5")],
+        ids=["float", "integral-float", "bool", "string", "zero", "negative"],
+    )
+    def test_bad_instance_value_is_rejected(self, value, message):
+        """A float was truncated and a value below 1 derived another bound
+        under a new store key; both are refused when the config is built."""
+        with pytest.raises(ValueError, match=f"instance value of Ni {message}"):
+            AnalysisConfig(instance={"Ni": value})
+        with pytest.raises(ValueError, match=f"instance value of Ni {message}"):
+            AnalysisConfig.from_dict({"instance": {"Ni": value}})
+
+    def test_valid_instance_keeps_its_key(self):
+        config = AnalysisConfig(instance={"Nj": 8, "Ni": 7})
+        assert config.instance == {"Nj": 8, "Ni": 7}
+        assert config.signature()[0] == (("Ni", 7), ("Nj", 8))
+
     def test_replace_checks_strategies_too(self):
         """The suite applies overrides with ``replace``; it runs the same checks."""
         with pytest.raises(ValueError, match="unknown strategy 'isl'"):

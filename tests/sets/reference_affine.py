@@ -2,14 +2,15 @@
 
 The ``Fraction``-rebuilding ``LinExpr`` arithmetic:
 
-:class:`repro.sets.LinExpr` keeps coefficients that are already ``Fraction``
-objects, builds the results of ``+``, ``-``, ``*`` and negation without
-re-validating them, and substitutes in one pass over a single dict.  This
-module is the arithmetic it replaced: every operation rebuilds each
-coefficient with ``Fraction(value)`` and drops zeros in the constructor, and
-``substitute`` adds one freshly built expression per term.  Values *and* the
-insertion order of ``coeffs`` must agree with it, because constraint order
-and FM pair order follow dict order.
+:class:`repro.sets.LinExpr` holds ``int`` coefficients, builds the results
+of ``+``, ``-``, ``*`` and negation without re-validating them, substitutes
+in one pass over a single dict and normalises by dividing out the gcd.
+This module is the rational arithmetic it replaced: every operation rebuilds
+each coefficient with ``Fraction(value)`` and drops zeros in the
+constructor, ``substitute`` adds one freshly built expression per term, and
+normalisation clears denominators before dividing.  On integer inputs the
+values *and* the insertion order of ``coeffs`` must agree with it, because
+constraint order and FM pair order follow dict order.
 
 The ``Fraction`` Fourier-Motzkin pair loop: :func:`reference_fm_eliminate`
 splits the normalised constraints into lower and upper bounds as ``LinExpr``

@@ -34,17 +34,33 @@ class TestLinExpr:
 
     def test_evaluate(self):
         expr = 3 * LinExpr.var("i") + LinExpr.var("N") - 2
-        assert expr.evaluate({"i": 4, "N": 10}) == 20
+        value = expr.evaluate({"i": 4, "N": 10})
+        assert value == 20 and type(value) is int
 
     def test_evaluate_missing_name_raises(self):
         with pytest.raises(KeyError):
             LinExpr.var("i").evaluate({})
 
-    def test_scaled_to_integers(self):
-        expr = LinExpr({"x": Fraction(1, 2), "y": Fraction(1, 3)})
-        scaled = expr.scaled_to_integers()
-        assert scaled.coeff("x") == 3
-        assert scaled.coeff("y") == 2
+    def test_coefficients_are_ints(self):
+        expr = LinExpr({"x": Fraction(6, 2), "y": -4}, Fraction(2))
+        assert expr.coeffs == {"x": 3, "y": -4} and expr.const == 2
+        scaled = (expr * Fraction(-2, 1)).scaled_to_integers()
+        assert scaled.coeffs == {"x": -3, "y": 4} and scaled.const == -2
+        values = (*expr.coeffs.values(), expr.const, expr.coeff("w"), *scaled.coeffs.values())
+        assert all(type(value) is int for value in (*values, scaled.const))
+
+    def test_non_integral_input_raises(self):
+        x = LinExpr.var("x")
+        for build in (
+            lambda: LinExpr({"x": Fraction(1, 2)}),
+            lambda: LinExpr({}, Fraction(1, 3)),
+            lambda: LinExpr.constant(0.5),
+            lambda: x * Fraction(1, 2),
+            lambda: x + Fraction(5, 7),
+            lambda: x.substitute({"x": Fraction(1, 2)}),
+        ):
+            with pytest.raises(ValueError):
+                build()
 
     def test_scaled_removes_common_factor(self):
         expr = LinExpr({"x": 4, "y": 6}, 2)
@@ -61,7 +77,9 @@ class TestLinExpr:
         assert LinExpr.constant(3) == 3
         assert 3 in {LinExpr.constant(3)}
         assert LinExpr.constant(3) in {3}
-        assert Fraction(1, 2) in {LinExpr.constant(Fraction(1, 2))}
+        assert Fraction(3) in {LinExpr.constant(3)}
+        assert LinExpr.constant(0) != Fraction(1, 2)
+        assert not LinExpr.constant(1) == Fraction(3, 2)
 
 
 class TestParseSet:

@@ -6,11 +6,11 @@ the ``Fraction`` oracles of ``reference_affine``; and the memo caches are
 keyed on content.  These tests pin:
 
 * ``eliminate_variable``'s pair combination against the ``Fraction`` oracle
-  (random systems, non-unit equalities, unnormalised ``Fraction`` inputs,
+  (random systems, non-unit equalities, unnormalised integer inputs,
   coefficients past 2^62, trivially true and false rows);
 * ``enumerate_points`` against the recursive ``Fraction`` loop oracle,
   including point *order*, and its answers on large grids, free names,
-  non-integer parameters, empty ranges and 0-dimensional sets;
+  rejected non-integer parameters, empty ranges and 0-dimensional sets;
 * memo caching, constraint interning and set fingerprints;
 * the canonical integer scaling of constraints (the re-canonicalisation
   bugfix sweep).
@@ -101,23 +101,21 @@ class TestFmCombine:
         assert keys == _keys(reference_fm_eliminate(system, "x"))
         assert sorted(keys) == [(GE, (("y", -1),), 9), (GE, (("y", 1),), 1)]
 
-    def test_unnormalised_fraction_inputs_match_the_oracle(self):
+    def test_unnormalised_inputs_match_the_oracle(self):
         rng = random.Random(8080)
         for _ in range(40):
-            system = [
-                Constraint(c.expr * Fraction(rng.randint(1, 9), rng.randint(1, 9)), c.kind)
-                for c in _fm_system(rng)
-            ]
-            half = LinExpr({"x0": Fraction(1, 2), "x1": Fraction(2, 3)}, Fraction(5, 7))
-            system.append(Constraint(half, GE))
+            system = [Constraint(c.expr * rng.randint(1, 9), c.kind) for c in _fm_system(rng)]
+            common = LinExpr({"x0": 6, "x1": 4}, 10)
+            system.append(Constraint(common, GE))
             expected = reference_fm_eliminate(system, "x0")
             assert _keys(eliminate_variable(system, "x0")) == _keys(expected)
 
-    def test_fractional_coefficients_combine_exactly(self):
-        # 1/2*x + 1/3*y >= 0 and -x + 4 >= 0 combine to y + 6 >= 0.
+    def test_unnormalised_coefficients_combine_exactly(self):
+        # 6x + 4y >= 0 and -2x + 8 >= 0 normalise to 3x + 2y >= 0 and
+        # -x + 4 >= 0, which combine to 2y + 12 >= 0, that is y + 6 >= 0.
         system = [
-            Constraint(LinExpr({"x": Fraction(1, 2), "y": Fraction(1, 3)}, 0), GE),
-            Constraint(LinExpr({"x": -1}, 4), GE),
+            Constraint(LinExpr({"x": 6, "y": 4}, 0), GE),
+            Constraint(LinExpr({"x": -2}, 8), GE),
         ]
         assert _keys(eliminate_variable(system, "x")) == [(GE, (("y", 1),), 6)]
 
@@ -267,12 +265,14 @@ class TestEnumeration:
         with pytest.raises(KeyError):
             leaky.enumerate_points({}, 10)
 
-    def test_non_integer_parameter_is_exact(self):
+    def test_non_integer_parameter_raises(self):
         band = parse_set("[N] -> { D[i] : 0 <= i and i <= N }").pieces[0]
-        assert band.enumerate_points({"N": 1.5}, 10) == [(0,), (1,)]
-        assert band.enumerate_points({"N": Fraction(5, 2)}, 10) == [(0,), (1,), (2,)]
+        for value in (1.5, Fraction(5, 2), "2"):
+            with pytest.raises(ValueError):
+                band.enumerate_points({"N": value}, 10)
+        assert band.enumerate_points({"N": Fraction(4, 2)}, 10) == [(0,), (1,), (2,)]
         pinned = parse_set("[N] -> { D[i] : 2*i = N }").pieces[0]
-        assert pinned.enumerate_points({"N": 1.5}, 10) == []
+        assert pinned.enumerate_points({"N": 7}, 10) == []
         assert pinned.enumerate_points({"N": 6}, 10) == [(3,)]
 
 
@@ -337,11 +337,15 @@ class TestCanonicalisation:
         expr = LinExpr({"i": 2, "j": -3}, 5)
         assert expr.scaled_to_integers() is expr
 
-    def test_scaled_to_integers_clears_denominators(self):
-        expr = LinExpr({"i": Fraction(1, 2)}, 1)
-        scaled = expr.scaled_to_integers()
+    def test_non_integral_coefficient_raises(self):
+        with pytest.raises(ValueError):
+            LinExpr({"i": Fraction(1, 2)}, 1)
+        with pytest.raises(ValueError):
+            LinExpr({"i": 1}, Fraction(1, 2))
+        scaled = LinExpr({"i": Fraction(4, 2)}, Fraction(2)).scaled_to_integers()
         assert scaled.coeffs == {"i": 1}
-        assert scaled.const == 2
+        assert scaled.const == 1
+        assert all(type(v) is int for v in (*scaled.coeffs.values(), scaled.const))
 
     def test_scaled_to_integers_divides_common_factor(self):
         expr = LinExpr({"i": -2, "j": 4}, -6)

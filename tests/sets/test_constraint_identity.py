@@ -12,7 +12,6 @@ import multiprocessing
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from repro.sets import EQ, GE, BasicSet, Constraint, LinExpr, Space
 
@@ -23,7 +22,7 @@ def _fresh_constraints() -> list[Constraint]:
     return [
         Constraint(LinExpr({"i": 2, "j": -2}, 4), GE),
         Constraint(LinExpr({"N": 1, "i": -1}, -1), GE),
-        Constraint(LinExpr({"j": Fraction(1, 2), "i": Fraction(-1, 2)}), EQ),
+        Constraint(LinExpr({"j": 3, "i": -3}), EQ),
     ]
 
 

@@ -310,3 +310,48 @@ class TestNumericFlagsBelowOne:
         assert "argument --cache-words: invalid positive_int value: 'lots'" in (
             capsys.readouterr().err
         )
+
+
+class TestInstanceValues:
+    """``--instance`` values follow the positive-integer rule, and a report
+    refuses a parameter that none of its kernels has: exit code 2, an
+    ``error:`` line, nothing on stdout and no derivation."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "gemm"],
+            ["suite", "--kernels", "gemm"],
+            ["report", "gemm"],
+        ],
+        ids=["analyze", "suite", "report"],
+    )
+    @pytest.mark.parametrize(
+        "value, message",
+        [("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"),
+         ("2.7", "must be an integer, got '2.7'")],
+        ids=["zero", "negative", "float"],
+    )
+    def test_bad_value_exits_two(self, argv, value, message, monkeypatch, capsys):
+        import repro.analysis.analyzer
+
+        def no_planning(*args, **kwargs):
+            raise AssertionError("a bad instance value must fail before planning")
+
+        monkeypatch.setattr(repro.analysis.analyzer, "plan_program", no_planning)
+        assert main([*argv, "--no-cache", "--instance", f"Ni={value}", "Nj=4", "Nk=4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: instance value of Ni {message}\n"
+
+    def test_report_refuses_a_parameter_no_kernel_has(self, monkeypatch, capsys):
+        import repro.analysis.analyzer
+
+        def no_planning(*args, **kwargs):
+            raise AssertionError("an unknown instance name must fail before planning")
+
+        monkeypatch.setattr(repro.analysis.analyzer, "plan_program", no_planning)
+        assert main(["report", "gemm", "atax", "--no-cache", "--instance", "N=4", "T=3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: no selected kernel has the parameter(s) ['T']\n"

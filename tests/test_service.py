@@ -150,6 +150,15 @@ class TestErrors:
                 request_line(kernels=["gemm"], config={"strategies": []}),
                 "invalid config: strategies must name at least one strategy",
             ),
+            # Instance values are positive ints: never truncated, never below 1.
+            (
+                request_line(kernels=["gemm"], config={"instance": {"Ni": 2.7}}),
+                "invalid config: instance value of Ni must be an integer, got 2.7",
+            ),
+            (
+                request_line(kernels=["gemm"], config={"instance": {"Ni": -5}}),
+                "invalid config: instance value of Ni must be >= 1, got -5",
+            ),
         ],
     )
     def test_bad_requests_yield_one_error_event(self, service, monkeypatch, line, fragment):

@@ -194,3 +194,26 @@ class TestSizesBelowOne:
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             tightness_report(["gemm"], store=store, **sizes)
         assert len(store) == 0
+
+    @pytest.mark.parametrize(
+        "instance, message",
+        [({"Ni": -3, "Nj": 4, "Nk": 4}, "Ni must be >= 1, got -3"),
+         ({"Ni": 0}, "Ni must be >= 1, got 0"),
+         ({"Ni": 2.7}, "Ni must be an integer, got 2.7"),
+         ({"Ni": True}, "Ni must be an integer, got True")],
+        ids=["negative", "zero", "float", "bool"],
+    )
+    def test_bad_instance_value_raises_before_any_work(
+        self, instance, message, tmp_path, monkeypatch
+    ):
+        import repro.upper.report
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a bad instance value must be refused before any work")
+
+        monkeypatch.setattr(repro.upper.report, "analyze_suite_stream", no_work)
+        monkeypatch.setattr(repro.upper.report, "search_upper_bounds", no_work)
+        store = BoundStore(tmp_path / "store")
+        with pytest.raises(ValueError, match=message):
+            tightness_report(["gemm"], store=store, instance=instance)
+        assert len(store) == 0
